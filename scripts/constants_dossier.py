@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from pclab import constants as cn
+from pclab.exactpow import as_ratio
 
 
 def main():
@@ -22,8 +23,8 @@ def main():
     ap.add_argument("--eps", default="1/10000")
     args = ap.parse_args()
 
-    lo, hi = cn._frac(args.lo), cn._frac(args.hi)
-    eps = cn._frac(args.eps)
+    lo, hi = as_ratio(args.lo), as_ratio(args.hi)
+    eps = as_ratio(args.eps)
     for i in range(args.steps + 1):
         c = lo + (hi - lo) * Fraction(i, args.steps)
         rc = cn.regime_constants(c)

@@ -12,20 +12,14 @@ import json
 from fractions import Fraction
 
 from pclab import expsum
-
-
-def parse_frac(s):
-    if "/" in s:
-        a, _, b = s.partition("/")
-        return Fraction(int(a), int(b))
-    return Fraction(s)
+from pclab.exactpow import as_ratio
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("-c", default="5/2")
-    ap.add_argument("--Theta", type=parse_frac, default=Fraction(1))
-    ap.add_argument("--Delta", type=parse_frac, default=Fraction(3, 10))
+    ap.add_argument("--Theta", type=as_ratio, default=Fraction(1))
+    ap.add_argument("--Delta", type=as_ratio, default=Fraction(3, 10))
     ap.add_argument("--n-grid", type=int, nargs="*",
                     default=[50, 100, 200, 400, 800, 1600, 3200])
     args = ap.parse_args()

@@ -7,14 +7,12 @@ from __future__ import annotations
 import math
 
 from .errors import FactorizationTimeout
+from .prng import splitmix64
 
-TWO63 = 1 << 63
 TWO64 = 1 << 64
 
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sorenson & Webster).
 MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_MASK64 = TWO64 - 1
 
 
 def iroot(x: int, k: int) -> int:
@@ -60,14 +58,6 @@ def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
         if x == n - 1:
             return False
     return True
-
-
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -155,9 +145,7 @@ def primality(n: int) -> tuple[bool, bool]:
         return True, True
     # Probabilistic path: 64 pseudo-random bases (seeded by n, reproducible)
     # plus a strong Lucas check.
-    state = n & _MASK64
-    for _ in range(64):
-        state, r = _splitmix64(state)
+    for r in splitmix64(n, 64):
         a = 2 + r % (n - 3)
         if _mr_composite_witness(n, a, d, s):
             return False, True
@@ -242,7 +230,6 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
             m //= p
     if m == 1:
         return factors, probabilistic
-    pending = []
     limit = math.isqrt(m)
     for p in small_primes():
         if p < 7:
@@ -262,17 +249,7 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
                 m = 1
                 break
             limit = math.isqrt(m)
-    if m > 1:
-        verdict, det = primality(m)
-        probabilistic |= not det
-        if verdict:
-            factors[m] = factors.get(m, 0) + 1
-        elif math.isqrt(m) <= _SMALL_PRIME_LIMIT:
-            # composite with all prime factors <= 10^5 already exhausted: the
-            # remaining cofactor must be a prime square (isqrt cutoff artifact)
-            pending.append(m)
-        else:
-            pending.append(m)
+    pending = [m]
     budget = [rho_budget]
     while pending:
         m = pending.pop()

@@ -1,8 +1,9 @@
 """The acceptance suite: every gate criterion as a callable check.
 
-Each criterion returns a CriterionResult whose `values` payload is fully
-deterministic (no timing), so two runs at different worker counts can be
-compared byte for byte.  `passed` folds in the stated runtime budget.
+Each criterion returns a CriterionResult whose verdict and `values` are
+fully deterministic (no timing), so two runs at different worker counts can
+be compared byte for byte.  `passed` also demands the stated runtime budget,
+which the compared payload leaves out.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import constants as cn
 from . import experiments as ex
 from . import expsum as es
 from .errors import DEFAULT_CAPS, NoCrossing
-from .exactpow import as_exponent, floor_pow
+from .exactpow import as_exponent, as_ratio, floor_pow
 from .factor import factor_signature
 from .primes import mangoldt_table
 from .prng import pm1_weights
@@ -32,12 +33,29 @@ _SEED = 20260808
 class CriterionResult:
     cid: int
     title: str
-    passed: bool
+    verdict: bool  # the timing-free check
     values: dict
     elapsed_s: float = 0.0
+    budget_s: float = math.inf
+
+    @property
+    def in_budget(self) -> bool:
+        return self.elapsed_s <= self.budget_s
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict and self.in_budget
 
     def payload(self) -> dict:
-        return {"criterion": self.cid, "title": self.title, "passed": self.passed, "values": self.values}
+        """The timing-free part: verdict and values, never the budget outcome."""
+        return {"criterion": self.cid, "title": self.title, "verdict": self.verdict, "values": self.values}
+
+    def report(self) -> dict:
+        """pass, the values, and the budget when it was exceeded."""
+        out = {"pass": self.passed, **self.values}
+        if not self.in_budget:
+            out.update(runtime_budget_exceeded=True, budget_s=self.budget_s)
+        return out
 
 
 @dataclass
@@ -102,7 +120,7 @@ def criterion_4(ctx: LabContext):
     per_c = {}
     ok = True
     for cc in ("3", "3.5", "5", "10", "100"):
-        c = cn._frac(cc)
+        c = as_ratio(cc)
         rc = cn.regime_constants(c)
         reps = {r.id: r.holds for r in cn.regime_inequalities(c)}
         good = rc.coeff == 88 and rc.beta < F(1, 10) and all(reps.values())
@@ -381,7 +399,7 @@ def criterion_13(ctx: LabContext):
     out = {}
     ok = True
     for cc in ("2.2", "2.5", "3", "5"):
-        m = cn.margin_verify(cn._frac(cc), F(1, 1000))
+        m = cn.margin_verify(as_ratio(cc), F(1, 1000))
         out[cc] = {
             "ok": m.ok,
             "type1_worst": m.type1_worst,
@@ -394,12 +412,12 @@ def criterion_13(ctx: LabContext):
     f1_ok = True
     for cc in ("1.6", "2.2", "3", "10"):
         for eps in (F(0), F(1, 100)):
-            vals = [cn.weyl_margin_minorants(F(i, grid_n), cn._frac(cc), eps)[0] for i in range(grid_n + 1)]
+            vals = [cn.weyl_margin_minorants(F(i, grid_n), as_ratio(cc), eps)[0] for i in range(grid_n + 1)]
             inc = all(vals[i] < vals[i + 1] for i in range(grid_n))
             f1_ok = f1_ok and inc
     f2_ok = True
     for cc in ("2.2", "2.5", "3"):
-        vals = [cn.weyl_margin_minorants(F(i, grid_n), cn._frac(cc), F(1, 100))[1] for i in range(grid_n + 1)]
+        vals = [cn.weyl_margin_minorants(F(i, grid_n), as_ratio(cc), F(1, 100))[1] for i in range(grid_n + 1)]
         f2_ok = f2_ok and _local_max_count(vals) == 1
     out["f1_grid_increasing"] = f1_ok
     out["f2_grid_unimodal"] = f2_ok
@@ -429,12 +447,8 @@ def run_criteria(jobs: int = 1, caps=DEFAULT_CAPS) -> list[CriterionResult]:
     results = []
     for cid, title, fn, budget in _CRITERIA:
         t0 = time.perf_counter()
-        passed, values = fn(ctx)
-        elapsed = time.perf_counter() - t0
-        if elapsed > budget:
-            passed = False
-            values = {**values, "runtime_budget_exceeded": True, "budget_s": budget}
-        results.append(CriterionResult(cid, title, bool(passed), values, elapsed))
+        verdict, values = fn(ctx)
+        results.append(CriterionResult(cid, title, bool(verdict), values, time.perf_counter() - t0, budget))
     return results
 
 

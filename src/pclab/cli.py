@@ -26,46 +26,25 @@ from . import acceptance as ac
 from . import constants as cn
 from . import experiments as ex
 from . import expsum as es
-from .errors import (
-    IntegerExponent,
-    NoCrossing,
-    NotAFraction,
-    OutOfRange,
-    Overflow,
-    PCLabError,
-    PrecisionExhausted,
-    RangeTooLarge,
-    caps_from_env,
-)
-from .exactpow import floor_pow, parse_exponent
+from .errors import NotAFraction, OutOfRange, Overflow, PCLabError, PrecisionExhausted, RangeTooLarge, caps_from_env
+from .exactpow import as_ratio, floor_pow, parse_exponent
 
-_USAGE_ERRORS = (NotAFraction, IntegerExponent, OutOfRange, NoCrossing, ValueError)
 _CAP_ERRORS = (RangeTooLarge, Overflow, PrecisionExhausted)
-
-
-def _int_arg(text: str) -> int:
-    """Exact integer, accepting scientific notation like 1e6."""
-    s = text.strip().lower()
-    try:
-        if "e" in s or "." in s:
-            f = Fraction(s)
-            if f.denominator != 1:
-                raise ValueError
-            return f.numerator
-        return int(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact integer: {text!r}")
 
 
 def _frac_arg(text: str) -> Fraction:
     try:
-        s = text.strip()
-        if "/" in s:
-            a, _, b = s.partition("/")
-            return Fraction(int(a), int(b))
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact ratio: {text!r}")
+        return as_ratio(text)
+    except NotAFraction:
+        raise argparse.ArgumentTypeError(f"not an exact ratio: {text!r}") from None
+
+
+def _int_arg(text: str) -> int:
+    """Exact integer, accepting scientific notation like 1e6."""
+    f = _frac_arg(text)
+    if f.denominator != 1:
+        raise argparse.ArgumentTypeError(f"not an exact integer: {text!r}")
+    return f.numerator
 
 
 _GLOBAL_FLAGS = (
@@ -89,8 +68,15 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool):
         parser.add_argument(flag, **kw)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise OutOfRange, so they end as one line and exit 1."""
+
+    def error(self, message):
+        raise OutOfRange(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pclab",
         description="computational laboratory for the arithmetic of floor(p^c)",
         allow_abbrev=False,
@@ -99,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def new(parent, name, **kw):
-        p = parent.add_parser(name, allow_abbrev=False, **kw)
+        # name is the dotted command ("expsum.weyl"); the innermost wins args.cmd
+        p = parent.add_parser(name.rpartition(".")[2], allow_abbrev=False, **kw)
+        p.set_defaults(cmd=name)
         _add_globals(p, suppress=True)
         return p
 
@@ -134,25 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = new(sub, "expsum", help="exponential-sum evaluators")
     se = pe.add_subparsers(dest="expsum_kind", required=True)
-    p = new(se, "weyl")
+    p = new(se, "expsum.weyl")
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--Theta", type=_frac_arg, required=True)
     p.add_argument("--Delta", type=_frac_arg, required=True)
     p.add_argument("--N", type=_int_arg, required=True)
     p.add_argument("--eps", type=_frac_arg, default=Fraction(0))
-    p = new(se, "prime")
+    p = new(se, "expsum.prime")
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--h", type=_int_arg, required=True)
     p.add_argument("--d", type=_int_arg, required=True)
-    p = new(se, "trilinear")
+    p = new(se, "expsum.trilinear")
     p.add_argument("--D", type=_int_arg, required=True)
     p.add_argument("--M", type=_int_arg, required=True)
     p.add_argument("--L", type=_int_arg, required=True)
     p.add_argument("--h", type=_int_arg, required=True)
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--weights", choices=("unit", "interval", "pm1"), default="unit")
-    p = new(se, "triple")
+    p = new(se, "expsum.triple")
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--D", type=_int_arg, required=True)
     p.add_argument("--H", type=_int_arg, default=None)
@@ -160,28 +148,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = new(sub, "constants", help="exact constants and inequality systems")
     sc = pc.add_subparsers(dest="constants_kind", required=True)
-    p = new(sc, "delta")
+    p = new(sc, "constants.delta")
     p.add_argument("-R", type=int, required=True)
-    new(sc, "table")
-    p = new(sc, "lemma23")
+    new(sc, "constants.table")
+    p = new(sc, "constants.lemma23")
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--theta", type=_frac_arg, required=True)
     p.add_argument("--kappa", type=_frac_arg, default=Fraction(1, 10**6))
-    p = new(sc, "maxc")
+    p = new(sc, "constants.maxc")
     p.add_argument("-R", type=int, required=True)
     p.add_argument("--kappa", type=_frac_arg, default=Fraction(1, 10**9))
     p.add_argument("--greaves-degree", action="store_true")
-    p = new(sc, "sigma")
+    p = new(sc, "constants.sigma")
     p.add_argument("-c", type=str, required=True)
-    p = new(sc, "rbound")
+    p = new(sc, "constants.rbound")
     p.add_argument("-c", type=str, required=True)
-    p = new(sc, "regime")
+    p = new(sc, "constants.regime")
     p.add_argument("-c", type=str, required=True)
-    p = new(sc, "threshold")
+    p = new(sc, "constants.threshold")
     p.add_argument("--ineq", choices=("3.2", "3.3", "3.4", "beta-cap"), required=True)
     p.add_argument("--lo", type=_frac_arg, required=True)
     p.add_argument("--hi", type=_frac_arg, required=True)
-    p = new(sc, "margins")
+    p = new(sc, "constants.margins")
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--eps", type=_frac_arg, default=Fraction(1, 1000))
 
@@ -191,12 +179,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+_CONFIG_KEYS = {"format": str, "jobs": int, "seed": int, "tol": float, "fixtures": str}
+
+
+def _config_path(argv: list[str]) -> str | None:
+    """The file named by --config PATH or --config=PATH, if any."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise OutOfRange("--config needs a file path")
+            return argv[i + 1]
+        if arg.startswith("--config="):
+            return arg.partition("=")[2]
+    return None
+
+
+def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> None:
     """Load --config key=value pairs as parser defaults (flags override)."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
+    path = _config_path(argv)
+    if path is None:
+        return
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -204,10 +206,13 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            defaults[key.strip()] = val.strip()
-    known = {"format": str, "jobs": int, "seed": int, "tol": float, "fixtures": str}
-    ap.set_defaults(**{k: known[k](v) for k, v in defaults.items() if k in known})
-    return argv
+            key, val = key.strip(), val.strip()
+            if key in _CONFIG_KEYS:
+                try:
+                    defaults[key] = _CONFIG_KEYS[key](val)
+                except ValueError:
+                    raise OutOfRange(f"{path}: bad {key} value {val!r}") from None
+    ap.set_defaults(**defaults)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -284,30 +289,6 @@ _FIXTURE_RUNS = (
 )
 
 
-def _run_fixture(name: str, params: dict, caps) -> dict:
-    if name == "expsum.weyl":
-        return es.weyl_sum(params["c"], _frac_arg(params["Theta"]),
-                           _frac_arg(params["Delta"]), params["N"], caps=caps).to_json()
-    if name == "expsum.prime":
-        return es.prime_expsum(params["x"], params["c"], params["h"], params["d"], caps=caps).to_json()
-    if name == "expsum.trilinear":
-        return es.trilinear_sum(params["D"], params["M"], params["L"], params["h"], params["c"],
-                                params["weights"], seed=params["seed"], caps=caps).to_json()
-    if name == "expsum.triple":
-        return es.triple_sum(params["x"], params["D"], params["H"], params["c"], caps=caps).to_json()
-    if name == "census":
-        return ex.almost_prime_census(params["x"], params["c"], params["R"], caps=caps).to_json()
-    if name == "squarefree":
-        return ex.squarefree_census(params["x"], params["c"], caps=caps).to_json()
-    if name == "psprimes":
-        return ex.ps_prime_count(params["x"], params["c"], caps=caps).to_json()
-    if name == "leveldist":
-        return ex.level_error(params["x"], params["c"], params["D"], caps=caps).to_json()
-    if name == "discrepancy":
-        return ex.star_discrepancy(params["x"], params["c"], params["h"], params["d"], caps=caps).to_json()
-    raise OutOfRange(f"unknown fixture command {name!r}")
-
-
 def _results_match(a, b, rel=1e-9) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_results_match(a[k], b[k], rel) for k in a)
@@ -320,46 +301,61 @@ def _results_match(a, b, rel=1e-9) -> bool:
     return a == b
 
 
+def _fixture_result(name: str, params: dict, jobs: int, caps) -> dict:
+    """The result of the CLI invocation a fixture records."""
+    argv = [*name.split("."), "--jobs", str(jobs)]
+    for key, value in params.items():
+        argv += [f"-{key}" if key in ("c", "R") else f"--{key}", str(value)]
+    args = build_parser().parse_args(argv)
+    if args.cmd not in _COMMANDS:
+        raise OutOfRange(f"unknown fixture command {name!r}")
+    return _jsonable(_COMMANDS[args.cmd](args, caps)[1])
+
+
+def _load_fixtures(path: str) -> list[tuple]:
+    """(command, params, result, key) per recorded fixture; none without the file."""
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            entries = [json.loads(line) for line in fh if line.strip()]
+            return [(e["command"], dict(e["params"]), e["result"], e["key"]) for e in entries]
+        except (ValueError, KeyError, TypeError) as e:
+            raise OutOfRange(f"malformed fixtures file {path}: {e}") from None
+
+
 def _verify(args, caps, emit: Emitter) -> int:
     if args.record:
         os.makedirs(os.path.dirname(args.fixtures) or ".", exist_ok=True)
         with open(args.fixtures, "w", encoding="utf-8") as fh:
             for name, params in _FIXTURE_RUNS:
-                result = _run_fixture(name, params, caps)
                 entry = {
                     "key": _params_key(name, params),
                     "command": name,
                     "params": _jsonable(params),
-                    "result": _jsonable(result),
+                    "result": _fixture_result(name, params, args.jobs, caps),
                 }
                 fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
         emit.emit("verify", {"record": True}, {"fixtures": len(_FIXTURE_RUNS), "path": args.fixtures}, 0)
         return 0
 
+    runs = _load_fixtures(args.fixtures)
     jobs = args.jobs
     other = 4 if jobs == 1 else 1
-    results = ac.run_criteria(jobs=jobs, caps=caps)
-    results_other = ac.run_criteria(jobs=other, caps=caps)
-    det_ok = ac.payload_text(results) == ac.payload_text(results_other)
+    det_ok, results, _ = ac.determinism_check(caps, (jobs, other))
     failed = 0
     for r in results:
-        emit.emit("verify", {"criterion": r.cid, "title": r.title}, {"pass": r.passed, **r.values},
-                  int(r.elapsed_s * 1000))
+        emit.emit("verify", {"criterion": r.cid, "title": r.title}, r.report(), int(r.elapsed_s * 1000))
         failed += 0 if r.passed else 1
     emit.emit("verify", {"criterion": 14, "title": "determinism across worker counts"},
               {"pass": det_ok, "jobs_pair": sorted((jobs, other))}, 0)
     failed += 0 if det_ok else 1
 
     fixture_fail = 0
-    if os.path.exists(args.fixtures):
-        with open(args.fixtures, "r", encoding="utf-8") as fh:
-            entries = [json.loads(line) for line in fh if line.strip()]
-        for entry in entries:
-            got = _jsonable(_run_fixture(entry["command"], entry["params"], caps))
-            ok = _results_match(got, entry["result"])
-            emit.emit("verify", {"fixture": entry["command"], "key": entry["key"][:16]},
-                      {"pass": ok}, 0)
-            fixture_fail += 0 if ok else 1
+    for name, params, want, key in runs:
+        ok = _results_match(_fixture_result(name, params, jobs, caps), want)
+        emit.emit("verify", {"fixture": name, "key": key[:16]}, {"pass": ok}, 0)
+        fixture_fail += 0 if ok else 1
 
     total_fail = failed + fixture_fail
     emit.emit("verify", {"summary": True},
@@ -368,112 +364,99 @@ def _verify(args, caps, emit: Emitter) -> int:
     return 2 if total_fail else 0
 
 
+def _sum(r) -> tuple[dict, dict]:
+    return dict(r.params), r.to_json()
+
+
+def _holds(reports) -> dict:
+    return {"all_hold": all(r.holds for r in reports), "inequalities": [r.to_json() for r in reports]}
+
+
+def _lemma23(a, caps):
+    params = cn.feasibility_params(a.c, a.theta, a.kappa)
+    return (
+        {"c": a.c, "theta": _frac_str(params.theta), "kappa": _frac_str(params.kappa)},
+        {"alpha": float(params.alpha), **_holds(cn.feasibility_check(params))},
+    )
+
+
+def _maxc(a, caps):
+    tol = a.tol if a.tol else 1e-6
+    v = cn.max_c_feasible(a.R, tol, kappa=a.kappa, greaves_degree=a.greaves_degree)
+    return {"R": a.R, "tol": tol, "greaves_degree": a.greaves_degree}, {"max_c": v}
+
+
+def _threshold(a, caps):
+    tol = a.tol if a.tol else 1e-3
+    r = cn.threshold(a.ineq, a.lo, a.hi, tol)
+    return {"ineq": a.ineq, "lo": _frac_str(a.lo), "hi": _frac_str(a.hi), "tol": tol}, r.to_json()
+
+
+# command -> (parsed arguments, caps) -> (echoed params, result), for the
+# subcommands and the fixture runs alike
+_COMMANDS = {
+    "floor": lambda a, caps: ({"n": a.n, "c": str(parse_exponent(a.c))}, {"floor": floor_pow(a.n, a.c, caps)}),
+    "census": lambda a, caps: (
+        {"x": a.x, "c": a.c, "R": a.R},
+        ex.almost_prime_census(a.x, a.c, a.R, jobs=a.jobs, caps=caps).to_json(),
+    ),
+    "squarefree": lambda a, caps: (
+        {"x": a.x, "c": a.c}, ex.squarefree_census(a.x, a.c, jobs=a.jobs, caps=caps).to_json()
+    ),
+    "psprimes": lambda a, caps: ({"x": a.x, "c": a.c}, ex.ps_prime_count(a.x, a.c, jobs=a.jobs, caps=caps).to_json()),
+    "histogram": lambda a, caps: (
+        {"x": a.x, "c": a.c, "d": a.d}, ex.residue_histogram(a.x, a.c, a.d, caps=caps).to_json()
+    ),
+    "leveldist": lambda a, caps: (
+        {"x": a.x, "c": a.c, "D": a.D, "f_model": a.f_model},
+        ex.level_error(a.x, a.c, a.D, a.f_model, all_residues=a.all_residues, caps=caps).to_json(),
+    ),
+    "discrepancy": lambda a, caps: (
+        {"x": a.x, "c": a.c, "h": a.h, "d": a.d},
+        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=a.tol if a.tol else 1e-12, caps=caps).to_json(),
+    ),
+    "expsum.weyl": lambda a, caps: _sum(es.weyl_sum(a.c, a.Theta, a.Delta, a.N, epsilon=a.eps, caps=caps)),
+    "expsum.prime": lambda a, caps: _sum(es.prime_expsum(a.x, a.c, a.h, a.d, caps=caps)),
+    "expsum.trilinear": lambda a, caps: _sum(
+        es.trilinear_sum(a.D, a.M, a.L, a.h, a.c, a.weights, seed=a.seed, caps=caps)
+    ),
+    "expsum.triple": lambda a, caps: _sum(es.triple_sum(a.x, a.D, a.H, a.c, caps=caps)),
+    "constants.delta": lambda a, caps: ({"R": a.R}, {"delta": cn.greaves_delta(a.R)}),
+    "constants.table": lambda a, caps: ({}, {"pairs": [[p.R, p.c_R] for p in cn.admissible_pairs()]}),
+    "constants.lemma23": _lemma23,
+    "constants.maxc": _maxc,
+    "constants.sigma": lambda a, caps: ({"c": a.c}, cn.regime_constants(a.c).to_json()),
+    "constants.rbound": lambda a, caps: ({"c": a.c}, cn.r_bound(a.c).to_json()),
+    "constants.regime": lambda a, caps: ({"c": a.c}, _holds(cn.regime_inequalities(a.c))),
+    "constants.threshold": _threshold,
+    "constants.margins": lambda a, caps: (
+        {"c": a.c, "eps": _frac_str(a.eps)}, cn.margin_verify(a.c, a.eps).to_json()
+    ),
+}
+
+
 def _dispatch(args, caps, emit: Emitter) -> int:
-    cmd = args.command
-    t0 = time.perf_counter()
-
-    def done(params, result):
-        emit.emit(full_cmd, params, result, int((time.perf_counter() - t0) * 1000))
-        return 0
-
-    full_cmd = cmd
-    if cmd == "floor":
-        c = parse_exponent(args.c)
-        return done({"n": args.n, "c": str(c)}, {"floor": floor_pow(args.n, c, caps)})
-    if cmd == "census":
-        r = ex.almost_prime_census(args.x, args.c, args.R, jobs=args.jobs, caps=caps)
-        return done({"x": args.x, "c": args.c, "R": args.R}, r.to_json())
-    if cmd == "squarefree":
-        r = ex.squarefree_census(args.x, args.c, jobs=args.jobs, caps=caps)
-        return done({"x": args.x, "c": args.c}, r.to_json())
-    if cmd == "psprimes":
-        r = ex.ps_prime_count(args.x, args.c, jobs=args.jobs, caps=caps)
-        return done({"x": args.x, "c": args.c}, r.to_json())
-    if cmd == "histogram":
-        r = ex.residue_histogram(args.x, args.c, args.d, caps=caps)
-        return done({"x": args.x, "c": args.c, "d": args.d}, r.to_json())
-    if cmd == "leveldist":
-        r = ex.level_error(args.x, args.c, args.D, args.f_model,
-                           all_residues=args.all_residues, caps=caps)
-        return done({"x": args.x, "c": args.c, "D": args.D, "f_model": args.f_model}, r.to_json())
-    if cmd == "discrepancy":
-        tol = args.tol if args.tol else 1e-12
-        r = ex.star_discrepancy(args.x, args.c, args.h, args.d, tol=tol, caps=caps)
-        return done({"x": args.x, "c": args.c, "h": args.h, "d": args.d}, r.to_json())
-    if cmd == "expsum":
-        full_cmd = f"expsum.{args.expsum_kind}"
-        if args.expsum_kind == "weyl":
-            r = es.weyl_sum(args.c, args.Theta, args.Delta, args.N, epsilon=args.eps, caps=caps)
-        elif args.expsum_kind == "prime":
-            r = es.prime_expsum(args.x, args.c, args.h, args.d, caps=caps)
-        elif args.expsum_kind == "trilinear":
-            r = es.trilinear_sum(args.D, args.M, args.L, args.h, args.c,
-                                 args.weights, seed=args.seed, caps=caps)
-        else:
-            r = es.triple_sum(args.x, args.D, args.H, args.c, caps=caps)
-        return done(dict(r.params), r.to_json())
-    if cmd == "constants":
-        full_cmd = f"constants.{args.constants_kind}"
-        kind = args.constants_kind
-        if kind == "delta":
-            return done({"R": args.R}, {"delta": cn.greaves_delta(args.R)})
-        if kind == "table":
-            return done({}, {"pairs": [[p.R, p.c_R] for p in cn.admissible_pairs()]})
-        if kind == "lemma23":
-            params = cn.feasibility_params(args.c, args.theta, args.kappa)
-            reps = cn.feasibility_check(params)
-            return done(
-                {"c": args.c, "theta": _frac_str(params.theta), "kappa": _frac_str(params.kappa)},
-                {"alpha": float(params.alpha), "all_hold": all(r.holds for r in reps),
-                 "inequalities": [r.to_json() for r in reps]},
-            )
-        if kind == "maxc":
-            tol = args.tol if args.tol else 1e-6
-            v = cn.max_c_feasible(args.R, tol, kappa=args.kappa, greaves_degree=args.greaves_degree)
-            return done({"R": args.R, "tol": tol, "greaves_degree": args.greaves_degree}, {"max_c": v})
-        if kind == "sigma":
-            return done({"c": args.c}, cn.regime_constants(cn._frac(args.c)).to_json())
-        if kind == "rbound":
-            return done({"c": args.c}, cn.r_bound(cn._frac(args.c)).to_json())
-        if kind == "regime":
-            reps = cn.regime_inequalities(cn._frac(args.c))
-            return done({"c": args.c}, {"all_hold": all(r.holds for r in reps),
-                                        "inequalities": [r.to_json() for r in reps]})
-        if kind == "threshold":
-            tol = args.tol if args.tol else 1e-3
-            r = cn.threshold(args.ineq, args.lo, args.hi, tol)
-            return done({"ineq": args.ineq, "lo": _frac_str(args.lo), "hi": _frac_str(args.hi), "tol": tol},
-                        r.to_json())
-        if kind == "margins":
-            r = cn.margin_verify(cn._frac(args.c), args.eps)
-            return done({"c": args.c, "eps": _frac_str(args.eps)}, r.to_json())
-    if cmd == "verify":
+    if args.cmd == "verify":
         return _verify(args, caps, emit)
-    raise OutOfRange(f"unknown command {cmd!r}")
+    t0 = time.perf_counter()
+    params, result = _COMMANDS[args.cmd](args, caps)
+    emit.emit(args.cmd, params, result, int((time.perf_counter() - t0) * 1000))
+    return 0
 
 
 def run(argv: list[str]) -> int:
-    ap = build_parser()
     try:
-        argv = _apply_config(ap, list(argv))
+        ap = build_parser()
+        _apply_config(ap, argv)
         args = ap.parse_args(argv)
+        return _dispatch(args, caps_from_env(), Emitter(args.format, args.timing))
     except SystemExit as e:
-        # argparse exits 0 for --help, 2 for usage errors (mapped to 1)
+        # argparse exits 0 after --help
         return 0 if e.code == 0 else 1
-    except OSError as e:
-        print(f"pclab: {e}", file=sys.stderr)
-        return 1
-    caps = caps_from_env()
-    emit = Emitter(args.format, args.timing)
-    try:
-        return _dispatch(args, caps, emit)
     except _CAP_ERRORS as e:
         print(f"pclab: resource cap: {e}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as e:
-        print(f"pclab: {e}", file=sys.stderr)
-        return 1
-    except PCLabError as e:
+    except (PCLabError, OSError) as e:
         print(f"pclab: {e}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidR, NoCrossing, OutOfRange
-from .expsum import vinogradov_saving_frac
+from .errors import InvalidR, NoCrossing, NonPositiveRho, NotAFraction, OutOfRange, PCLabError
+from .exactpow import as_ratio
 
 F = Fraction
 
@@ -41,19 +41,12 @@ _PAIRS = (
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return F(x)
-    if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            a, _, b = s.partition("/")
-            return F(int(a), int(b))
-        return F(s)
+    """as_ratio, plus finite floats at their exact binary value."""
     if isinstance(x, float):
-        return F(x)  # exact binary value
-    raise OutOfRange(f"cannot interpret {x!r} as a rational")
+        if not math.isfinite(x):
+            raise NotAFraction(f"{x!r} is not a finite number")
+        return F(x)
+    return as_ratio(x)
 
 
 def greaves_delta_frac(r: int) -> Fraction:
@@ -318,14 +311,15 @@ def r_bound(c) -> RBound:
     least admissible integer R from the sieve constants.
 
     In exact arithmetic c/sigma + 1.15 equals the cubic identically; this is
-    asserted on every call.
+    checked on every call.
     """
     c = _frac(c)
     if c < F(11, 5):
         raise OutOfRange("need c >= 11/5")
     rc = regime_constants(c)
     exact = 16 * c**3 + rc.coeff * c**2
-    assert c / rc.sigma + F(23, 20) == exact
+    if c / rc.sigma + F(23, 20) != exact:
+        raise PCLabError(f"cubic identity c/sigma + 1.15 fails at c = {c}")
     integer_r = greaves_min_R(c / rc.sigma + F(1, 10**9))
     return RBound(float(exact), integer_r, exact)
 
@@ -407,6 +401,27 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3, *, scan: int = 100) -> Th
         else:
             a = mid
     return ThresholdResult(float((a + b) / 2), len(transitions) > 1)
+
+
+def vinogradov_degree(c, theta, delta) -> int:
+    """floor(c + delta/theta) + 1, exactly in rational arithmetic."""
+    c, theta, delta = _frac(c), _frac(theta), _frac(delta)
+    if theta <= 0 or delta <= 0:
+        raise OutOfRange("vinogradov_degree needs theta > 0 and delta > 0")
+    v = c + delta / theta
+    return v.numerator // v.denominator + 1
+
+
+def vinogradov_saving(k: int, epsilon=0) -> Fraction:
+    """The exponent saving (k-2-eps) / (k(k+1)(2k-1)) as an exact Fraction."""
+    eps = _frac(epsilon)
+    if k < 3:
+        raise NonPositiveRho(f"degree k={k} is below 3")
+    if eps >= k - 2:
+        raise NonPositiveRho(f"epsilon={float(eps)} >= k-2={k - 2}")
+    if eps < 0:
+        raise OutOfRange("epsilon must be >= 0")
+    return (k - 2 - eps) / F(k * (k + 1) * (2 * k - 1))
 
 
 def weyl_margin_minorants(t, c, epsilon) -> tuple[Fraction, Fraction]:
@@ -511,18 +526,13 @@ def _window_margins(c, eps, th_lo, th_hi, delta_lo_fn, delta_hi_fn, target, grid
         if d_hi < d_lo:
             d_hi = d_lo
         for delta in (d_lo, (d_lo + d_hi) / 2, d_hi):
-            k = vinogradov_degree_frac(cf, th, delta)
-            rho = vinogradov_saving_frac(k, eps)
+            k = vinogradov_degree(cf, th, delta)
+            rho = vinogradov_saving(k, eps)
             margin = th * rho - target
             if worst is None or margin < worst:
                 worst = margin
                 worst_at = (float(th), float(delta))
     return worst, worst_at
-
-
-def vinogradov_degree_frac(c: Fraction, theta: Fraction, delta: Fraction) -> int:
-    v = c + delta / theta
-    return v.numerator // v.denominator + 1
 
 
 def margin_verify(c, epsilon=F(1, 1000), *, grid: int = 64) -> MarginReport:

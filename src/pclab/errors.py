@@ -79,12 +79,20 @@ _COUNT_CAPS = (
 )
 
 
+def _cap_value(text: str) -> int:
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise OutOfRange(f"malformed cap value in PSC_LAB_CAP: {text.strip()!r}") from None
+
+
 def caps_from_env(env: str | None = None) -> Caps:
     """Build caps from PSC_LAB_CAP.
 
     A bare integer replaces every count-like cap; ``name=value`` pairs
     (comma separated) override individual fields, e.g.
-    ``PSC_LAB_CAP=weyl_terms=1e9,prec_cap_bits=2e5``.
+    ``PSC_LAB_CAP=weyl_terms=1e9,prec_cap_bits=2e5``.  A malformed value
+    raises OutOfRange.
     """
     raw = os.environ.get("PSC_LAB_CAP") if env is None else env
     caps = Caps()
@@ -93,7 +101,7 @@ def caps_from_env(env: str | None = None) -> Caps:
     raw = raw.strip()
     valid = {f.name for f in fields(Caps)}
     if "=" not in raw:
-        value = int(float(raw))
+        value = _cap_value(raw)
         return replace(caps, **{name: value for name in _COUNT_CAPS})
     updates = {}
     for part in raw.split(","):
@@ -101,8 +109,9 @@ def caps_from_env(env: str | None = None) -> Caps:
         name = name.strip()
         if name not in valid:
             raise OutOfRange(f"unknown cap name in PSC_LAB_CAP: {name!r}")
-        updates[name] = int(float(val))
+        updates[name] = _cap_value(val)
     return replace(caps, **updates)
 
 
-DEFAULT_CAPS = caps_from_env()
+# library default; PSC_LAB_CAP is read by the pclab command (cli.run)
+DEFAULT_CAPS = Caps()

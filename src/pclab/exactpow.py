@@ -99,6 +99,28 @@ class RationalExponent:
         return f"{self.num}/{self.den}"
 
 
+def as_ratio(x) -> Fraction:
+    """The package's one parser of exact ratios; floats are rejected.
+
+    Takes a Fraction, an int, a (num, den) pair, or text: a fraction "a/b"
+    or a finite decimal such as "1.0521" or "1e6".  Anything malformed,
+    "1/0" included, raises NotAFraction.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    try:
+        if isinstance(x, str):
+            a, slash, b = x.strip().partition("/")
+            return Fraction(int(a), int(b)) if slash else Fraction(a)
+        if isinstance(x, tuple) and len(x) == 2:
+            return Fraction(x[0], x[1])
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise NotAFraction(f"cannot interpret {x!r} as an exact ratio") from exc
+    raise NotAFraction(f"cannot interpret {x!r} as an exact ratio")
+
+
 def parse_exponent(text: str) -> RationalExponent:
     """Parse a finite decimal ("1.0521") or fraction ("3/2") exactly.
 
@@ -107,58 +129,23 @@ def parse_exponent(text: str) -> RationalExponent:
     """
     if not isinstance(text, str):
         raise NotAFraction(f"expected a string, got {type(text).__name__}")
-    s = text.strip()
-    try:
-        if "/" in s:
-            a, _, b = s.partition("/")
-            frac = Fraction(int(a), int(b))
-        else:
-            frac = Fraction(s)  # exact decimal parsing
-    except (ValueError, ZeroDivisionError) as exc:
-        raise NotAFraction(f"cannot parse exponent {text!r}") from exc
-    if frac.denominator == 1:
-        raise IntegerExponent(f"exponent {text!r} is an integer")
-    if frac <= 1:
-        raise OutOfRange(f"exponent {text!r} must be > 1")
-    return RationalExponent(frac.numerator, frac.denominator)
+    return as_exponent(text)
 
 
 def as_exponent(c) -> RationalExponent:
     """Coerce c to RationalExponent; floats are rejected to keep exactness."""
     if isinstance(c, RationalExponent):
         return c
-    if isinstance(c, str):
-        return parse_exponent(c)
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            raise IntegerExponent(f"exponent {c} is an integer")
-        if c <= 1:
-            raise OutOfRange(f"exponent {c} must be > 1")
-        return RationalExponent(c.numerator, c.denominator)
-    if isinstance(c, tuple) and len(c) == 2:
-        return as_exponent(Fraction(c[0], c[1]))
     if isinstance(c, float):
         raise NotAFraction(
             "float exponents are ambiguous; pass a string or Fraction"
         )
-    raise NotAFraction(f"cannot interpret {c!r} as a rational exponent")
-
-
-def as_ratio(x) -> Fraction:
-    """Coerce a window/scale parameter to an exact Fraction (floats rejected)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            a, _, b = s.partition("/")
-            return Fraction(int(a), int(b))
-        return Fraction(s)
-    if isinstance(x, tuple) and len(x) == 2:
-        return Fraction(x[0], x[1])
-    raise NotAFraction(f"cannot interpret {x!r} as an exact ratio")
+    frac = as_ratio(c)
+    if frac.denominator == 1:
+        raise IntegerExponent(f"exponent {c} is an integer")
+    if frac <= 1:
+        raise OutOfRange(f"exponent {c} must be > 1")
+    return RationalExponent(frac.numerator, frac.denominator)
 
 
 @dataclass(frozen=True)
@@ -167,6 +154,15 @@ class CertifiedReal:
 
     value: float
     error_bound: float
+
+
+def _exact_frac(q: Fraction) -> CertifiedReal:
+    """{q} for an exact rational q, rounded to the nearest float."""
+    frac = q - (q.numerator // q.denominator)
+    if frac == 0:
+        return CertifiedReal(0.0, 0.0)
+    value = float(frac)
+    return CertifiedReal(value, math.ulp(value))
 
 
 # ----------------------------------------------------------------------
@@ -371,18 +367,13 @@ def frac_scaled_pow(
     c = as_exponent(c)
     if n < 1 or h < 0 or d < 1:
         raise OutOfRange("frac_scaled_pow needs n >= 1, h >= 0, d >= 1")
-    if tol <= 0:
-        raise OutOfRange("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise OutOfRange("tol must be positive and finite")
     if h == 0:
         return CertifiedReal(0.0, 0.0)
     r = perfect_root(n, c.den) if n > 1 else 1
     if r is not None:
-        exact = Fraction(h * r ** c.num, d)
-        frac = exact - (exact.numerator // exact.denominator)
-        if frac == 0:
-            return CertifiedReal(0.0, 0.0)
-        value = float(frac)
-        return CertifiedReal(value, math.ulp(value))
+        return _exact_frac(Fraction(h * r ** c.num, d))
     if _scaled_root_cost_ok(c.num * n.bit_length(), c.den, 64):
         return _frac_via_scaled_root(n ** c.num, c.den, h, d, tol)
     return _frac_via_intervals([(n, c.as_fraction)], h, d, tol, caps)
@@ -436,11 +427,7 @@ def frac_phase(z: int, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> Cert
         return _frac_via_scaled_root(x, q, 1, 1, PHASE_TOL)
     exact = _rational_power_product(factors)
     if exact is not None:
-        frac = exact - (exact.numerator // exact.denominator)
-        if frac == 0:
-            return CertifiedReal(0.0, 0.0)
-        value = float(frac)
-        return CertifiedReal(value, math.ulp(value))
+        return _exact_frac(exact)
     return _frac_via_intervals(factors, 1, 1, PHASE_TOL, caps)
 
 

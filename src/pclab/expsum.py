@@ -18,7 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, Caps, NonPositiveRho, OutOfRange, RangeTooLarge
+from ._intmath import iroot
+from .constants import regime_constants, vinogradov_degree, vinogradov_saving
+from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
 from .exactpow import (
     as_exponent,
     as_ratio,
@@ -30,6 +32,7 @@ from .primes import mangoldt_table, primes_in
 from .prng import pm1_weights
 
 _CHUNK = 1 << 16
+_SHIFT = 64  # fixed-point bits of the scaled_floor_table entries
 
 
 @dataclass(frozen=True)
@@ -52,51 +55,23 @@ class SumEval:
         }
 
 
-@dataclass(frozen=True)
-class VinogradovParams:
-    c: Fraction
-    theta: Fraction
-    delta: Fraction
-    k: int
-    rho: Fraction
-    epsilon: Fraction
+def _table_fracs(table, ns, c, h: int, d: int, caps: Caps) -> list[float]:
+    """{h * n^c / d} for each n in ns, from its scaled_floor_table entry.
 
-
-def vinogradov_params(c, theta, delta, epsilon=0) -> VinogradovParams:
-    """Degree and exponent saving for one Weyl-sum configuration."""
-    cf = as_exponent(c).as_fraction
-    theta = as_ratio(theta)
-    delta = as_ratio(delta)
-    eps = Fraction(epsilon)
-    k = vinogradov_degree(cf, theta, delta)
-    return VinogradovParams(cf, theta, delta, k, vinogradov_saving_frac(k, eps), eps)
-
-
-def vinogradov_degree(c, theta, delta) -> int:
-    """floor(c + delta/theta) + 1, exactly in rational arithmetic."""
-    cf = as_exponent(c).as_fraction
-    theta = as_ratio(theta)
-    delta = as_ratio(delta)
-    if theta <= 0 or delta <= 0:
-        raise OutOfRange("vinogradov_degree needs theta > 0 and delta > 0")
-    v = cf + delta / theta
-    return v.numerator // v.denominator + 1
-
-
-def vinogradov_saving_frac(k: int, epsilon) -> Fraction:
-    eps = Fraction(epsilon)
-    if k < 3:
-        raise NonPositiveRho(f"degree k={k} is below 3")
-    if eps >= k - 2:
-        raise NonPositiveRho(f"epsilon={float(eps)} >= k-2={k - 2}")
-    if eps < 0:
-        raise OutOfRange("epsilon must be >= 0")
-    return (k - 2 - eps) / Fraction(k * (k + 1) * (2 * k - 1))
-
-
-def vinogradov_saving(k: int, epsilon=0) -> Fraction:
-    """The exponent saving (k-2-eps) / (k(k+1)(2k-1)) as an exact Fraction."""
-    return vinogradov_saving_frac(k, epsilon)
+    A fixed entry U puts n^c in [U, U+1) / 2^_SHIFT, so the phase is known to
+    within h / (d 2^_SHIFT); the rare entry whose enclosure straddles an
+    integer is resolved by frac_scaled_pow.
+    """
+    mod = d << _SHIFT
+    out = []
+    for n in ns:
+        tag, u = table[n]
+        if tag == "exact":
+            out.append((h * u) % d / d)
+            continue
+        a = (h * u) % mod
+        out.append(frac_scaled_pow(n, c, h, d, caps=caps).value if a + h > mod else (a + h / 2.0) / mod)
+    return out
 
 
 def _e_sum(fracs, weights=None) -> complex:
@@ -129,10 +104,8 @@ def weyl_sum(c, theta, delta, n_scale: int, *, epsilon=0, caps: Caps = DEFAULT_C
     delta = as_ratio(delta)
     if n_scale < 2:
         raise OutOfRange("weyl_sum needs N >= 2")
-    k = vinogradov_degree(c, theta, delta)
-    rho = vinogradov_saving_frac(k, epsilon)
-    from ._intmath import iroot
-
+    k = vinogradov_degree(c.as_fraction, theta, delta)
+    rho = vinogradov_saving(k, epsilon)
     m = iroot(n_scale ** theta.numerator, theta.denominator)
     if m > caps.weyl_terms:
         raise RangeTooLarge(f"N^theta = {m} terms exceeds cap {caps.weyl_terms}")
@@ -167,8 +140,6 @@ def prime_expsum(x: int, c, h: int, d: int, *, caps: Caps = DEFAULT_CAPS) -> Sum
     n_terms = float(len(fracs))
     bound = None
     if c.as_fraction >= Fraction(11, 5):
-        from .constants import regime_constants
-
         sigma = regime_constants(c.as_fraction).sigma
         bound = math.exp((1.0 - float(sigma)) * math.log(x)) if x >= 2 else 1.0
     ratio = abs(value) / bound if bound else None
@@ -239,19 +210,18 @@ def trilinear_sum(
     comparator is trilinear_bound at X = h * D^(-1) * L^c * M^c.
     """
     c = as_exponent(c)
-    if h < 1:
-        raise OutOfRange("trilinear_sum needs h >= 1")
+    if h < 1 or min(d_scale, m_scale, l_scale) < 1:
+        raise OutOfRange("trilinear_sum needs h >= 1 and scales >= 1")
     n_terms = d_scale * m_scale * l_scale
     if n_terms > caps.trilinear_terms:
         raise RangeTooLarge(f"{n_terms} terms exceeds cap {caps.trilinear_terms}")
     cd, am, bl = _trilinear_weights(weights, d_scale, m_scale, l_scale, seed)
 
     # phase {h (l m)^c / d} from one certified fixed-point root per product
-    shift = 64
     products = sorted(
         {m * l for m in range(m_scale + 1, 2 * m_scale + 1) for l in range(l_scale + 1, 2 * l_scale + 1)}
     )
-    table = scaled_floor_table(products, c, shift, caps)
+    table = scaled_floor_table(products, c, _SHIFT, caps)
 
     prod_weight: dict[int, float] = {}
     for mi, m in enumerate(range(m_scale + 1, 2 * m_scale + 1)):
@@ -261,27 +231,13 @@ def trilinear_sum(
                 key = m * l
                 prod_weight[key] = prod_weight.get(key, 0.0) + w
 
+    ws = list(prod_weight.values())
     re_parts: list[float] = []
     im_parts: list[float] = []
     for di, dd in enumerate(range(d_scale + 1, 2 * d_scale + 1)):
         if not cd[di]:
             continue
-        fracs = []
-        ws = []
-        mod = dd << shift
-        for n_val, w in prod_weight.items():
-            tag, u = table[n_val]
-            if tag == "exact":
-                fr = (h * u) % dd / dd
-            else:
-                a = (h * u) % mod
-                if a + h > mod:  # straddles an integer: resolve exactly
-                    fr = frac_scaled_pow(n_val, c, h, dd, caps=caps).value
-                else:
-                    fr = (a + h / 2.0) / mod
-            fracs.append(fr)
-            ws.append(w)
-        part = _e_sum(fracs, ws)
+        part = _e_sum(_table_fracs(table, prod_weight, c, h, dd, caps), ws)
         re_parts.append(cd[di] * part.real)
         im_parts.append(cd[di] * part.imag)
     value = complex(math.fsum(re_parts), math.fsum(im_parts))
@@ -316,8 +272,8 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     D * x / log^3 x.
     """
     c = as_exponent(c)
-    if x < 2:
-        raise OutOfRange("triple_sum needs x >= 2")
+    if x < 2 or d_scale < 1:
+        raise OutOfRange("triple_sum needs x >= 2 and D >= 1")
     if x > caps.triple_x:
         raise RangeTooLarge(f"x={x} exceeds cap {caps.triple_x}")
     if h_count is None:
@@ -330,26 +286,11 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     if evals > caps.triple_term_evals:
         raise RangeTooLarge(f"H*D*x = {evals} exceeds cap {caps.triple_term_evals}")
 
-    shift = 64
-    fp = scaled_floor_table(ns, c, shift, caps)
+    table = scaled_floor_table(ns, c, _SHIFT, caps)
     abs_parts: list[float] = []
     for h in range(1, h_count + 1):
         for dd in range(d_scale + 1, 2 * d_scale + 1):
-            mod = dd << shift
-            fracs = []
-            for n_val in ns:
-                tag, u = fp[n_val]
-                if tag == "exact":
-                    fr = (h * u) % dd / dd
-                else:
-                    a = (h * u) % mod
-                    if a + h > mod:
-                        fr = frac_scaled_pow(n_val, c, h, dd, caps=caps).value
-                    else:
-                        fr = (a + h / 2.0) / mod
-                fracs.append(fr)
-            inner = _e_sum(fracs, logs)
-            abs_parts.append(abs(inner))
+            abs_parts.append(abs(_e_sum(_table_fracs(table, ns, c, h, dd, caps), logs)))
     total = math.fsum(abs_parts)
     value = complex(total, 0.0)
     psi_mass = float(math.fsum(logs.tolist()))

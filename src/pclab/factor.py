@@ -25,8 +25,8 @@ class FactorSignature:
     probabilistic: bool = False
 
     def __post_init__(self):
-        assert (self.omega_big == 0) == (self.n == 1)
-        assert not self.prime or self.omega_big == 1
+        if (self.omega_big == 0) != (self.n == 1) or (self.prime and self.omega_big != 1):
+            raise OutOfRange(f"inconsistent factor signature for n={self.n}")
 
 
 def is_prime(n: int) -> bool:

@@ -1,12 +1,11 @@
 """Segmented prime generation, prime counting, and von Mangoldt weights.
 
 Segments are sieved independently (numpy boolean blocks) and concatenated
-in segment order, so parallel and sequential runs produce identical output.
+in segment order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,15 +13,6 @@ import numpy as np
 from .errors import DEFAULT_CAPS, Caps, RangeTooLarge
 
 SEGMENT_WIDTH = 1 << 18
-
-
-@dataclass(frozen=True)
-class SieveSegment:
-    """Primality bits for the integers lo + i, 0 <= i < hi - lo."""
-
-    lo: int
-    hi: int
-    primality: np.ndarray
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -51,49 +41,27 @@ def _sieve_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
     return mask
 
 
-def sieve_segments(lo: int, hi: int, width: int = SEGMENT_WIDTH):
-    """SieveSegment cover of the integers in (lo, hi], in order."""
-    base = _simple_sieve(math.isqrt(hi) + 1)
-    start = lo + 1
-    while start <= hi:
-        stop = min(start + width, hi + 1)
-        yield SieveSegment(start, stop, _sieve_block(start, stop, base))
-        start = stop
-
-
-def primes_in(lo: int, hi: int, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+def primes_in(lo: int, hi: int, *, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """The primes in the half-open range (lo, hi], ascending, as int64."""
     if hi > caps.primes_hi:
         raise RangeTooLarge(f"hi={hi} exceeds the sieve cap {caps.primes_hi}")
     if hi <= lo or hi < 2:
         return np.zeros(0, dtype=np.int64)
-    lo = max(lo, 0)
     base = _simple_sieve(math.isqrt(hi) + 1)
-    blocks = []
-    start = lo + 1
+    parts = []
+    start = max(lo, 0) + 1
     while start <= hi:
         stop = min(start + SEGMENT_WIDTH, hi + 1)
-        blocks.append((start, stop))
+        parts.append(start + np.flatnonzero(_sieve_block(start, stop, base)).astype(np.int64))
         start = stop
-
-    def run(block):
-        s, t = block
-        mask = _sieve_block(s, t, base)
-        return s + np.flatnonzero(mask).astype(np.int64)
-
-    if jobs > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
-def prime_count(x: int, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> int:
+def prime_count(x: int, *, caps: Caps = DEFAULT_CAPS) -> int:
     """pi(x), the number of primes not exceeding x."""
     if x < 2:
         return 0
-    return int(primes_in(0, x, jobs=jobs, caps=caps).size)
+    return int(primes_in(0, x, caps=caps).size)
 
 
 @dataclass(frozen=True)

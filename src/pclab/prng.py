@@ -1,9 +1,9 @@
-"""Seeded 64-bit generator for reproducible random weights.
+"""Seeded 64-bit generator for reproducible random weights and primality bases.
 
-splitmix64, pinned here so weight streams never depend on Python's random
-module or its version history.  State update: s += 0x9E3779B97F4A7C15; the
-output mix is the standard two-multiply finalizer.  Weights take the top
-bit of each output word.
+splitmix64, pinned here so weight streams and the probabilistic Miller-Rabin
+bases never depend on Python's random module or its version history.  State
+update: s += 0x9E3779B97F4A7C15; the output mix is the standard two-multiply
+finalizer.  Weights take the top bit of each output word.
 """
 from __future__ import annotations
 

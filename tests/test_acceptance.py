@@ -63,3 +63,12 @@ def test_criterion_14_determinism():
     ok = pa == pb
     print(f"ACCEPTANCE 14 {'PASS' if ok else 'FAIL'} determinism across --jobs 1/4")
     assert ok
+
+
+def test_budget_fails_the_criterion_but_not_determinism():
+    fast = ac.CriterionResult(1, "t", True, {"v": 1}, elapsed_s=0.5, budget_s=1.0)
+    slow = ac.CriterionResult(1, "t", True, {"v": 1}, elapsed_s=2.0, budget_s=1.0)
+    assert fast.passed and not slow.passed
+    assert ac.payload_text([fast]) == ac.payload_text([slow])
+    assert fast.report() == {"pass": True, "v": 1}
+    assert slow.report() == {"pass": False, "v": 1, "runtime_budget_exceeded": True, "budget_s": 1.0}

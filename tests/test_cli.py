@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pclab
 from pclab import cli
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -101,6 +107,9 @@ def test_config_file_defaults(tmp_path):
     # explicit flag overrides the file
     code, out = run_cli(["--config", str(cfg), "--format", "jsonl", "constants", "delta", "-R", "3"])
     assert out.startswith("{")
+    code, out = run_cli([f"--config={cfg}", "constants", "delta", "-R", "3"])
+    assert code == 0
+    assert out.startswith("command,")
 
 
 def test_params_echo_lossless():
@@ -124,3 +133,41 @@ def test_scientific_notation_exact():
     assert json.loads(out)["result"]["x"] == 1000
     code, _ = run_cli(["psprimes", "--x", "1.5e0", "-c", "3/2"])
     assert code == 1  # not an exact integer
+
+
+# argv ("{file}" names a file holding file_text), file_text, environment
+BAD_INPUTS = {
+    "zero denominator": (["constants", "sigma", "-c", "1/0"], None, {}),
+    "infinite tol": (["constants", "maxc", "-R", "8", "--tol", "inf"], None, {}),
+    "trailing --config": (["constants", "table", "--config"], None, {}),
+    "bad config value": (["--config", "{file}", "constants", "table"], "jobs=abc\n", {}),
+    "bad PSC_LAB_CAP": (["constants", "table"], None, {"PSC_LAB_CAP": "abc"}),
+    "non-JSON fixtures line": (["verify", "--fixtures", "{file}"], "not json\n", {}),
+    "NaN tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "nan"], None, {}),
+    "zero scale": (["expsum", "trilinear", "--D", "0", "--M", "2", "--L", "2", "--h", "1", "-c", "3/2"], None, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_line_exit_1(case, tmp_path):
+    argv, file_text, extra_env = BAD_INPUTS[case]
+    if file_text is not None:
+        path = tmp_path / "input"
+        path.write_text(file_text)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    src = str(Path(pclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra_env}
+    proc = subprocess.run([sys.executable, "-m", "pclab.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pclab: ")
+    assert proc.stdout == ""
+
+
+def test_verify_record_reproduces_fixtures(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    code, _ = run_cli(["verify", "--record", "--fixtures", str(path)])
+    assert code == 0
+    assert path.read_bytes() == (REPO / "fixtures" / "fixtures.jsonl").read_bytes()

@@ -1,12 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pclab import constants as cn
-from pclab.errors import InvalidR, NoCrossing, OutOfRange
+from pclab.errors import InvalidR, NoCrossing, NonPositiveRho, OutOfRange
 
 
 def test_greaves_delta_values():
@@ -234,3 +236,42 @@ def test_strictness_margin():
     assert not rep.holds
     rep2 = cn._report("thin", F(1), F(1) + F(1, 10**13))
     assert not rep2.holds
+
+
+def test_degree_examples():
+    assert cn.vinogradov_degree("5/2", 1, F(3, 10)) == 3
+    assert cn.vinogradov_degree("11/5", F(1, 2), 1) == 5
+    assert cn.vinogradov_degree("3/2", 1, F(1, 2)) == 3  # exact boundary 2.0
+
+
+@given(st.integers(1, 60), st.integers(1, 60))
+def test_degree_homogeneous(tn, td):
+    t = F(tn, td)
+    base = cn.vinogradov_degree("7/3", F(2, 5), F(3, 7))
+    assert cn.vinogradov_degree("7/3", t * F(2, 5), t * F(3, 7)) == base
+
+
+def test_saving_examples():
+    assert cn.vinogradov_saving(3, 0) == F(1, 60)
+    assert cn.vinogradov_saving(4, 0) == F(1, 70)
+    with pytest.raises(NonPositiveRho):
+        cn.vinogradov_saving(3, 1)
+    with pytest.raises(NonPositiveRho):
+        cn.vinogradov_saving(2, 0)
+
+
+def test_saving_decreasing_in_k():
+    vals = [cn.vinogradov_saving(k, F(1, 1000)) for k in range(3, 30)]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_constants_imports_nothing_from_expsum():
+    # read the source: importing any pclab module first runs pclab/__init__,
+    # which loads every module, expsum included
+    names = set()
+    for node in ast.walk(ast.parse(Path(cn.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert names and not any("expsum" in name for name in names)

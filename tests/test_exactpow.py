@@ -54,6 +54,9 @@ def test_parse_rejects_garbage_and_floats():
         ep.parse_exponent("three halves")
     with pytest.raises(NotAFraction):
         ep.as_exponent(1.5)
+    for bad in ("1/0", "1/x", "", "inf", 1.5, (1, 0)):
+        with pytest.raises(NotAFraction):
+            ep.as_ratio(bad)
 
 
 @given(st.integers(2, 40), st.integers(2, 40))

@@ -11,40 +11,6 @@ from pclab.errors import NonPositiveRho, RangeTooLarge
 from pclab.exactpow import frac_phase, frac_scaled_pow
 
 
-def test_degree_examples():
-    assert es.vinogradov_degree("5/2", 1, F(3, 10)) == 3
-    assert es.vinogradov_degree("11/5", F(1, 2), 1) == 5
-    assert es.vinogradov_degree("3/2", 1, F(1, 2)) == 3  # exact boundary 2.0
-
-
-@given(st.integers(1, 60), st.integers(1, 60))
-def test_degree_homogeneous(tn, td):
-    t = F(tn, td)
-    base = es.vinogradov_degree("7/3", F(2, 5), F(3, 7))
-    assert es.vinogradov_degree("7/3", t * F(2, 5), t * F(3, 7)) == base
-
-
-def test_saving_examples():
-    assert es.vinogradov_saving(3, 0) == F(1, 60)
-    assert es.vinogradov_saving(4, 0) == F(1, 70)
-    with pytest.raises(NonPositiveRho):
-        es.vinogradov_saving(3, 1)
-    with pytest.raises(NonPositiveRho):
-        es.vinogradov_saving(2, 0)
-
-
-def test_saving_decreasing_in_k():
-    vals = [es.vinogradov_saving(k, F(1, 1000)) for k in range(3, 30)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_vinogradov_params_bundle():
-    vp = es.vinogradov_params("5/2", 1, F(3, 10), F(1, 1000))
-    assert vp.k == 3
-    assert vp.rho == (F(1) - F(1, 1000)) / 60
-    assert vp.theta == 1 and vp.delta == F(3, 10)
-
-
 def mp_e_sum(fracs, weights=None):
     re = im = 0.0
     for i, fr in enumerate(fracs):

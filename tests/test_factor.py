@@ -90,6 +90,11 @@ def test_out_of_range():
         factor.factor_signature(0)
     with pytest.raises(OutOfRange):
         factor.factor_signature(1 << 127)
+    # inconsistent fields are rejected by a check that survives python -O
+    with pytest.raises(OutOfRange):
+        factor.FactorSignature(n=1, omega_big=1, squarefree=True, prime=False)
+    with pytest.raises(OutOfRange):
+        factor.FactorSignature(n=4, omega_big=2, squarefree=False, prime=True)
 
 
 def test_deterministic_repetition():

@@ -46,12 +46,6 @@ def test_segment_boundary_independence(a, b, c):
     assert left + right == primes.primes_in(a, c).tolist()
 
 
-def test_jobs_do_not_change_output():
-    seq = primes.primes_in(0, 10**6, jobs=1)
-    par = primes.primes_in(0, 10**6, jobs=4)
-    assert np.array_equal(seq, par)
-
-
 def test_range_cap():
     with pytest.raises(RangeTooLarge):
         primes.primes_in(0, 10**11)
