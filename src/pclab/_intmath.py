@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 from .errors import FactorizationTimeout
+from .primes import _simple_sieve
 from .prng import splitmix64
 
 TWO64 = 1 << 64
@@ -201,13 +202,7 @@ def small_primes() -> list[int]:
     """Primes up to 10^5, cached (trial-division table)."""
     global _small_primes_cache
     if _small_primes_cache is None:
-        limit = _SMALL_PRIME_LIMIT
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-        _small_primes_cache = [i for i in range(limit + 1) if sieve[i]]
+        _small_primes_cache = _simple_sieve(_SMALL_PRIME_LIMIT).tolist()
     return _small_primes_cache
 
 

@@ -47,8 +47,10 @@ def _int_arg(text: str) -> int:
     return f.numerator
 
 
+_FORMATS = ("jsonl", "csv")
+
 _GLOBAL_FLAGS = (
-    ("--format", dict(choices=("jsonl", "csv"), default="jsonl")),
+    ("--format", dict(choices=_FORMATS, default="jsonl")),
     ("--jobs", dict(type=int, default=os.cpu_count() or 1)),
     ("--seed", dict(type=int, default=0)),
     ("--tol", dict(type=float, default=None)),
@@ -179,7 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {"format": str, "jobs": int, "seed": int, "tol": float, "fixtures": str}
+def _format_value(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(text)
+    return text
+
+
+# a config value becomes a parser default, which argparse never checks
+_CONFIG_KEYS = {"format": _format_value, "jobs": int, "seed": int, "tol": float, "fixtures": str}
 
 
 def _config_path(argv: list[str]) -> str | None:

@@ -63,7 +63,7 @@ class Caps:
     trilinear_terms: int = 10**8     # D*M*L term budget
     triple_term_evals: int = 10**9   # H*D*x budget for the weighted triple sum
     triple_x: int = 10**7            # dyadic base for the triple sum
-    floor_exact_bits: int = 10**6    # exact big-integer path while num*log2(n) <= this
+    floor_exact_bits: int = 10**6    # exact root while the radicand has <= this many bits (and den <= 64)
     prec_cap_bits: int = 10**5       # interval-arithmetic escalation cap
     member_bits: int = 127           # floor(p^c) members must stay below 2^this
 

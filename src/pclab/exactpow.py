@@ -5,20 +5,26 @@ with an explicit absolute error bound, so a returned floor is never off by
 one and a returned fractional part always comes with a certified enclosure
 that excludes the nearest integers.
 
-Two evaluation paths are used throughout:
+Two evaluation paths are used throughout, both for one certified floor:
+floor(2^s * v), v the value of the power product and s >= 0 a number of
+fixed-point bits.
 
-* exact -- n^num is formed as a big integer and the integer den-th root is
-  taken (Newton iteration seeded from a float).  Unconditionally exact.
-* certified intervals -- directed-rounding evaluation of exp(c * ln n) on
-  top of mpmath's libmp primitives, starting at 128 bits and doubling until
-  the floor (or the fractional part at the requested tolerance) is decided.
-  Every transcendental step is widened by a fixed ulp pad, so the enclosure
-  is conservative even if an underlying primitive misses correct rounding
-  by a few ulps.
+* exact -- the radicand of v, shifted by s bits, is formed as a big integer
+  and its integer root is taken (Newton iteration).  Unconditionally exact.
+* certified intervals -- directed-rounding evaluation of exp(log v) on top
+  of mpmath's libmp primitives, starting at 128 bits and doubling until the
+  floor is decided.  Every transcendental step is widened by a fixed ulp
+  pad, so the enclosure is conservative even if an underlying primitive
+  misses correct rounding by a few ulps.
 
-Exact-integer inputs (perfect den-th powers) are detected before any
-interval loop; they are the only inputs for which escalation could fail to
-terminate.
+One rule picks the path for every floor and fractional part: the exact root
+when the common denominator of the exponents is at most 64 and the radicand
+fits Caps.floor_exact_bits, intervals otherwise.  A fractional part
+{h * v / d} is derived from the fixed-point floor (frac_from_fixed), with s
+doubled until the enclosure excludes every integer.
+
+Integer values (perfect powers) are the only inputs on which intervals
+could not terminate; they are recognised, and returned exactly.
 """
 from __future__ import annotations
 
@@ -34,14 +40,12 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_exp,
-    mpf_floor,
     mpf_log,
     mpf_mul_int,
     mpf_shift,
     mpf_sub,
     round_ceiling,
     round_floor,
-    to_float,
     to_int,
 )
 
@@ -63,8 +67,7 @@ PHASE_TOL = 2.0 ** -48
 _ULP_PAD = 8
 
 # fast float path: escalate whenever the fractional part is within this
-# relative distance of an integer (~100x wider than the worst realistic
-# libm error)
+# relative distance of an integer (error argument in floor_pow_batch)
 _FLOAT_REL_MARGIN = 1e-12
 
 
@@ -187,17 +190,6 @@ def _log_iv(b: int, prec):
     return lo, hi
 
 
-def _mul_pos_rat(lo, hi, p: int, q: int, prec):
-    # interval (of a positive quantity) times positive rational p/q
-    lo = mpf_mul_int(lo, p, prec, round_floor)
-    hi = mpf_mul_int(hi, p, prec, round_ceiling)
-    if q != 1:
-        qf = from_int(q)
-        lo = mpf_div(lo, qf, prec, round_floor)
-        hi = mpf_div(hi, qf, prec, round_ceiling)
-    return lo, hi
-
-
 def _exp_iv(lo, hi, prec):
     return (
         _pad_down(mpf_exp(lo, prec, round_floor), prec),
@@ -205,104 +197,119 @@ def _exp_iv(lo, hi, prec):
     )
 
 
-def _product_interval(factors, prec):
-    """Enclosure of prod b**e over (b, e) pairs, b >= 2 int, e > 0 Fraction."""
-    acc_lo, acc_hi = fzero, fzero
-    for b, e in factors:
-        llo, lhi = _log_iv(b, prec)
-        llo, lhi = _mul_pos_rat(llo, lhi, e.numerator, e.denominator, prec)
-        acc_lo = mpf_add(acc_lo, llo, prec, round_floor)
-        acc_hi = mpf_add(acc_hi, lhi, prec, round_ceiling)
-    return _exp_iv(acc_lo, acc_hi, prec)
+# The kernel's value is P = (b**e * b2**e2)**(1/q) for ints b, b2 >= 1 and
+# e, e2 >= 0: n**c is (n, num, den) with b2 = 1, e2 = 0, and a Weyl phase
+# z**c * N**delta brings both exponents to their common denominator q.
+
+def _root_interval(b: int, e: int, q: int, b2: int, e2: int, prec):
+    """Enclosure of P."""
+    lo = hi = fzero
+    for base, k in ((b, e), (b2, e2)):
+        llo, lhi = _log_iv(base, prec)
+        lo = mpf_add(lo, mpf_mul_int(llo, k, prec, round_floor), prec, round_floor)
+        hi = mpf_add(hi, mpf_mul_int(lhi, k, prec, round_ceiling), prec, round_ceiling)
+    if q != 1:
+        lo = mpf_div(lo, from_int(q), prec, round_floor)
+        hi = mpf_div(hi, from_int(q), prec, round_ceiling)
+    return _exp_iv(lo, hi, prec)
 
 
-def _floor_of_mpf(x, prec):
-    return to_int(mpf_floor(x, prec, round_floor))
+def _integer_root(b: int, e: int, q: int, b2: int, e2: int) -> int | None:
+    """P if it is an integer, else None.
+
+    P is an algebraic integer, so it is rational only when it is an integer.
+    One base needs one integer root; two are factorized, which finds
+    cancellations such as 2^(3/2) * 2^(1/2) = 4.
+    """
+    if b2 == 1:
+        g = math.gcd(e, q)
+        r = perfect_root(b, q // g)
+        return None if r is None else r ** (e // g)
+    vals: dict[int, int] = {}
+    for base, k in ((b, e), (b2, e2)):
+        for p, v in factorize(base)[0].items():
+            vals[p] = vals.get(p, 0) + v * k
+    if any(v % q for v in vals.values()):
+        return None
+    return math.prod(p ** (v // q) for p, v in vals.items())
 
 
-def _est_log2(factors, h: int = 1, d: int = 1) -> float:
-    t = math.log2(h) - math.log2(d) if h else 0.0
-    for b, e in factors:
-        t += float(e) * math.log2(b)
-    return t
-
-
-def _floor_via_intervals(factors, caps: Caps) -> int:
-    est_bits = max(0, int(_est_log2(factors))) + 16
+def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2: int) -> int:
+    est_bits = max(0, int((e * math.log2(b) + e2 * math.log2(b2)) / q)) + s + 16
     if est_bits + 64 > caps.prec_cap_bits:
         raise Overflow(
             f"result needs ~{est_bits} bits, beyond the precision cap"
         )
     prec = max(128, est_bits + 32)
     while prec <= caps.prec_cap_bits:
-        lo, hi = _product_interval(factors, prec)
-        flo = _floor_of_mpf(lo, prec)
-        fhi = _floor_of_mpf(hi, prec)
-        if flo == fhi:
+        lo, hi = _root_interval(b, e, q, b2, e2, prec)
+        flo = to_int(mpf_shift(lo, s), round_floor)
+        if flo == to_int(mpf_shift(hi, s), round_floor):
             return flo
+        # no enclosure of an integer decides its floor
+        v = _integer_root(b, e, q, b2, e2)
+        if v is not None:
+            return v << s
         prec *= 2
     raise PrecisionExhausted("floor undecided at the precision cap")
 
 
-def _frac_via_intervals(factors, h: int, d: int, tol: float, caps: Caps) -> CertifiedReal:
-    """Certified {h/d * prod b**e} for an irrational product."""
-    est_bits = max(0, int(_est_log2(factors, h, d))) + 16
-    tol_bits = max(8, int(-math.log2(tol)) + 4)
-    if est_bits + tol_bits > caps.prec_cap_bits:
-        raise Overflow(
-            f"fractional part needs ~{est_bits + tol_bits} bits, beyond the cap"
-        )
-    prec = max(128, est_bits + tol_bits + 32)
-    hd = from_int(d)
-    while prec <= caps.prec_cap_bits:
-        lo, hi = _product_interval(factors, prec)
-        if h != 1:
-            lo = mpf_mul_int(lo, h, prec, round_floor)
-            hi = mpf_mul_int(hi, h, prec, round_ceiling)
-        if d != 1:
-            lo = mpf_div(lo, hd, prec, round_floor)
-            hi = mpf_div(hi, hd, prec, round_ceiling)
-        m = _floor_of_mpf(lo, prec)
-        if _floor_of_mpf(hi, prec) == m:
-            mi = from_int(m)
-            flo = mpf_sub(lo, mi, prec, round_floor)
-            fhi = mpf_sub(hi, mi, prec, round_ceiling)
-            half_width = to_float(mpf_sub(fhi, flo, 53, round_ceiling)) / 2.0
-            err = half_width + 2.0 ** -52
-            if err <= tol:
-                mid = to_float(mpf_add(flo, fhi, 53, round_floor)) / 2.0
-                mid = min(max(mid, 0.0), math.nextafter(1.0, 0.0))
-                return CertifiedReal(mid, err)
-        prec *= 2
-    raise PrecisionExhausted("fractional part undecided at the precision cap")
-
-
 # ----------------------------------------------------------------------
-# scaled-integer-root kernel (exact; preferred for small denominators)
+# the certified power kernel
 # ----------------------------------------------------------------------
 
-# switch to intervals when the scaled radicand would exceed this many bits
-_ROOT_BIT_BUDGET = 1 << 16
+# largest common denominator given to the exact root: iroot's Newton
+# iteration shrinks its seed by only about 1/k per step, so a large k costs
+# seconds where intervals cost a millisecond
+_EXACT_ROOT_MAX_DEN = 64
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _scaled_root_cost_ok(base_bits: int, q: int, s: int) -> bool:
-    return q <= 64 and base_bits + q * s <= _ROOT_BIT_BUDGET
+def _floor_root(b: int, e: int, q: int, s: int, caps: Caps, b2: int = 1, e2: int = 0) -> int:
+    """Certified floor(2^s * P).
+
+    The package's one choice between the evaluation paths: the exact integer
+    q-th root when q <= 64 and the radicand fits caps.floor_exact_bits,
+    escalating intervals otherwise.
+    """
+    if q <= _EXACT_ROOT_MAX_DEN and e * b.bit_length() + e2 * b2.bit_length() + q * s <= caps.floor_exact_bits:
+        return iroot((b ** e * b2 ** e2) << q * s, q)
+    return _floor_via_intervals(b, e, q, s, caps, b2, e2)
 
 
-def _frac_via_scaled_root(x_int: int, q: int, h: int, d: int, tol: float) -> CertifiedReal:
-    """Certified {h/d * x_int**(1/q)} for x_int not a perfect q-th power."""
+def frac_from_fixed(u: int, m: int, h: int) -> float | None:
+    """{h * v / d} from u = floor(v * 2^s) and m = d * 2^s, v irrational.
+
+    v lies in [u, u + 1) / 2^s, so the phase lies in [a, a + h] / m for
+    a = h * u mod m; None when that range reaches past m (an integer inside
+    the enclosure).  The returned midpoint is within h / (2 m) + 2^-52 of
+    the phase.
+    """
+    a = h * u % m
+    if a + h > m:
+        return None
+    value = (a + h / 2.0) / m  # rounding may reach 1.0
+    return value if value < 1.0 else _BELOW_ONE
+
+
+def _certified_frac(
+    h: int, d: int, tol: float, caps: Caps, b: int, e: int, q: int, b2: int = 1, e2: int = 0
+) -> CertifiedReal:
+    """Certified {h * P / d} with error_bound <= tol, for tol > 2^-52."""
     s = max(64, h.bit_length() + max(8, int(-math.log2(tol))) + 4)
     while True:
-        r = iroot(x_int << (q * s), q)  # floor(v * 2^s), v the true root
-        t = h * r
+        u = _floor_root(b, e, q, s, caps, b2, e2)
+        # an integer P leaves the low s bits of u clear
+        if not u & ((1 << s) - 1):
+            v = _integer_root(b, e, q, b2, e2)
+            if v is not None:
+                return _exact_frac(Fraction(h * v, d))
         m = d << s
-        a = t % m
-        if a + h <= m:
-            # value in [a/m, (a+h)/m], strictly inside since v is irrational
-            value = (a + h / 2.0) / m
-            err = h / (2.0 * m) + 2.0 ** -52
-            if err <= tol:
-                return CertifiedReal(min(value, math.nextafter(1.0, 0.0)), err)
+        value = frac_from_fixed(u, m, h)
+        err = h / (2.0 * m) + 2.0 ** -52
+        if value is not None and err <= tol:
+            return CertifiedReal(value, err)
         s *= 2
 
 
@@ -315,23 +322,28 @@ def floor_pow(n: int, c, caps: Caps = DEFAULT_CAPS) -> int:
     c = as_exponent(c)
     if n < 1:
         raise OutOfRange("floor_pow needs n >= 1")
-    if n == 1:
-        return 1
-    r = perfect_root(n, c.den)
-    if r is not None:
-        return r ** c.num
-    bits = c.num * n.bit_length()
-    if bits <= caps.floor_exact_bits:
-        return iroot(n ** c.num, c.den)
-    return _floor_via_intervals([(n, c.as_fraction)], caps)
+    return _floor_root(n, c.num, c.den, 0, caps)
 
 
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Certified floor(n**c) for an int64 array of n.
 
-    Fast path: float64 exp/log with a conservative relative margin; any
-    element whose fractional part falls inside the margin (or whose value
-    is too large for float64 to resolve) is recomputed by floor_pow.
+    Fast path: v = exp(c * log(n)) in float64.  An element is recomputed by
+    floor_pow when v >= 2^52 (float spacing reaches 1), when v is not
+    finite, or when v lies within v * 1e-12 of an integer.  That margin
+    bounds the float error, with u = 2^-52 and Y = ln(n^c) < 52 ln 2 < 36.05:
+
+    * c rounded to a float, the product c * log(n) and the floor step each
+      round correctly (relative error <= u/2; v - floor(v) is exact);
+    * log and exp add at most k ulps each (relative error <= k u);
+    * so c * log(n) is off by at most Y (1 + k) u in absolute terms, which
+      exp turns into a relative error, and v is off by a relative
+      (Y (1 + k) + k) u < (37.05 k + 36.05) u.
+
+    1e-12 exceeds that for any k <= 120 ulps, far beyond numpy's libm.  A
+    float whose distance to the nearest integer exceeds the error has the
+    true floor.  From v ~ 5e11 on the margin exceeds 1/2, so every element
+    there is recomputed.
     """
     c = as_exponent(c)
     ns = np.asarray(ns, dtype=np.int64)
@@ -343,7 +355,7 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     v = np.exp(cf * np.log(ns.astype(np.float64)))
     fl = np.floor(v)
     frac = v - fl
-    margin = np.maximum(v * _FLOAT_REL_MARGIN, 1e-12)
+    margin = v * _FLOAT_REL_MARGIN
     bad = (frac <= margin) | (frac >= 1.0 - margin) | (v >= 2.0 ** 52) | ~np.isfinite(v)
     out = fl.astype(np.int64)
     for i in np.flatnonzero(bad):
@@ -362,42 +374,17 @@ def frac_scaled_pow(
     """Certified {h * n**c / d} with error_bound <= tol.
 
     Exact-integer inputs (h == 0, or n a perfect den-th power making the
-    whole expression rational) are detected and returned exactly.
+    whole expression rational) are detected and returned exactly.  tol must
+    exceed 2^-52, the rounding of the returned float.
     """
     c = as_exponent(c)
     if n < 1 or h < 0 or d < 1:
         raise OutOfRange("frac_scaled_pow needs n >= 1, h >= 0, d >= 1")
-    if not 0 < tol < math.inf:
-        raise OutOfRange("tol must be positive and finite")
+    if not 2.0 ** -52 < tol < math.inf:
+        raise OutOfRange("tol must be finite and above 2^-52")
     if h == 0:
         return CertifiedReal(0.0, 0.0)
-    r = perfect_root(n, c.den) if n > 1 else 1
-    if r is not None:
-        return _exact_frac(Fraction(h * r ** c.num, d))
-    if _scaled_root_cost_ok(c.num * n.bit_length(), c.den, 64):
-        return _frac_via_scaled_root(n ** c.num, c.den, h, d, tol)
-    return _frac_via_intervals([(n, c.as_fraction)], h, d, tol, caps)
-
-
-def _rational_power_product(factors) -> Fraction | None:
-    """The exact rational value of prod b**e if it is rational, else None.
-
-    Rational iff every prime valuation of the product is an integer; only
-    primes dividing some base can appear, so the bases are factorized.
-    """
-    vals: dict[int, Fraction] = {}
-    for b, e in factors:
-        if b == 1:
-            continue
-        fac, _ = factorize(b)
-        for p, v in fac.items():
-            vals[p] = vals.get(p, Fraction(0)) + v * e
-    result = Fraction(1)
-    for p, v in vals.items():
-        if v.denominator != 1:
-            return None
-        result *= Fraction(p) ** v.numerator
-    return result
+    return _certified_frac(h, d, tol, caps, n, c.num, c.den)
 
 
 def frac_phase(z: int, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> CertifiedReal:
@@ -410,25 +397,9 @@ def frac_phase(z: int, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> Cert
     delta = as_ratio(delta)
     if z < 1 or n_base < 2 or delta <= 0:
         raise OutOfRange("frac_phase needs z >= 1, n_base >= 2, delta > 0")
-    factors = [(b, e) for b, e in ((z, c.as_fraction), (n_base, delta)) if b > 1]
-    if not factors:
-        return CertifiedReal(0.0, 0.0)
-    q = 1
-    for _, e in factors:
-        q = q * e.denominator // math.gcd(q, e.denominator)
-    base_bits = sum(int(e * q) * b.bit_length() for b, e in factors)
-    if _scaled_root_cost_ok(base_bits, q, 64):
-        x = 1
-        for b, e in factors:
-            x *= b ** int(e * q)
-        r = perfect_root(x, q)
-        if r is not None:
-            return CertifiedReal(0.0, 0.0)  # integer phase
-        return _frac_via_scaled_root(x, q, 1, 1, PHASE_TOL)
-    exact = _rational_power_product(factors)
-    if exact is not None:
-        return _exact_frac(exact)
-    return _frac_via_intervals(factors, 1, 1, PHASE_TOL, caps)
+    dn, dd = delta.numerator, delta.denominator
+    q = math.lcm(c.den, dd)
+    return _certified_frac(1, 1, PHASE_TOL, caps, z, c.num * (q // c.den), q, n_base, dn * (q // dd))
 
 
 def scaled_floor_table(values, c, shift_bits: int = 64, caps: Caps = DEFAULT_CAPS):
@@ -436,25 +407,16 @@ def scaled_floor_table(values, c, shift_bits: int = 64, caps: Caps = DEFAULT_CAP
     ('fixed', floor(n**c * 2^shift_bits)).
 
     The fixed-point entries let callers derive {h * n**c / d} for many
-    (h, d) pairs from one certified root: the true n**c lies in
-    [U, U+1) / 2^shift_bits.
+    (h, d) pairs from one certified root with frac_from_fixed.
     """
     c = as_exponent(c)
+    low = (1 << shift_bits) - 1
     out = {}
     for n in values:
         n = int(n)
         if n < 1:
             raise OutOfRange("scaled_floor_table needs n >= 1")
-        r = perfect_root(n, c.den) if n > 1 else 1
-        if r is not None:
-            out[n] = ("exact", r ** c.num)
-            continue
-        base_bits = c.num * n.bit_length()
-        if _scaled_root_cost_ok(base_bits, c.den, shift_bits):
-            u = iroot((n ** c.num) << (c.den * shift_bits), c.den)
-        else:
-            u = _floor_via_intervals(
-                [(n, c.as_fraction), (2, Fraction(shift_bits))], caps
-            )
-        out[n] = ("fixed", u)
+        u = _floor_root(n, c.num, c.den, shift_bits, caps)
+        v = None if u & low else _integer_root(n, c.num, c.den, 1, 0)
+        out[n] = ("fixed", u) if v is None else ("exact", v)
     return out

@@ -24,6 +24,7 @@ from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
 from .exactpow import (
     as_exponent,
     as_ratio,
+    frac_from_fixed,
     frac_phase,
     frac_scaled_pow,
     scaled_floor_table,
@@ -58,9 +59,8 @@ class SumEval:
 def _table_fracs(table, ns, c, h: int, d: int, caps: Caps) -> list[float]:
     """{h * n^c / d} for each n in ns, from its scaled_floor_table entry.
 
-    A fixed entry U puts n^c in [U, U+1) / 2^_SHIFT, so the phase is known to
-    within h / (d 2^_SHIFT); the rare entry whose enclosure straddles an
-    integer is resolved by frac_scaled_pow.
+    A fixed entry gives the phase through frac_from_fixed; the rare entry
+    whose enclosure straddles an integer is resolved by frac_scaled_pow.
     """
     mod = d << _SHIFT
     out = []
@@ -69,8 +69,8 @@ def _table_fracs(table, ns, c, h: int, d: int, caps: Caps) -> list[float]:
         if tag == "exact":
             out.append((h * u) % d / d)
             continue
-        a = (h * u) % mod
-        out.append(frac_scaled_pow(n, c, h, d, caps=caps).value if a + h > mod else (a + h / 2.0) / mod)
+        f = frac_from_fixed(u, mod, h)
+        out.append(f if f is not None else frac_scaled_pow(n, c, h, d, caps=caps).value)
     return out
 
 

@@ -141,9 +141,11 @@ BAD_INPUTS = {
     "infinite tol": (["constants", "maxc", "-R", "8", "--tol", "inf"], None, {}),
     "trailing --config": (["constants", "table", "--config"], None, {}),
     "bad config value": (["--config", "{file}", "constants", "table"], "jobs=abc\n", {}),
+    "bad config format": (["--config", "{file}", "constants", "table"], "format=xml\n", {}),
     "bad PSC_LAB_CAP": (["constants", "table"], None, {"PSC_LAB_CAP": "abc"}),
     "non-JSON fixtures line": (["verify", "--fixtures", "{file}"], "not json\n", {}),
     "NaN tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "nan"], None, {}),
+    "tol below 2^-52": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "1e-20"], None, {}),
     "zero scale": (["expsum", "trilinear", "--D", "0", "--M", "2", "--L", "2", "--h", "1", "-c", "3/2"], None, {}),
 }
 

@@ -1,12 +1,18 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from pclab import _intmath
 from pclab import exactpow as ep
-from pclab.errors import IntegerExponent, NotAFraction, OutOfRange
+from pclab.errors import DEFAULT_CAPS, IntegerExponent, NotAFraction, OutOfRange
+
+# floor_exact_bits=0 sends every power through the interval path
+INTERVAL_CAPS = replace(DEFAULT_CAPS, floor_exact_bits=0)
 
 
 def bisect_root(x, k):
@@ -88,14 +94,35 @@ def test_floor_pow_huge_denominator():
     assert got**10000 <= n**10521 < (got + 1) ** 10000
 
 
-@given(st.integers(2, 10**5), st.integers(2, 16), st.data())
-def test_floor_pow_matches_root_oracle(n, den, data):
-    num = data.draw(st.integers(den + 1, 3 * den - 1))
+@given(st.integers(2, 10**5), st.integers(2, 16) | st.sampled_from((63, 64, 65)), st.integers(0, 10**6))
+@example(99991, 63, 0)
+@example(99991, 64, 0)
+@example(99991, 65, 0)
+def test_floor_pow_matches_root_oracle(n, den, k):
+    # den 63/64 take the exact root and 65 intervals, either side of the path rule
+    num = den + 1 + k % (2 * den - 1)
     if math.gcd(num, den) > 1:
         return
     got = ep.floor_pow(n, F(num, den))
     assert got == bisect_root(n**num, den)
     assert got**den <= n**num < (got + 1) ** den
+
+
+def test_large_denominator_floor_takes_no_large_root(monkeypatch):
+    # the den-10^4 floor is decided by intervals, with no 10000th root
+    ks = []
+
+    def counting_iroot(x, k, _iroot=_intmath.iroot):
+        ks.append(k)
+        return _iroot(x, k)
+
+    monkeypatch.setattr(ep, "iroot", counting_iroot)
+    monkeypatch.setattr(_intmath, "iroot", counting_iroot)
+    n = 3626033
+    got = ep.floor_pow(n, "10521/10000")
+    assert all(k <= 64 for k in ks)
+    assert got == ep.floor_pow(n, "10521/10000", INTERVAL_CAPS)
+    assert got**10000 <= n**10521 < (got + 1) ** 10000
 
 
 def test_floor_pow_monotone_in_n():
@@ -105,13 +132,30 @@ def test_floor_pow_monotone_in_n():
 
 
 def test_floor_pow_batch_agrees_with_scalar():
-    import numpy as np
-
     ns = np.arange(2, 3000, dtype=np.int64)
     for cc in ("3/2", "10521/10000", "7/5"):
         batch = ep.floor_pow_batch(ns, cc)
         for i in (0, 1, 17, 500, 2500):
             assert int(batch[i]) == ep.floor_pow(int(ns[i]), cc)
+
+
+@pytest.mark.parametrize("cc", ["10521/10000", "3/2", "5/2"])
+@pytest.mark.parametrize("cut_bits", [38, 52])
+def test_floor_pow_batch_at_the_float_cut(cc, cut_bits, monkeypatch):
+    # 2^52 is the float path's cut; from about 2^39 on its margin exceeds 1/2
+    # and every element escalates, so 2^38 is the largest v it decides itself
+    c = ep.as_exponent(cc)
+    lo, hi = 1, 2**cut_bits
+    while hi - lo > 1:  # largest n with n^c < 2^cut_bits
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**c.num < 2 ** (cut_bits * c.den) else (lo, mid)
+    ns = np.arange(lo - 1499, lo + 2, dtype=np.int64)
+    want = [ep.floor_pow(int(n), c) for n in ns]
+    assert want[-3] < 2**cut_bits <= want[-1]
+    escalated = []
+    monkeypatch.setattr(ep, "floor_pow", lambda n, c, caps: escalated.append(n) or want[n - int(ns[0])])
+    assert ep.floor_pow_batch(ns, c).tolist() == want
+    assert (len(escalated) < len(ns)) == (cut_bits == 38)
 
 
 # ---------------------------------------------------------------- fractional parts
@@ -165,16 +209,33 @@ def test_frac_phase_values():
     assert abs(r2.value - want) < 1e-12
 
 
-@given(st.integers(2, 500), st.integers(2, 200))
+@given(st.integers(1, 500), st.integers(2, 200))
 def test_frac_phase_kernels_cross_check(z, nb):
-    # small-denominator inputs take the scaled-root path; the same value
-    # recomputed through the interval kernel must agree within both bounds
-    delta = F(1, 3)
-    a = ep.frac_phase(z, "5/3", nb, delta)
-    if a.error_bound == 0.0:
-        return  # exact rational case, nothing to cross-check
-    b = ep._frac_via_intervals([(z, F(5, 3)), (nb, delta)], 1, 1, ep.PHASE_TOL, ep.DEFAULT_CAPS)
-    assert abs(a.value - b.value) <= a.error_bound + b.error_bound + 1e-15
+    # denominators up to 64 take the exact root by default; forced through
+    # intervals, the kernel returns the same certified floor, so floors,
+    # fixed-point entries and fractional parts are all identical
+    for cc in ("5/3", "65/64"):
+        assert ep.floor_pow(nb, cc) == ep.floor_pow(nb, cc, INTERVAL_CAPS)
+        assert ep.scaled_floor_table([nb], cc) == ep.scaled_floor_table([nb], cc, caps=INTERVAL_CAPS)
+        assert ep.frac_scaled_pow(nb, cc, z, 7) == ep.frac_scaled_pow(nb, cc, z, 7, caps=INTERVAL_CAPS)
+    assert ep.frac_phase(z, "5/3", nb, F(1, 3)) == ep.frac_phase(z, "5/3", nb, F(1, 3), INTERVAL_CAPS)
+
+
+def test_frac_from_fixed_enclosure():
+    # m = 16, h = 2: u = 5 puts the phase in [10, 12] / 16
+    assert ep.frac_from_fixed(5, 16, 2) == 11 / 16
+    # an enclosure reaching past 1 contains an integer: undecided
+    m = 7 << 64
+    assert ep.frac_from_fixed((m - 1) // 3, m, 3) is None  # [m - 1, m + 2] / m
+    # one touching 1 is decided, and its midpoint stays below 1
+    assert ep.frac_from_fixed(m - 1, m, 1) == math.nextafter(1.0, 0.0)
+
+
+def test_frac_tol_must_exceed_float_rounding():
+    with pytest.raises(OutOfRange):
+        ep.frac_scaled_pow(2, "3/2", 1, 3, tol=2.0**-52)
+    r = ep.frac_scaled_pow(2, "3/2", 1, 3, tol=2.0**-51)
+    assert r.error_bound <= 2.0**-51
 
 
 def test_scaled_floor_table_paths():
@@ -185,3 +246,7 @@ def test_scaled_floor_table_paths():
     assert tag5 == "fixed"
     v = 5**3 * 2**128  # (5^1.5 * 2^64)^2
     assert u5**2 <= v < (u5 + 1) ** 2
+    # perfect powers are exact on the interval path too
+    big = 3**65
+    assert ep.scaled_floor_table([big], "66/65") == {big: ("exact", 3**66)}
+    assert ep.floor_pow(big, "66/65") == 3**66
