@@ -1,6 +1,13 @@
 """Empirical censuses and distribution measurements over floor(p^c), p <= x.
 
-Work is partitioned by prime-range chunks; per-chunk partial counts are
+Census counts are exact.  Members below 2^62 are held as one int64 array,
+and the squarefree and almost-prime censuses decide them all at once with
+``factor.signature_arrays``: trial division to the cube root of the largest
+member leaves a cofactor with at most two prime factors, so squarefreeness
+follows from a perfect-square test and Omega <= R needs ``is_prime`` only
+where the cofactor's primality decides it.  Larger members, and every member
+of ``ps_prime_count``, are decided one by one in chunks of the member list;
+with ``jobs > 1`` the chunks run in a process pool, and their counts are
 combined in fixed chunk order, so worker count never changes a result.
 """
 from __future__ import annotations
@@ -13,7 +20,7 @@ import numpy as np
 
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow
 from .exactpow import RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
-from .factor import factor_signature, is_prime
+from .factor import factor_signature, is_prime, signature_arrays
 from .primes import primes_in
 
 _CHUNK = 1 << 13
@@ -151,8 +158,8 @@ def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.nda
     return ps, vals
 
 
-def _chunks(seq, size=_CHUNK):
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
+def _chunks(seq):
+    return [seq[i : i + _CHUNK] for i in range(0, len(seq), _CHUNK)]
 
 
 def _map_ordered(func, items, jobs):
@@ -187,16 +194,34 @@ def _prime_chunk(member_list):
     return hit
 
 
+def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
+    """Omega(v) <= R for each v of an int64 array, from ``signature_arrays``.
+
+    The cofactor adds 0 (it is 1), 1 (a prime) or 2 (composite) to the small
+    count, so only where small count + 1 == R does its primality decide;
+    ``is_prime`` settles those few, deterministically below 2^64.
+    """
+    omega_small, _, cofactor = signature_arrays(vals)
+    big = cofactor > 1
+    within = omega_small + 2 * big <= R
+    edge = np.flatnonzero(big & (omega_small + 1 == R))
+    within[edge] = [is_prime(int(m)) for m in cofactor[edge]]
+    return within
+
+
 def almost_prime_census(x: int, c, R: int, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> CensusReport:
     """count = |{p <= x : Omega(floor(p^c)) <= R}| and its density surrogate."""
     if R < 1:
         raise OutOfRange("need R >= 1")
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    parts = _map_ordered(
-        _omega_counts_chunk, [(ch, R) for ch in _chunks([int(v) for v in vals])], jobs
-    )
-    count = int(sum(parts))
+    if vals.dtype == np.int64:
+        count = int(np.count_nonzero(_omega_within(vals, R)))
+    else:
+        parts = _map_ordered(
+            _omega_counts_chunk, [(ch, R) for ch in _chunks([int(v) for v in vals])], jobs
+        )
+        count = int(sum(parts))
     eta_hat = count * math.log(x) ** 2 / x
     return CensusReport(x, c, R, count, int(ps.size), eta_hat)
 
@@ -207,8 +232,10 @@ SQUAREFREE_DENSITY = 6.0 / math.pi ** 2
 def squarefree_census(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> SquarefreeReport:
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    parts = _map_ordered(_squarefree_chunk, _chunks([int(v) for v in vals]), jobs)
-    count = int(sum(parts))
+    if vals.dtype == np.int64:
+        count = int(np.count_nonzero(signature_arrays(vals)[1]))
+    else:
+        count = int(sum(_map_ordered(_squarefree_chunk, _chunks([int(v) for v in vals]), jobs)))
     ratio = count / ps.size
     return SquarefreeReport(x, c, count, int(ps.size), ratio, abs(ratio - SQUAREFREE_DENSITY))
 

@@ -5,14 +5,21 @@ that a 64-round seeded random-base test plus a strong Lucas check is used
 and the result is flagged probabilistic.  Factorization is trial division
 to 10^5 followed by Brent-cycle Pollard rho with a deterministic constant
 sequence, so repeated runs agree bit for bit.
+
+``signature_arrays`` decides the same structure for a whole int64 array at
+once, by trial division to the cube root of its largest element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _intmath
 from .errors import OutOfRange
+from .primes import _simple_sieve
 
+TWO62 = 1 << 62
 TWO127 = 1 << 127
 
 
@@ -58,3 +65,45 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> dict[int, int]:
     if n < 1 or n >= TWO127:
         raise OutOfRange("factorize needs 1 <= n < 2^127")
     return _intmath.factorize(n, rho_budget)[0]
+
+
+def signature_arrays(vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega_small, squarefree, cofactor) for an int64 array of 1 <= v < 2^62.
+
+    With P = iroot(max(vals), 3), every v is divided by all primes p <= P:
+    omega_small counts those factors with multiplicity and cofactor is what
+    is left.  Since (P + 1)^3 > max(vals), each cofactor has at most two
+    prime factors, all above P: it is 1, a prime, q^2 or q*r.  Hence
+    Omega(v) = omega_small + [cofactor > 1] + [cofactor composite], and
+    squarefree is final: no small exponent exceeds 1 and the cofactor is not
+    a perfect square above 1.  Only Omega may still need a primality test.
+    """
+    vals = np.asarray(vals)
+    if vals.dtype != np.int64 or (vals.size and (int(vals.min()) < 1 or int(vals.max()) >= TWO62)):
+        raise OutOfRange("signature_arrays needs an int64 array with 1 <= v < 2^62")
+    cofactor = vals.copy()
+    omega_small = np.zeros(vals.shape, dtype=np.int64)
+    squarefree = np.ones(vals.shape, dtype=bool)
+    top = int(vals.max()) if vals.size else 1
+    for p in _simple_sieve(_intmath.iroot(top, 3)).tolist():
+        hit = np.flatnonzero(cofactor % p == 0)
+        while hit.size:
+            cofactor[hit] //= p
+            omega_small[hit] += 1
+            hit = hit[cofactor[hit] % p == 0]
+            squarefree[hit] = False  # p divides these at least twice
+    squarefree &= ~_square_above_one(cofactor)
+    return omega_small, squarefree, cofactor
+
+
+def _square_above_one(m: np.ndarray) -> np.ndarray:
+    """m == r*r with an integer r > 1, for an int64 array of 1 <= m < 2^62.
+
+    Error argument: converting m to float64 and the correctly rounded sqrt
+    each err by a relative 2^-53 at most, so the float root is within
+    sqrt(m) * 2^-52 < 2^31 * 2^-52 = 2^-21 of the true root, far below 1/2.
+    A square s^2 therefore rounds to r = s.  The check r*r == m is exact in
+    int64: r <= 2^31, so r*r <= 2^62.
+    """
+    r = np.rint(np.sqrt(m.astype(np.float64))).astype(np.int64)
+    return (r * r == m) & (m > 1)

@@ -1,10 +1,14 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pclab import experiments as ex
+from pclab.acceptance import _omega_oracle
 from pclab.errors import OutOfRange
+from pclab.factor import factor_signature, signature_arrays
 
 # members of floor(p^1.5) for p <= 20: {2, 5, 11, 18, 36, 46, 70, 82}
 
@@ -64,13 +68,80 @@ def test_level_error_all_residues_flag():
     assert wide >= narrow
 
 
-def test_parallel_runs_equal_sequential():
-    a = ex.almost_prime_census(2000, "7/5", 3, jobs=1)
-    b = ex.almost_prime_census(2000, "7/5", 3, jobs=3)
+def test_parallel_runs_equal_sequential(monkeypatch):
+    # members of 77/10 at x = 300 reach 2^64, so they are factored one by one;
+    # small chunks make jobs=3 spread them over a process pool
+    assert ex.members(300, "77/10")[1].dtype == object
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_CHUNK", 16)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    a = ex.almost_prime_census(300, "77/10", 3, jobs=1)
+    b = ex.almost_prime_census(300, "77/10", 3, jobs=3)
     assert a == b
-    sa = ex.squarefree_census(2000, "7/5", jobs=1)
-    sb = ex.squarefree_census(2000, "7/5", jobs=3)
+    sa = ex.squarefree_census(300, "77/10", jobs=1)
+    sb = ex.squarefree_census(300, "77/10", jobs=3)
     assert sa == sb
+    assert pools == [3, 3]
+
+
+def test_signature_arrays_over_the_whole_range():
+    # every integer up to 2e5 against the sieve oracle; P = 58
+    limit = 2 * 10**5
+    omega, squarefree = _omega_oracle(limit)
+    vals = np.arange(1, limit + 1, dtype=np.int64)
+    omega_small, sf, cofactor = signature_arrays(vals)
+    assert (sf == squarefree[1:]).all()
+    assert (omega_small + omega[cofactor] == omega[1:]).all()
+    assert (omega[cofactor] <= 2).all()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        assert not (cofactor % p == 0).any(), p
+    for R in (4, 8):
+        assert (ex._omega_within(vals, R) == (omega[1:] <= R)).all(), R
+
+
+def test_omega_within_at_the_cofactor_edge():
+    # P = iroot(101^3, 3) = 101; 103 and 107 are the primes just above it.
+    # At R = 2 the cofactor's primality decides 2*q, 2*q*r and 2*q*q.
+    q, r = 103, 107
+    vals = np.array([2 * q, 2 * q * r, 2 * q * q, 6 * q, q * r, 101**3], dtype=np.int64)
+    assert ex._omega_within(vals, 2).tolist() == [True, False, False, False, True, False]
+    assert ex._omega_within(vals, 3).tolist() == [True, True, True, True, True, True]
+    assert ex._omega_within(np.array([1], dtype=np.int64), 1).tolist() == [True]
+
+
+def test_censuses_match_signatures_at_high_members():
+    # members of 29/10 at x = 2e4 reach 2^42, so P = 14,374
+    _, vals = ex.members(2 * 10**4, "29/10")
+    sigs = [factor_signature(v) for v in vals.tolist()]
+    assert signature_arrays(vals)[1].tolist() == [s.squarefree for s in sigs]
+    for R in range(1, 7):
+        assert ex._omega_within(vals, R).tolist() == [s.omega_big <= R for s in sigs], R
+
+
+def test_int64_censuses_make_no_signature_calls(monkeypatch):
+    prime_calls = []
+    is_prime = ex.is_prime
+
+    def no_signature(n):
+        raise AssertionError(f"factor_signature({n}) on the int64 path")
+
+    def counting_is_prime(n):
+        prime_calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(ex, "factor_signature", no_signature)
+    monkeypatch.setattr(ex, "is_prime", counting_is_prime)
+    assert ex.squarefree_census(10**6, "7/5").count == 47714
+    assert prime_calls == []
+    # only members whose cofactor's primality decides Omega <= 8 are tested
+    assert ex.almost_prime_census(10**6, "10521/10000", 8).count == 77157
+    assert len(prime_calls) == 906
 
 
 def test_star_discrepancy_point_formula():

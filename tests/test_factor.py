@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pclab import factor
+from pclab import _intmath, factor
 from pclab.errors import OutOfRange
 
 
@@ -100,3 +101,45 @@ def test_out_of_range():
 def test_deterministic_repetition():
     n = 2**67 - 1
     assert factor.factorize(n) == factor.factorize(n)
+
+
+def check_signature_arrays(vals):
+    """signature_arrays against per-integer factorize and factor_signature."""
+    vals = np.asarray(vals, dtype=np.int64)
+    omega_small, squarefree, cofactor = factor.signature_arrays(vals)
+    P = _intmath.iroot(int(vals.max()), 3)
+    for v, om, sf, cof in zip(vals.tolist(), omega_small.tolist(), squarefree.tolist(), cofactor.tolist()):
+        small = {p: e for p, e in factor.factorize(v).items() if p <= P}
+        assert om == sum(small.values()), v
+        assert cof * math.prod(p**e for p, e in small.items()) == v, v
+        assert sf == factor.factor_signature(v).squarefree, v
+
+
+def test_signature_arrays_edge_cases():
+    # P = 101 is prime and the maximum is exactly P^3; 103 and 107 are the
+    # primes just above P, so cofactors take every shape 1, q, q^2, q*r
+    P, q, r = 101, 103, 107
+    vals = [1, 2, 3, 97, P, q, q * q, q * r, P * q, 2 * q, 2 * q * r, 2 * q * q, 4 * q, 8 * 9 * 25, P**3]
+    check_signature_arrays(vals)
+    omega_small, squarefree, cofactor = factor.signature_arrays(np.array(vals, dtype=np.int64))
+    assert cofactor.tolist() == [1, 1, 1, 1, 1, q, q * q, q * r, q, q, q * r, q * q, q, 1, 1]
+    assert omega_small[-1] == 3 and not squarefree[-1]
+    assert factor.signature_arrays(np.array([1], dtype=np.int64))[2].tolist() == [1]
+
+
+@given(st.lists(st.integers(1, 1 << 40), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_signature_arrays_match_factorization(vals):
+    check_signature_arrays(vals)
+
+
+def test_square_test_at_the_top_of_the_range():
+    q = (1 << 31) - 1  # prime; q^2 is the largest square below 2^62
+    m = np.array([q * q, q * q - 1, q * q + 1, (1 << 62) - 1, (q - 1) ** 2, 1, 4, 8], dtype=np.int64)
+    assert factor._square_above_one(m).tolist() == [True, False, False, False, True, False, True, False]
+
+
+def test_signature_arrays_out_of_range():
+    for bad in ([0, 5], [1 << 62], np.array([6, 10], dtype=object)):
+        with pytest.raises(OutOfRange):
+            factor.signature_arrays(bad)
