@@ -11,7 +11,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
@@ -216,12 +215,7 @@ def criterion_7(ctx: LabContext):
     for lo in range(1, limit + 1, step):
         hi = min(lo + step, limit + 1)
         chunks.append((lo, hi, om[lo:hi].tobytes(), sf[lo:hi].tobytes()))
-    if ctx.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ctx.jobs) as exe:
-            parts = list(exe.map(_compare_chunk, chunks))
-    else:
-        parts = [_compare_chunk(ch) for ch in chunks]
-    bad = int(sum(parts))
+    bad = int(sum(ex._map_ordered(_compare_chunk, chunks, ctx.jobs)))
     return bad == 0, {"limit": limit, "mismatches": bad}
 
 

@@ -373,21 +373,25 @@ class ThresholdResult:
         return {"value": self.value, "multi_crossing": self.multi_crossing}
 
 
-def threshold(ineq_id: str, lo, hi, tol: float = 1e-3, *, scan: int = 100) -> ThresholdResult:
+_THRESHOLD_SCAN = 100
+
+
+def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
     """Least c (within tol) at which the inequality begins to hold.
 
-    A scan-point pre-pass checks single-crossing; with several sign changes
-    the smallest upward crossing is bisected and flagged.  NoCrossing is
-    raised when the indicator is constant on [lo, hi].
+    A pre-pass over _THRESHOLD_SCAN evenly spaced points checks
+    single-crossing; with several sign changes the smallest upward crossing
+    is bisected and flagged.  NoCrossing is raised when the indicator is
+    constant on [lo, hi].
     """
     lo, hi, tol = _frac(lo), _frac(hi), _frac(tol)
     if not lo < hi:
         raise OutOfRange("need lo < hi")
     if tol <= 0:
         raise OutOfRange("tol must be positive")
-    xs = [lo + (hi - lo) * i / (scan - 1) for i in range(scan)]
+    xs = [lo + (hi - lo) * i / (_THRESHOLD_SCAN - 1) for i in range(_THRESHOLD_SCAN)]
     vals = [regime_inequality_holds(ineq_id, x) for x in xs]
-    transitions = [i for i in range(1, scan) if vals[i] != vals[i - 1]]
+    transitions = [i for i in range(1, len(xs)) if vals[i] != vals[i - 1]]
     upward = [i for i in transitions if vals[i]]
     if not upward:
         state = "already holds" if vals[0] else "never holds"
@@ -464,7 +468,7 @@ class MarginReport:
     minorant1_ok: bool
     minorant2: float
     minorant2_ok: bool
-    ok: bool  # both direct grid margin families non-negative
+    ok: bool  # both exact window infima non-negative
 
     def to_json(self) -> dict:
         return {
@@ -486,62 +490,45 @@ class MarginReport:
         }
 
 
-def _window_margins(c, eps, th_lo, th_hi, delta_lo_fn, delta_hi_fn, target, grid):
-    """Worst Theta*rho - target over a window, tracked exactly.
+def _window_margins(c, eps, th_lo, th_hi, lo, hi, target):
+    """Exact infimum of Theta*rho(k) - target over a (Theta, Delta) window.
 
-    Candidates: a uniform Theta grid, both window endpoints, and every
-    degree-transition point (where floor(c + Delta_max/Theta) jumps), each
-    paired with the Delta extremes and midpoint.  The binding corner is
-    always at Delta_max, where the degree is largest.
+    The window is th_lo <= Theta <= th_hi, max(a - b Theta, _DELTA_FLOOR)
+    <= Delta <= a' - b' Theta, for lo = (a, b) and hi = (a', b') with a > 0,
+    b > 0.  The degree k = floor(c + Delta/Theta) + 1 grows with Delta and,
+    along either bound, shrinks as Theta grows, so every k from k(th_hi,
+    Delta_lo) to k(th_lo, Delta_max) is reached on one Theta interval.  Its
+    left end Theta_k is th_lo or the right-limit of the transition where
+    c + Delta_lo(Theta)/Theta = k.  Theta*rho(k) - target increases on the
+    interval (rho > 0), so the infimum is the least Theta_k*rho(k) - target.
+    Returns it with the least Theta, then least Delta, reaching that degree
+    (the limit point itself when the infimum is a right-limit).
     """
-    cf = c
-    cands = {th_lo, th_hi}
-    for i in range(1, grid):
-        cands.add(th_lo + (th_hi - th_lo) * i / grid)
-    # degree transitions at Delta_max: c + Delta_max/Theta is a monotone
-    # function of Theta crossing integers at explicitly solvable points
-    probe = []
-    for th in (th_lo, th_hi):
-        probe.append(cf + delta_hi_fn(th) / th)
-    j_lo = math.floor(float(min(probe)))
-    j_hi = math.ceil(float(max(probe))) + 1
-    width = th_hi - th_lo
-    for j in range(max(3, j_lo), j_hi + 1):
-        # solve c + delta_hi(th)/th == j for th (delta_hi is linear in th)
-        # delta_hi(th) = a - b*th  =>  th = a / (j - c + b)
-        a = delta_hi_fn(F(0))
-        b = (delta_hi_fn(F(0)) - delta_hi_fn(F(1)))
-        denom = j - cf + b
-        if denom <= 0:
-            continue
-        th_star = a / denom
-        for t in (th_star - width / 10**9, th_star, th_star + width / 10**9):
-            if th_lo <= t <= th_hi:
-                cands.add(t)
-    worst = None
-    worst_at = (0.0, 0.0)
-    for th in sorted(cands):
-        d_hi = delta_hi_fn(th)
-        d_lo = max(delta_lo_fn(th), _DELTA_FLOOR)
-        if d_hi < d_lo:
-            d_hi = d_lo
-        for delta in (d_lo, (d_lo + d_hi) / 2, d_hi):
-            k = vinogradov_degree(cf, th, delta)
-            rho = vinogradov_saving(k, eps)
-            margin = th * rho - target
-            if worst is None or margin < worst:
-                worst = margin
-                worst_at = (float(th), float(delta))
-    return worst, worst_at
+    (a, b), (a_hi, b_hi) = lo, hi
+
+    def delta_lo(th):
+        return max(a - b * th, _DELTA_FLOOR)
+
+    k_hi = vinogradov_degree(c, th_lo, a_hi - b_hi * th_lo)
+    k_lo = vinogradov_degree(c, th_hi, delta_lo(th_hi))
+    worst = at = None
+    for k in range(k_hi, k_lo - 1, -1):  # Theta_k ascends as k descends
+        # c + Delta_lo(Theta)/Theta < k on both pieces of Delta_lo
+        th = max(th_lo, a / (k - c + b), _DELTA_FLOOR / (k - c))
+        margin = th * vinogradov_saving(k, eps) - target
+        if worst is None or margin < worst:
+            worst, at = margin, (float(th), float(max(delta_lo(th), (k - 1 - c) * th)))
+    return worst, at
 
 
-def margin_verify(c, epsilon=F(1, 1000), *, grid: int = 64) -> MarginReport:
+def margin_verify(c, epsilon=F(1, 1000)) -> MarginReport:
     """Check the window margins Theta*rho >= sigma + eps (narrow-factor
     family) and Theta*rho >= 2 sigma + 3 eps (bilinear family) over their
     (Theta, Delta) windows, plus the closed-form minorant values.
 
-    ok reflects the direct grid margins only; the minorant checks are
-    reported alongside (they are strictly more conservative).
+    The worst margins are the exact window infima, decided in Fraction
+    arithmetic; ok reflects them only, and the minorant checks are reported
+    alongside (they are strictly more conservative).
     """
     c = _frac(c)
     if c < F(11, 5):
@@ -554,21 +541,14 @@ def margin_verify(c, epsilon=F(1, 1000), *, grid: int = 64) -> MarginReport:
     if 1 - 2 * beta < F(2, 3):
         raise OutOfRange("bilinear window is empty: beta >= 1/6")
 
+    # Delta bounds as (a, b) in Delta = a - b Theta
     w1, at1 = _window_margins(
-        c, eps,
-        F(1, 2) - beta, F(1),
-        lambda th: (1 - th) * c - sigma,
-        lambda th: (1 - th) * c + sigma,
-        sigma + eps,
-        grid,
+        c, eps, F(1, 2) - beta, F(1), (c - sigma, c), (c + sigma, c), sigma + eps
     )
     w2, at2 = _window_margins(
-        c, eps,
-        F(2, 3), 1 - 2 * beta,
-        lambda th: (1 - th) * (c - 1) - sigma,
-        lambda th: (1 - th) * (c - 1) + 3 * sigma + 2 * eps,
+        c, eps, F(2, 3), 1 - 2 * beta,
+        (c - 1 - sigma, c - 1), (c - 1 + 3 * sigma + 2 * eps, c - 1),
         2 * sigma + 3 * eps,
-        grid,
     )
     m1, _ = weyl_margin_minorants(F(1, 2) - beta, c, eps)
     _, m2a = weyl_margin_minorants(F(2, 3), c, eps)

@@ -250,18 +250,17 @@ def ps_prime_count(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> Ps
     return PsPrimeReport(x, c, count, int(ps.size), balog_ref)
 
 
+def _residue_counts(vals: np.ndarray, d: int) -> np.ndarray:
+    """Members per residue class mod d, for int64 and object member arrays."""
+    return np.bincount((vals % d).astype(np.int64, copy=False), minlength=d)
+
+
 def residue_histogram(x: int, c, d: int, *, caps: Caps = DEFAULT_CAPS) -> ResidueHistogram:
     if d < 1:
         raise OutOfRange("need d >= 1")
     c = as_exponent(c)
     _, vals = members(x, c, caps=caps)
-    if vals.dtype == np.int64:
-        counts = np.bincount(vals % d, minlength=d)
-        return ResidueHistogram(x, c, d, tuple(int(v) for v in counts))
-    counts = [0] * d
-    for v in vals:
-        counts[int(v) % d] += 1
-    return ResidueHistogram(x, c, d, tuple(counts))
+    return ResidueHistogram(x, c, d, tuple(int(v) for v in _residue_counts(vals, d)))
 
 
 def level_error(
@@ -286,15 +285,9 @@ def level_error(
     c = as_exponent(c)
     _, vals = members(x, c, caps=caps)
     n = len(vals)
-    use_np = getattr(vals, "dtype", None) == np.int64
     per_d: list[float] = []
     for d in range(1, D + 1):
-        if use_np:
-            counts = np.bincount(vals % d, minlength=d).astype(np.int64)
-        else:
-            counts = np.zeros(d, dtype=np.int64)
-            for v in vals:
-                counts[int(v) % d] += 1
+        counts = _residue_counts(vals, d)
         if all_residues:
             sel = counts
         else:

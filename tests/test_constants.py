@@ -230,6 +230,77 @@ def test_margin_verify_domain():
         cn.margin_verify(F(2), F(1, 1000))
 
 
+def _margin_windows(c, eps):
+    """(th_lo, th_hi, Delta_lo, Delta_max, target) of the two margin families."""
+    rc = cn.regime_constants(c)
+    s, b = rc.sigma, rc.beta
+    return (
+        (F(1, 2) - b, F(1), lambda t: (1 - t) * c - s, lambda t: (1 - t) * c + s, s + eps),
+        (
+            F(2, 3), 1 - 2 * b,
+            lambda t: (1 - t) * (c - 1) - s,
+            lambda t: (1 - t) * (c - 1) + 3 * s + 2 * eps,
+            2 * s + 3 * eps,
+        ),
+    )
+
+
+def _margin(c, eps, theta, delta, target):
+    return theta * cn.vinogradov_saving(cn.vinogradov_degree(c, theta, delta), eps) - target
+
+
+def test_margin_verify_exact_right_limit_below_grid():
+    # at eps = 1/2, rho(3) < rho(4), so the least degree binds in the bilinear
+    # window, approached from the right of Theta* where c + Delta_lo/Theta
+    # reaches 3: (1 - T)(c - 1) - sigma = (3 - c) T, i.e. T = (c - 1 - sigma)/2
+    c, eps = F(12, 5), F(1, 2)
+    sigma = cn.regime_constants(c).sigma
+    theta = (c - 1 - sigma) / 2
+    exact = theta * (1 - eps) / 60 - (2 * sigma + 3 * eps)
+    m = cn.margin_verify(c, eps)
+    assert m.type2_worst == float(exact) == -1.4980113633033165
+    assert m.type2_worst < -1.498002226625772  # the 64-point grid's sample
+    assert m.type2_at[0] == float(theta)
+
+
+def test_margin_verify_small_eps_binds_at_the_corner():
+    # for eps <= 1/4, rho(k) falls with k from k = 3 on, so the largest degree
+    # at the least Theta, the corner (th_lo, Delta_max(th_lo)), binds
+    for eps in (F(1, 10**4), F(1, 1000), F(1, 100), F(1, 10), F(1, 4)):
+        for i in range(0, 200, 9):
+            c = F(11, 5) + F(i, 10)
+            m = cn.margin_verify(c, eps)
+            for (th_lo, _, _, d_max, target), worst in zip(
+                _margin_windows(c, eps), (m.type1_worst, m.type2_worst)
+            ):
+                assert worst == float(_margin(c, eps, th_lo, d_max(th_lo), target))
+
+
+@pytest.mark.parametrize("c,eps", [
+    (F(11, 5), F(1, 1000)), (F(5, 2), F(1, 1000)), (F(3), F(1, 1000)), (F(5), F(1, 1000)),
+    (F(12, 5), F(1, 2)), (F(5, 2), F(9, 10)), (F(27, 10), F(9, 10)), (F(7, 2), F(3, 10)),
+    (F(9, 2), F(3, 2)),
+    (3 - F(10004, 10**16), F(9, 10)),  # the 1e-12 floor on Delta sets Theta_3
+])
+def test_margin_verify_worst_is_the_window_infimum(c, eps):
+    rng = random.Random(20261018)
+    m = cn.margin_verify(c, eps)
+    for (th_lo, th_hi, d_lo, d_max, target), worst, at in zip(
+        _margin_windows(c, eps), (m.type1_worst, m.type2_worst), (m.type1_at, m.type2_at)
+    ):
+        for _ in range(300):
+            theta = th_lo + (th_hi - th_lo) * F(rng.random())
+            lo = max(d_lo(theta), F(1, 10**12))
+            delta = lo + (d_max(theta) - lo) * F(rng.random())
+            assert _margin(c, eps, theta, delta, target) >= worst - 1e-15
+        # the reported point reaches the infimum, or, when the infimum is a
+        # right-limit, the point just to its right does
+        theta, delta = F(at[0]), F(at[1])
+        assert float(th_lo) <= at[0] <= float(th_hi)
+        near = [_margin(c, eps, t, delta, target) for t in (theta, theta + F(1, 10**12))]
+        assert min(abs(v - F(worst)) for v in near) <= F(1, 10**9)
+
+
 def test_strictness_margin():
     # verdicts use slack > 1e-12: an exactly-tied inequality must not hold
     rep = cn._report("tie", F(1), F(1))

@@ -68,6 +68,30 @@ def test_level_error_all_residues_flag():
     assert wide >= narrow
 
 
+def test_residue_counts_of_object_members():
+    # members of 77/10 at x = 300 reach 2^64 and are held as Python ints
+    vals = [int(v) for v in ex.members(300, "77/10")[1]]
+    assert max(vals) >= 2**63
+    n, D = len(vals), 30
+
+    def plain_counts(d):
+        counts = [0] * d
+        for v in vals:
+            counts[v % d] += 1
+        return counts
+
+    for d in (1, 2, 7, 30, 97):
+        assert ex.residue_histogram(300, "77/10", d).counts == tuple(plain_counts(d))
+    for all_residues in (False, True):
+        per_d = []
+        for d in range(1, D + 1):
+            counts = plain_counts(d)
+            sel = [counts[s] for s in range(d) if all_residues or math.gcd(s, d) == 1]
+            per_d.append(max(abs(k - n / d) for k in sel))
+        got = ex.level_error(300, "77/10", D, all_residues=all_residues)
+        assert got.E == math.fsum(per_d)
+
+
 def test_parallel_runs_equal_sequential(monkeypatch):
     # members of 77/10 at x = 300 reach 2^64, so they are factored one by one;
     # small chunks make jobs=3 spread them over a process pool
