@@ -15,6 +15,20 @@ TWO64 = 1 << 64
 # Deterministic Miller-Rabin witness set for n < 2^64 (Sorenson & Webster).
 MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, bases), each bound the least strong pseudoprime to its bases, so
+# primality's first tier with n < bound is deterministic (Pomerance, Selfridge
+# & Wagstaff 1980; Jaeschke 1993; Jiang & Deng 2014; Sorenson & Webster 2017).
+_MR_TIERS = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (4759123141, (2, 7, 61)),
+    (2152302898747, MR_BASES_64[:5]),
+    (3474749660383, MR_BASES_64[:6]),
+    (341550071728321, MR_BASES_64[:7]),
+    (3825123056546413051, MR_BASES_64[:9]),
+    (TWO64, MR_BASES_64),
+)
+
 
 def iroot(x: int, k: int) -> int:
     """Largest r with r**k <= x, for x >= 0, k >= 1.  Exact."""
@@ -27,8 +41,14 @@ def iroot(x: int, k: int) -> int:
     b = x.bit_length()
     if b <= k:  # x < 2^k  =>  root is 1
         return 1
-    if b <= 50:
-        r = int(x ** (1.0 / k))
+    if b // k < 1000:
+        # Seed above the root from floats.  math.log2(x) errs by at most
+        # 2^-51 + log2(x)*2^-52 (x rounded to 53 bits, then one ulp), so
+        # y = log2(x)/k < 1001 errs by under 2^-51/k + 3*y*2^-53 < 2^-41, and
+        # 2.0**y by a relative 2^-41*ln 2 plus one ulp: under 2^-40 in all.
+        # The factor 1 + 2^-30 lifts the float above x^(1/k), and int(.) + 1
+        # lifts the seed above the root, so Newton descends onto it.
+        r = int(2.0 ** (math.log2(x) / k) * (1 + 2**-30)) + 1
     else:
         r = 1 << -(-b // k)  # upper-ish seed from the bit length
     while True:
@@ -140,7 +160,10 @@ def primality(n: int) -> tuple[bool, bool]:
         d //= 2
         s += 1
     if n < TWO64:
-        for a in MR_BASES_64:
+        for bound, bases in _MR_TIERS:
+            if n < bound:
+                break
+        for a in bases:
             if _mr_composite_witness(n, a, d, s):
                 return False, True
         return True, True
@@ -209,8 +232,9 @@ def small_primes() -> list[int]:
 def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
     """Complete factorization of n >= 1 as {prime: exponent}.
 
-    Returns (factors, probabilistic_flag).  Trial division runs to 10^5 with
-    an early isqrt cutoff; composite cofactors go to Brent rho.  Raises
+    Returns (factors, probabilistic_flag).  Trial division runs to 10^5 and
+    stops past isqrt of the cofactor, which is then 1 or prime; a cofactor
+    left beyond 10^5 is tested, and composites go to Brent rho.  Raises
     FactorizationTimeout (carrying the partial result) if the rho budget is
     exceeded.
     """
@@ -223,33 +247,29 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    if m == 1:
-        return factors, probabilistic
     limit = math.isqrt(m)
     for p in small_primes():
         if p < 7:
             continue
-        if p > limit:
-            break
+        if p > limit:  # no prime factor up to isqrt(m): m is 1 or prime
+            if m > 1:
+                factors[m] = factors.get(m, 0) + 1
+            return factors, probabilistic
         if m % p == 0:
             while m % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 m //= p
-            if m == 1:
-                break
-            verdict, det = primality(m)
-            probabilistic |= not det
-            if verdict:
-                factors[m] = factors.get(m, 0) + 1
-                m = 1
-                break
             limit = math.isqrt(m)
+            if p <= limit:
+                verdict, det = primality(m)
+                probabilistic |= not det
+                if verdict:
+                    factors[m] = factors.get(m, 0) + 1
+                    return factors, probabilistic
     pending = [m]
     budget = [rho_budget]
     while pending:
         m = pending.pop()
-        if m == 1:
-            continue
         verdict, det = primality(m)
         probabilistic |= not det
         if verdict:

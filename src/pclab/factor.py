@@ -1,10 +1,11 @@
 """Exact multiplicative structure of integers up to 2^127.
 
-Primality is deterministic below 2^64 (fixed 12-base strong test); above
-that a 64-round seeded random-base test plus a strong Lucas check is used
-and the result is flagged probabilistic.  Factorization is trial division
-to 10^5 followed by Brent-cycle Pollard rho with a deterministic constant
-sequence, so repeated runs agree bit for bit.
+Primality is deterministic below 2^64 (strong test to bases chosen by the
+size of n, _intmath._MR_TIERS); above that a 64-round seeded random-base
+test plus a strong Lucas check is used and the result is flagged
+probabilistic.  Factorization is trial division to 10^5 followed by
+Brent-cycle Pollard rho with a deterministic constant sequence, so repeated
+runs agree bit for bit.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element.

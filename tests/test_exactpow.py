@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -123,6 +124,18 @@ def test_large_denominator_floor_takes_no_large_root(monkeypatch):
     assert all(k <= 64 for k in ks)
     assert got == ep.floor_pow(n, "10521/10000", INTERVAL_CAPS)
     assert got**10000 <= n**10521 < (got + 1) ** 10000
+
+
+def test_iroot_brackets_the_root():
+    # both seeds: the float seed while the root is below 2^1000, the bit
+    # length seed above it; exact powers and their predecessors included
+    rng = random.Random(7)
+    for i in range(20_000):
+        k = rng.choice((3, 4, 5, 7, 11, 64, rng.randint(2, 300)))
+        r = 1 + rng.getrandbits(rng.choice((4, 30, 53, 200, 999, 1000, 1100)) if k <= 5 else rng.randint(1, 64))
+        x = (r**k, r**k - 1, r**k + rng.randrange((r + 1) ** k - r**k), rng.getrandbits(r.bit_length() * k))[i % 4]
+        got = _intmath.iroot(x, k)
+        assert got**k <= x < (got + 1) ** k, (x, k)
 
 
 def test_floor_pow_monotone_in_n():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pclab import _intmath, factor
 from pclab.errors import OutOfRange
+from pclab.primes import _simple_sieve
 
 
 def trial_signature(n):
@@ -35,6 +36,62 @@ def test_is_prime_small_table():
     want = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     got = {n for n in range(2, 50) if factor.is_prime(n)}
     assert got == want
+
+
+# The least strong pseudoprime to each tier's bases, with its factors: it
+# sets that tier's bound, so is_prime must test it with the next tier.
+TIER_PSEUDOPRIMES = (
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (4759123141, (48781, 97561)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+)
+
+
+def test_mr_tier_bounds_are_the_least_pseudoprimes():
+    tiers = dict(_intmath._MR_TIERS)
+    assert list(tiers) == [n for n, _ in TIER_PSEUDOPRIMES] + [2**64]
+    assert tiers[2**64] == _intmath.MR_BASES_64
+    for n, prime_factors in TIER_PSEUDOPRIMES:
+        assert math.prod(prime_factors) == n and all(map(factor.is_prime, prime_factors))
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        # n passes every base of its own tier, and only a later tier rejects it
+        assert not any(_intmath._mr_composite_witness(n, a, d, s) for a in tiers[n]), n
+        assert not factor.is_prime(n), n
+        assert _intmath.primality(n) == (False, True)
+    assert factor.is_prime(2**64 - 59)  # the largest prime below 2^64
+
+
+def test_is_prime_agrees_with_the_sieve():
+    sieve = set(_simple_sieve(10**6).tolist())
+    assert [n for n in range(1, 10**6 + 1) if factor.is_prime(n)] == sorted(sieve)
+
+
+def test_primality_work_is_pinned_as_counts(monkeypatch):
+    calls = {"witness": 0, "primality": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(_intmath, "_mr_composite_witness", counting("witness", _intmath._mr_composite_witness))
+    monkeypatch.setattr(_intmath, "primality", counting("primality", _intmath.primality))
+    # below 1,373,653 the strong test takes bases 2 and 3 only
+    assert sum(map(factor.is_prime, range(10**6, 10**6 + 10**4))) == 753
+    assert calls["witness"] == 2239
+    # below 10^10 trial division decides every cofactor it passes the root of;
+    # primality runs only where a divided-out factor leaves a larger cofactor
+    calls["primality"] = 0
+    for n in range(1, 10**5 + 1):
+        factor.factor_signature(n)
+    assert calls["primality"] == 31376
 
 
 def test_is_prime_probabilistic_path():
