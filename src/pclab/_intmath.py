@@ -266,7 +266,8 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
                 if verdict:
                     factors[m] = factors.get(m, 0) + 1
                     return factors, probabilistic
-    pending = [m]
+    # m is 1 here when the last trial prime divided it out completely
+    pending = [m] if m > 1 else []
     budget = [rho_budget]
     while pending:
         m = pending.pop()

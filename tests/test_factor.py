@@ -38,8 +38,9 @@ def test_is_prime_small_table():
     assert got == want
 
 
-# The least strong pseudoprime to each tier's bases, with its factors: it
-# sets that tier's bound, so is_prime must test it with the next tier.
+# The strong pseudoprime that sets each tier's bound, with its factors.  That
+# each is the least one to its bases rests on the cited sources; the test
+# below shows only that each passes its own tier, so no bound can be raised.
 TIER_PSEUDOPRIMES = (
     (2047, (23, 89)),
     (1373653, (829, 1657)),
@@ -51,7 +52,7 @@ TIER_PSEUDOPRIMES = (
 )
 
 
-def test_mr_tier_bounds_are_the_least_pseudoprimes():
+def test_mr_tier_bounds_are_pseudoprimes_of_their_tier():
     tiers = dict(_intmath._MR_TIERS)
     assert list(tiers) == [n for n, _ in TIER_PSEUDOPRIMES] + [2**64]
     assert tiers[2**64] == _intmath.MR_BASES_64
@@ -65,6 +66,15 @@ def test_mr_tier_bounds_are_the_least_pseudoprimes():
         assert not factor.is_prime(n), n
         assert _intmath.primality(n) == (False, True)
     assert factor.is_prime(2**64 - 59)  # the largest prime below 2^64
+
+
+def test_factorize_when_the_last_trial_prime_divides_out_the_rest():
+    # 99991 is the largest prime in small_primes(): dividing it out can leave
+    # m == 1 after the trial loop, which must not reach the rho stage
+    assert _intmath.small_primes()[-1] == 99991
+    assert factor.factorize(99991**2) == {99991: 2}
+    assert factor.factorize(2 * 99991**3) == {2: 1, 99991: 3}
+    assert factor.factor_signature(2 * 99991**3).omega_big == 4
 
 
 def test_is_prime_agrees_with_the_sieve():
