@@ -4,6 +4,7 @@ Shared by the certified-power kernels and the factorization front end.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import FactorizationTimeout
@@ -248,9 +249,7 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
             factors[p] = factors.get(p, 0) + 1
             m //= p
     limit = math.isqrt(m)
-    for p in small_primes():
-        if p < 7:
-            continue
+    for p in itertools.islice(small_primes(), 3, None):
         if p > limit:  # no prime factor up to isqrt(m): m is 1 or prime
             if m > 1:
                 factors[m] = factors.get(m, 0) + 1

@@ -26,6 +26,7 @@ from . import acceptance as ac
 from . import constants as cn
 from . import experiments as ex
 from . import expsum as es
+from ._json import jsonable
 from .errors import NotAFraction, OutOfRange, Overflow, PCLabError, PrecisionExhausted, RangeTooLarge, caps_from_env
 from .exactpow import as_ratio, floor_pow, parse_exponent
 
@@ -224,24 +225,6 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> None:
     ap.set_defaults(**defaults)
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return _frac_str(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if hasattr(x, "item") and callable(x.item):  # numpy scalar
-        return x.item()
-    return x
-
-
 def _flatten(prefix: str, obj, out: dict):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -260,11 +243,11 @@ class Emitter:
         self.stream = stream or sys.stdout
         self._writer = None
 
-    def emit(self, command: str, params: dict, result: dict, elapsed_ms: int):
+    def emit(self, command: str, params: dict, result, elapsed_ms: int):
         record = {
             "command": command,
-            "params": _jsonable(params),
-            "result": _jsonable(result),
+            "params": jsonable(params),
+            "result": jsonable(result),
             "tool_version": __version__,
             "elapsed_ms": elapsed_ms if self.timing else 0,
         }
@@ -280,7 +263,7 @@ class Emitter:
 
 
 def _params_key(command: str, params: dict) -> str:
-    canon = json.dumps({"command": command, "params": _jsonable(params)}, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps({"command": command, "params": jsonable(params)}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -318,7 +301,7 @@ def _fixture_result(name: str, params: dict, jobs: int, caps) -> dict:
     args = build_parser().parse_args(argv)
     if args.cmd not in _COMMANDS:
         raise OutOfRange(f"unknown fixture command {name!r}")
-    return _jsonable(_COMMANDS[args.cmd](args, caps)[1])
+    return jsonable(_COMMANDS[args.cmd](args, caps)[1])
 
 
 def _load_fixtures(path: str) -> list[tuple]:
@@ -341,7 +324,7 @@ def _verify(args, caps, emit: Emitter) -> int:
                 entry = {
                     "key": _params_key(name, params),
                     "command": name,
-                    "params": _jsonable(params),
+                    "params": jsonable(params),
                     "result": _fixture_result(name, params, args.jobs, caps),
                 }
                 fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
@@ -373,18 +356,18 @@ def _verify(args, caps, emit: Emitter) -> int:
     return 2 if total_fail else 0
 
 
-def _sum(r) -> tuple[dict, dict]:
-    return dict(r.params), r.to_json()
+def _sum(r) -> tuple[dict, es.SumEval]:
+    return dict(r.params), r
 
 
 def _holds(reports) -> dict:
-    return {"all_hold": all(r.holds for r in reports), "inequalities": [r.to_json() for r in reports]}
+    return {"all_hold": all(r.holds for r in reports), "inequalities": reports}
 
 
 def _lemma23(a, caps):
     params = cn.feasibility_params(a.c, a.theta, a.kappa)
     return (
-        {"c": a.c, "theta": _frac_str(params.theta), "kappa": _frac_str(params.kappa)},
+        {"c": a.c, "theta": params.theta, "kappa": params.kappa},
         {"alpha": float(params.alpha), **_holds(cn.feasibility_check(params))},
     )
 
@@ -397,32 +380,26 @@ def _maxc(a, caps):
 
 def _threshold(a, caps):
     tol = a.tol if a.tol else 1e-3
-    r = cn.threshold(a.ineq, a.lo, a.hi, tol)
-    return {"ineq": a.ineq, "lo": _frac_str(a.lo), "hi": _frac_str(a.hi), "tol": tol}, r.to_json()
+    return {"ineq": a.ineq, "lo": a.lo, "hi": a.hi, "tol": tol}, cn.threshold(a.ineq, a.lo, a.hi, tol)
 
 
 # command -> (parsed arguments, caps) -> (echoed params, result), for the
 # subcommands and the fixture runs alike
 _COMMANDS = {
-    "floor": lambda a, caps: ({"n": a.n, "c": str(parse_exponent(a.c))}, {"floor": floor_pow(a.n, a.c, caps)}),
+    "floor": lambda a, caps: ({"n": a.n, "c": parse_exponent(a.c)}, {"floor": floor_pow(a.n, a.c, caps)}),
     "census": lambda a, caps: (
-        {"x": a.x, "c": a.c, "R": a.R},
-        ex.almost_prime_census(a.x, a.c, a.R, jobs=a.jobs, caps=caps).to_json(),
+        {"x": a.x, "c": a.c, "R": a.R}, ex.almost_prime_census(a.x, a.c, a.R, jobs=a.jobs, caps=caps)
     ),
-    "squarefree": lambda a, caps: (
-        {"x": a.x, "c": a.c}, ex.squarefree_census(a.x, a.c, jobs=a.jobs, caps=caps).to_json()
-    ),
-    "psprimes": lambda a, caps: ({"x": a.x, "c": a.c}, ex.ps_prime_count(a.x, a.c, jobs=a.jobs, caps=caps).to_json()),
-    "histogram": lambda a, caps: (
-        {"x": a.x, "c": a.c, "d": a.d}, ex.residue_histogram(a.x, a.c, a.d, caps=caps).to_json()
-    ),
+    "squarefree": lambda a, caps: ({"x": a.x, "c": a.c}, ex.squarefree_census(a.x, a.c, jobs=a.jobs, caps=caps)),
+    "psprimes": lambda a, caps: ({"x": a.x, "c": a.c}, ex.ps_prime_count(a.x, a.c, jobs=a.jobs, caps=caps)),
+    "histogram": lambda a, caps: ({"x": a.x, "c": a.c, "d": a.d}, ex.residue_histogram(a.x, a.c, a.d, caps=caps)),
     "leveldist": lambda a, caps: (
         {"x": a.x, "c": a.c, "D": a.D, "f_model": a.f_model},
-        ex.level_error(a.x, a.c, a.D, a.f_model, all_residues=a.all_residues, caps=caps).to_json(),
+        ex.level_error(a.x, a.c, a.D, a.f_model, all_residues=a.all_residues, caps=caps),
     ),
     "discrepancy": lambda a, caps: (
         {"x": a.x, "c": a.c, "h": a.h, "d": a.d},
-        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=a.tol if a.tol else 1e-12, caps=caps).to_json(),
+        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=a.tol if a.tol else 1e-12, caps=caps),
     ),
     "expsum.weyl": lambda a, caps: _sum(es.weyl_sum(a.c, a.Theta, a.Delta, a.N, epsilon=a.eps, caps=caps)),
     "expsum.prime": lambda a, caps: _sum(es.prime_expsum(a.x, a.c, a.h, a.d, caps=caps)),
@@ -434,13 +411,11 @@ _COMMANDS = {
     "constants.table": lambda a, caps: ({}, {"pairs": [[p.R, p.c_R] for p in cn.admissible_pairs()]}),
     "constants.lemma23": _lemma23,
     "constants.maxc": _maxc,
-    "constants.sigma": lambda a, caps: ({"c": a.c}, cn.regime_constants(a.c).to_json()),
-    "constants.rbound": lambda a, caps: ({"c": a.c}, cn.r_bound(a.c).to_json()),
+    "constants.sigma": lambda a, caps: ({"c": a.c}, cn.regime_constants(a.c)),
+    "constants.rbound": lambda a, caps: ({"c": a.c}, cn.r_bound(a.c)),
     "constants.regime": lambda a, caps: ({"c": a.c}, _holds(cn.regime_inequalities(a.c))),
     "constants.threshold": _threshold,
-    "constants.margins": lambda a, caps: (
-        {"c": a.c, "eps": _frac_str(a.eps)}, cn.margin_verify(a.c, a.eps).to_json()
-    ),
+    "constants.margins": lambda a, caps: ({"c": a.c, "eps": a.eps}, cn.margin_verify(a.c, a.eps)),
 }
 
 

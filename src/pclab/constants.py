@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._json import Report, jsonable
 from .errors import InvalidR, NoCrossing, NonPositiveRho, NotAFraction, OutOfRange, PCLabError
 from .exactpow import as_ratio
 
@@ -90,21 +91,12 @@ def admissible_pairs() -> list[AdmissiblePair]:
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Report):
     id: str
     lhs: float
     rhs: float
     slack: float      # rhs - lhs
     holds: bool       # slack > strictness margin, decided exactly
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-        }
 
 
 def _report(ineq_id: str, lhs: Fraction, rhs: Fraction) -> InequalityReport:
@@ -258,7 +250,7 @@ def max_c_feasible(
 
 
 @dataclass(frozen=True)
-class RegimeConstants:
+class RegimeConstants(Report):
     """sigma, beta and the shifted exponents for a fixed c."""
 
     c: Fraction
@@ -269,14 +261,11 @@ class RegimeConstants:
     c2: Fraction     # c - 1 + 3 sigma
 
     def to_json(self) -> dict:
-        def pair(q: Fraction):
-            return f"{q.numerator}/{q.denominator}", float(q)
-
+        """coeff first, then each exact value with its float mirror."""
         out: dict = {"coeff": self.coeff}
         for name in ("c", "sigma", "beta", "c1", "c2"):
-            exact, mirror = pair(getattr(self, name))
-            out[name] = exact
-            out[f"{name}_float"] = mirror
+            q = getattr(self, name)
+            out[name], out[f"{name}_float"] = jsonable(q), float(q)
         return out
 
 
@@ -293,17 +282,10 @@ def regime_constants(c) -> RegimeConstants:
 
 
 @dataclass(frozen=True)
-class RBound:
+class RBound(Report):
     real_bound: float
-    integer_R: int
     exact_bound: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "real_bound": self.real_bound,
-            "exact_bound": f"{self.exact_bound.numerator}/{self.exact_bound.denominator}",
-            "integer_R": self.integer_R,
-        }
+    integer_R: int
 
 
 def r_bound(c) -> RBound:
@@ -321,7 +303,7 @@ def r_bound(c) -> RBound:
     if c / rc.sigma + F(23, 20) != exact:
         raise PCLabError(f"cubic identity c/sigma + 1.15 fails at c = {c}")
     integer_r = greaves_min_R(c / rc.sigma + F(1, 10**9))
-    return RBound(float(exact), integer_r, exact)
+    return RBound(float(exact), exact, integer_r)
 
 
 def _large_regime_lhs(ineq_id: str, rc: RegimeConstants) -> tuple[Fraction, Fraction]:
@@ -365,12 +347,9 @@ def regime_inequality_holds(ineq_id: str, c) -> bool:
 
 
 @dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(Report):
     value: float
     multi_crossing: bool
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "multi_crossing": self.multi_crossing}
 
 
 _THRESHOLD_SCAN = 100
@@ -453,7 +432,7 @@ _DELTA_FLOOR = F(1, 10**12)  # positive clamp for window Delta values
 
 
 @dataclass(frozen=True)
-class MarginReport:
+class MarginReport(Report):
     c: float
     epsilon: float
     sigma: float
@@ -469,25 +448,6 @@ class MarginReport:
     minorant2: float
     minorant2_ok: bool
     ok: bool  # both exact window infima non-negative
-
-    def to_json(self) -> dict:
-        return {
-            "c": self.c,
-            "epsilon": self.epsilon,
-            "sigma": self.sigma,
-            "beta": self.beta,
-            "type1_worst": self.type1_worst,
-            "type1_at": list(self.type1_at),
-            "type1_ok": self.type1_ok,
-            "type2_worst": self.type2_worst,
-            "type2_at": list(self.type2_at),
-            "type2_ok": self.type2_ok,
-            "minorant1": self.minorant1,
-            "minorant1_ok": self.minorant1_ok,
-            "minorant2": self.minorant2,
-            "minorant2_ok": self.minorant2_ok,
-            "ok": self.ok,
-        }
 
 
 def _window_margins(c, eps, th_lo, th_hi, lo, hi, target):

@@ -358,8 +358,8 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     margin = v * _FLOAT_REL_MARGIN
     bad = (frac <= margin) | (frac >= 1.0 - margin) | (v >= 2.0 ** 52) | ~np.isfinite(v)
     out = fl.astype(np.int64)
-    for i in np.flatnonzero(bad):
-        out[i] = floor_pow(int(ns[i]), c, caps)
+    idx = np.flatnonzero(bad)
+    out[idx] = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
     return out
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow
 from .exactpow import RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
 from .factor import factor_signature, is_prime, signature_arrays
@@ -27,7 +28,7 @@ _CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Report):
     x: int
     c: RationalExponent
     R: int
@@ -35,19 +36,9 @@ class CensusReport:
     pi_x: int
     eta_hat: float  # count * log^2 x / x, the measured density surrogate
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "c": str(self.c),
-            "R": self.R,
-            "count": self.count,
-            "pi_x": self.pi_x,
-            "eta_hat": self.eta_hat,
-        }
-
 
 @dataclass(frozen=True)
-class SquarefreeReport:
+class SquarefreeReport(Report):
     x: int
     c: RationalExponent
     count: int
@@ -55,37 +46,18 @@ class SquarefreeReport:
     ratio: float
     deviation: float  # |ratio - 6/pi^2|
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "c": str(self.c),
-            "count": self.count,
-            "pi_x": self.pi_x,
-            "ratio": self.ratio,
-            "deviation": self.deviation,
-        }
-
 
 @dataclass(frozen=True)
-class PsPrimeReport:
+class PsPrimeReport(Report):
     x: int
     c: RationalExponent
     count: int
     pi_x: int
     balog_ref: float  # x / (c log^2 x)
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "c": str(self.c),
-            "count": self.count,
-            "pi_x": self.pi_x,
-            "balog_ref": self.balog_ref,
-        }
-
 
 @dataclass(frozen=True)
-class ResidueHistogram:
+class ResidueHistogram(Report):
     x: int
     c: RationalExponent
     d: int
@@ -95,12 +67,9 @@ class ResidueHistogram:
     def pi_x(self) -> int:
         return int(sum(self.counts))
 
-    def to_json(self) -> dict:
-        return {"x": self.x, "c": str(self.c), "d": self.d, "counts": list(self.counts)}
-
 
 @dataclass(frozen=True)
-class LevelReport:
+class LevelReport(Report):
     x: int
     c: RationalExponent
     D: int
@@ -109,36 +78,15 @@ class LevelReport:
     normalized: float  # E * log^2 N / N with N = pi(x)
     all_residues: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "c": str(self.c),
-            "D": self.D,
-            "f_model": self.f_model,
-            "E": self.E,
-            "normalized": self.normalized,
-            "all_residues": self.all_residues,
-        }
-
 
 @dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(Report):
     x: int
     c: RationalExponent
     h: int
     d: int
     n_points: int
     value: float
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "c": str(self.c),
-            "h": self.h,
-            "d": self.d,
-            "n_points": self.n_points,
-            "value": self.value,
-        }
 
 
 def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._intmath import iroot
+from ._json import Report
 from .constants import regime_constants, vinogradov_degree, vinogradov_saving
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
 from .exactpow import (
@@ -37,23 +38,13 @@ _SHIFT = 64  # fixed-point bits of the scaled_floor_table entries
 
 
 @dataclass(frozen=True)
-class SumEval:
+class SumEval(Report):
     kind: str
-    params: dict
+    params: dict  # inputs and derived sizes; ratios stay exact until to_json
     value: complex
     trivial_bound: float
     analytic_bound: float | None
     ratio: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "value": [self.value.real, self.value.imag],
-            "trivial_bound": self.trivial_bound,
-            "analytic_bound": self.analytic_bound,
-            "ratio": self.ratio,
-        }
 
 
 def _table_fracs(table, ns, c, h: int, d: int, caps: Caps) -> list[float]:
@@ -113,9 +104,9 @@ def weyl_sum(c, theta, delta, n_scale: int, *, epsilon=0, caps: Caps = DEFAULT_C
     value = _e_sum(fracs)
     bound = math.exp(float(theta) * (1.0 - float(rho)) * math.log(n_scale))
     params = {
-        "c": str(c),
-        "theta": f"{theta.numerator}/{theta.denominator}",
-        "delta": f"{delta.numerator}/{delta.denominator}",
+        "c": c,
+        "theta": theta,
+        "delta": delta,
         "N": n_scale,
         "k": k,
         "rho": float(rho),
@@ -143,7 +134,7 @@ def prime_expsum(x: int, c, h: int, d: int, *, caps: Caps = DEFAULT_CAPS) -> Sum
         sigma = regime_constants(c.as_fraction).sigma
         bound = math.exp((1.0 - float(sigma)) * math.log(x)) if x >= 2 else 1.0
     ratio = abs(value) / bound if bound else None
-    params = {"x": x, "c": str(c), "h": h, "d": d, "terms": len(fracs)}
+    params = {"x": x, "c": c, "h": h, "d": d, "terms": len(fracs)}
     return SumEval("prime", params, value, n_terms, bound, ratio)
 
 
@@ -254,7 +245,7 @@ def trilinear_sum(
         "M": m_scale,
         "L": l_scale,
         "h": h,
-        "c": str(c),
+        "c": c,
         "weights": weights,
         "seed": seed,
         "X": x_size,
@@ -296,5 +287,5 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     psi_mass = float(math.fsum(logs.tolist()))
     trivial = h_count * d_scale * psi_mass
     bound = d_scale * x / math.log(x) ** 3
-    params = {"x": x, "D": d_scale, "H": h_count, "c": str(c), "prime_powers": len(ns)}
+    params = {"x": x, "D": d_scale, "H": h_count, "c": c, "prime_powers": len(ns)}
     return SumEval("triple", params, value, trivial, bound, total / bound)

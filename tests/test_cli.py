@@ -120,6 +120,34 @@ def test_params_echo_lossless():
     assert rec["params"]["c"] == "5/2"
 
 
+# exact stdout of three constants commands that no fixture covers; the version
+# is substituted so that a release bump does not touch the pins
+_PINNED_STDOUT = [
+    (["constants", "rbound", "-c", "5/2"],
+     '{"command":"constants.rbound","params":{"c":"5/2"},"result":{"real_bound":1368.75,"exact_bound":"5475/4",'
+     '"integer_R":1368},"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "sigma", "-c", "5/2"],
+     '{"command":"constants.sigma","params":{"c":"5/2"},"result":{"coeff":179,"c":"5/2","c_float":2.5,'
+     '"sigma":"25/13676","sigma_float":0.0018280198888563908,"beta":"1175/13676","beta_float":0.08591693477625037,'
+     '"c1":"34215/13676","c1_float":2.5018280198888565,"c2":"20589/13676","c2_float":1.505484059666569},'
+     '"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "margins", "-c", "2.5"],
+     '{"command":"constants.margins","params":{"c":"2.5","eps":"1/1000"},"result":{"c":2.5,"epsilon":0.001,'
+     '"sigma":0.0018280198888563908,"beta":0.08591693477625037,"type1_worst":1.5388412041307624e-05,'
+     '"type1_at":[0.41408306522374966,1.4629643170517694],"type1_ok":true,"type2_worst":0.0028630078413348376,'
+     '"type2_at":[0.6666666666666666,0.4981719801111436],"type2_ok":true,"minorant1":0.002817201233809213,'
+     '"minorant1_ok":false,"minorant2":0.004981684613586902,"minorant2_ok":false,"ok":true},'
+     '"tool_version":"VERSION","elapsed_ms":0}'),
+]
+
+
+@pytest.mark.parametrize("argv,want", _PINNED_STDOUT, ids=[" ".join(a) for a, _ in _PINNED_STDOUT])
+def test_constants_stdout_is_pinned(argv, want):
+    code, out = run_cli(argv)
+    assert code == 0
+    assert out == want.replace("VERSION", pclab.__version__) + "\n"
+
+
 def test_timing_flag_controls_elapsed():
     _, out = run_cli(["constants", "table"])
     assert json.loads(out)["elapsed_ms"] == 0
