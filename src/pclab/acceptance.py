@@ -11,7 +11,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import numpy as np
@@ -61,13 +61,6 @@ class CriterionResult:
 class LabContext:
     jobs: int = 1
     caps: object = DEFAULT_CAPS
-    _cache: dict = field(default_factory=dict)
-
-    def members(self, x: int, c: str):
-        key = ("members", x, c)
-        if key not in self._cache:
-            self._cache[key] = ex.members(x, c, caps=self.caps)
-        return self._cache[key]
 
 
 # ---------------------------------------------------------------- criteria
@@ -238,7 +231,7 @@ def criterion_10(ctx: LabContext):
 
 
 def criterion_11(ctx: LabContext):
-    _, vals = ctx.members(10**6, "10521/10000")
+    _, vals = ex.members(10**6, "10521/10000", caps=ctx.caps)
     n = len(vals)
     worst = 0.0
     worst_at = (0, 0)

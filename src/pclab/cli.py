@@ -373,13 +373,13 @@ def _lemma23(a, caps):
 
 
 def _maxc(a, caps):
-    tol = a.tol if a.tol else 1e-6
+    tol = 1e-6 if a.tol is None else a.tol
     v = cn.max_c_feasible(a.R, tol, kappa=a.kappa, greaves_degree=a.greaves_degree)
     return {"R": a.R, "tol": tol, "greaves_degree": a.greaves_degree}, {"max_c": v}
 
 
 def _threshold(a, caps):
-    tol = a.tol if a.tol else 1e-3
+    tol = 1e-3 if a.tol is None else a.tol
     return {"ineq": a.ineq, "lo": a.lo, "hi": a.hi, "tol": tol}, cn.threshold(a.ineq, a.lo, a.hi, tol)
 
 
@@ -399,7 +399,7 @@ _COMMANDS = {
     ),
     "discrepancy": lambda a, caps: (
         {"x": a.x, "c": a.c, "h": a.h, "d": a.d},
-        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=a.tol if a.tol else 1e-12, caps=caps),
+        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=1e-12 if a.tol is None else a.tol, caps=caps),
     ),
     "expsum.weyl": lambda a, caps: _sum(es.weyl_sum(a.c, a.Theta, a.Delta, a.N, epsilon=a.eps, caps=caps)),
     "expsum.prime": lambda a, caps: _sum(es.prime_expsum(a.x, a.c, a.h, a.d, caps=caps)),
@@ -433,6 +433,8 @@ def run(argv: list[str]) -> int:
         ap = build_parser()
         _apply_config(ap, argv)
         args = ap.parse_args(argv)
+        if args.jobs < 1:
+            raise OutOfRange(f"--jobs must be at least 1, got {args.jobs}")
         return _dispatch(args, caps_from_env(), Emitter(args.format, args.timing))
     except SystemExit as e:
         # argparse exits 0 after --help

@@ -4,6 +4,11 @@ Inputs are coerced to exact rationals (floats convert via their exact
 binary value) and every verdict is computed in Fraction arithmetic with a
 fixed strictness margin, so re-running at higher precision can never flip a
 verdict at the demanded tolerances.
+
+Each inequality system is stated once.  The eleven near-one inequalities
+live in _near_one_system, which feasibility_check reports and
+feasible_theta_interval solves for theta; inequalities 3.2-3.4 are the
+eps = 0 window minorants of _minorants at the window corners.
 """
 from __future__ import annotations
 
@@ -125,10 +130,10 @@ def feasibility_params(c, theta, kappa) -> FeasibilityParams:
     return FeasibilityParams(_frac(c), _frac(theta), _frac(kappa))
 
 
-def feasibility_check(params: FeasibilityParams) -> list[InequalityReport]:
-    """The eleven inequalities of the near-one reduction, evaluated exactly."""
-    c, th, a = params.c, params.theta, params.alpha
-    items = (
+def _near_one_system(c: Fraction, th: Fraction, a: Fraction) -> tuple:
+    """(id, lhs, rhs) of the eleven inequalities lhs < rhs of the near-one
+    reduction, at theta = th and alpha = a."""
+    return (
         ("i", 2 * th + 2 * a, c),
         ("ii", c + 5 * th + 2 * a, F(2)),
         ("iii", F(365, 3) + 32 * c + 147 * th, F(174)),
@@ -141,40 +146,11 @@ def feasibility_check(params: FeasibilityParams) -> list[InequalityReport]:
         ("x", 2 * th + (1 + a) / 2, c),
         ("xi", 2 * c + 6 * th + a, F(3)),
     )
-    return [_report(i, lhs, rhs) for i, lhs, rhs in items]
 
 
-def _theta_uppers(c: Fraction, kappa: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """Upper bounds on theta for the two alpha pieces of the system.
-
-    Piece A has alpha = 1/20 (valid while theta <= 1/20 - kappa); piece B
-    has alpha = theta + kappa.  Every inequality is an upper bound on theta
-    on both pieces; (vi) and (vii) are vacuous on piece B.
-    """
-    a_list = [
-        (c - F(1, 10)) / 2,                       # (i)
-        (2 - c - F(1, 10)) / 5,                   # (ii)
-        (174 - F(365, 3) - 32 * c) / 147,         # (iii)
-        (4 - F(8, 3) - c) / 2,                    # (iv)
-        (2 - c) / 4,                              # (v)
-        F(1, 10),                                 # (vi), (vii)
-        F(1, 3),                                  # (viii)
-        c / 3,                                    # (ix)
-        (c - F(21, 40)) / 2,                      # (x)
-        (3 - 2 * c - F(1, 20)) / 6,               # (xi)
-    ]
-    b_list = [
-        (c - 2 * kappa) / 4,                      # (i)
-        (2 - c - 2 * kappa) / 7,                  # (ii)
-        (174 - F(365, 3) - 32 * c) / 147,         # (iii)
-        (4 - F(8, 3) - c) / 2,                    # (iv)
-        (2 - c) / 4,                              # (v)
-        F(1, 3),                                  # (viii)
-        c / 3,                                    # (ix)
-        (2 * c - 1 - kappa) / 5,                  # (x)
-        (3 - 2 * c - kappa) / 7,                  # (xi)
-    ]
-    return a_list, b_list
+def feasibility_check(params: FeasibilityParams) -> list[InequalityReport]:
+    """The eleven inequalities of the near-one reduction, evaluated exactly."""
+    return [_report(*item) for item in _near_one_system(params.c, params.theta, params.alpha)]
 
 
 def feasible_theta_interval(
@@ -187,31 +163,38 @@ def feasible_theta_interval(
 
     The default constraint set caps theta below 1/R; with greaves_degree the
     cap is replaced by the sieve degree condition theta > c / (R - delta_R).
-    Computed analytically: every constraint is linear in theta on each of
-    the two alpha pieces.
+    The system is solved on two alpha pieces, alpha = 1/20 up to theta =
+    1/20 - kappa and alpha = theta + kappa beyond, and the first piece's
+    interval is returned when it is not empty.  Every inequality of
+    _near_one_system is linear in theta and alpha, so on a piece each slack
+    rhs - lhs is affine in theta: its values at theta = 0 and 1 give its
+    zero, an upper bound on theta for a negative slope and a lower bound for
+    a positive one; a zero slope with slack <= 0 empties the piece.
     """
-    c = _frac(c)
-    kappa = _frac(kappa)
-    uppers_a, uppers_b = _theta_uppers(c, kappa)
-    lo = F(0)
-    cap = None
+    c, kappa = _frac(c), _frac(kappa)
+    if kappa <= 0:
+        raise OutOfRange("need kappa > 0")
+    lo, caps = F(0), []
     if R is not None:
         if not 2 <= R:
             raise InvalidR(f"need R >= 2, got {R}")
         if greaves_degree:
             lo = c / (R - greaves_delta_frac(R))
         else:
-            cap = F(1, R)
+            caps.append(F(1, R))
     split = F(1, 20) - kappa
-    # piece A: (lo, min(uppers_a, split, cap))
-    hi_a = min(uppers_a + ([cap] if cap else []) + [split])
-    if hi_a > lo:
-        return (lo, hi_a)
-    # piece B: (max(lo, split), min(uppers_b, cap))
-    lo_b = max(lo, split)
-    hi_b = min(uppers_b + ([cap] if cap else []))
-    if hi_b > lo_b:
-        return (lo_b, hi_b)
+    # (alpha at theta = 0, alpha at theta = 1, lower bounds, upper bounds)
+    for a0, a1, lows, highs in ((F(1, 20), F(1, 20), [lo], caps + [split]), (kappa, 1 + kappa, [lo, split], caps)):
+        for (_, l0, r0), (_, l1, r1) in zip(_near_one_system(c, F(0), a0), _near_one_system(c, F(1), a1)):
+            s0 = r0 - l0
+            slope = r1 - l1 - s0
+            if slope:
+                (highs if slope < 0 else lows).append(-s0 / slope)
+            elif s0 <= 0:
+                break
+        else:
+            if min(highs) > max(lows):
+                return max(lows), min(highs)
     return None
 
 
@@ -307,25 +290,19 @@ def r_bound(c) -> RBound:
 
 
 def _large_regime_lhs(ineq_id: str, rc: RegimeConstants) -> tuple[Fraction, Fraction]:
-    """(comparison_lhs, display_value) for the large-c inequalities.
+    """(lhs, rhs) of the large-c inequality lhs < rhs.
 
-    Normal form is "lhs < display": the display must exceed sigma (or
-    2 sigma); beta-cap is beta < 1/10.
+    3.2, 3.3 and 3.4 are the eps = 0 window minorants at the window corners
+    t = 1/2 - beta (m1 > sigma), 2/3 and 1 - 2 beta (m2 > 2 sigma);
+    beta-cap is beta < 1/10.
     """
-    sigma, beta, c1, c2 = rc.sigma, rc.beta, rc.c1, rc.c2
+    sigma, beta = rc.sigma, rc.beta
     if ineq_id == "3.2":
-        t = F(1, 2) - beta
-        disp = (c1 * t**3 - t**4) / ((c1 + t) * (c1 + 1 - 2 * beta) * (2 * c1 + t))
-        return sigma, disp
+        return sigma, _minorants(F(1, 2) - beta, rc, 0)[0]
     if ineq_id == "3.3":
-        disp = (F(8, 27) * c2 - F(16, 81)) / ((c2 + F(4, 3)) * (c2 + 2) * (2 * c2 + 2))
-        return 2 * sigma, disp
+        return 2 * sigma, _minorants(F(2, 3), rc, 0)[1]
     if ineq_id == "3.4":
-        u = 1 - 2 * beta
-        disp = (c2 * u**3 - u**4) / (
-            (c2 + 2 - 4 * beta) * (c2 + 3 - 6 * beta) * (2 * c2 + 3 - 6 * beta)
-        )
-        return 2 * sigma, disp
+        return 2 * sigma, _minorants(1 - 2 * beta, rc, 0)[1]
     if ineq_id == "beta-cap":
         return beta, F(1, 10)
     raise OutOfRange(f"unknown inequality id {ineq_id!r}")
@@ -338,12 +315,6 @@ def regime_inequalities(c) -> list[InequalityReport]:
     """Exact verdicts for the three large-c inequalities and the beta cap."""
     rc = regime_constants(c)
     return [_report(i, *_large_regime_lhs(i, rc)) for i in _REGIME_IDS]
-
-
-def regime_inequality_holds(ineq_id: str, c) -> bool:
-    rc = regime_constants(c)
-    lhs, rhs = _large_regime_lhs(ineq_id, rc)
-    return rhs - lhs > STRICTNESS
 
 
 @dataclass(frozen=True)
@@ -368,8 +339,12 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
         raise OutOfRange("need lo < hi")
     if tol <= 0:
         raise OutOfRange("tol must be positive")
+
+    def holds(c: Fraction) -> bool:
+        return _report(ineq_id, *_large_regime_lhs(ineq_id, regime_constants(c))).holds
+
     xs = [lo + (hi - lo) * i / (_THRESHOLD_SCAN - 1) for i in range(_THRESHOLD_SCAN)]
-    vals = [regime_inequality_holds(ineq_id, x) for x in xs]
+    vals = [holds(x) for x in xs]
     transitions = [i for i in range(1, len(xs)) if vals[i] != vals[i - 1]]
     upward = [i for i in transitions if vals[i]]
     if not upward:
@@ -379,7 +354,7 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
     a, b = xs[i - 1], xs[i]
     while b - a > tol:
         mid = (a + b) / 2
-        if regime_inequality_holds(ineq_id, mid):
+        if holds(mid):
             b = mid
         else:
             a = mid
@@ -407,6 +382,16 @@ def vinogradov_saving(k: int, epsilon=0) -> Fraction:
     return (k - 2 - eps) / F(k * (k + 1) * (2 * k - 1))
 
 
+def _minorants(t: Fraction, rc: RegimeConstants, eps) -> tuple[Fraction, Fraction]:
+    """(m1(t), m2(t)) for the constants rc; see weyl_margin_minorants."""
+    c1, c2 = rc.c1, rc.c2
+    m1 = (c1 * t**3 - (1 + eps) * t**4) / ((c1 + t) * (c1 + 2 * t) * (2 * c1 + t))
+    m2 = ((c2 + 2 * eps) * t**3 - (1 + eps) * t**4) / (
+        (c2 + 2 * t + 2 * eps) * (c2 + 3 * t + 2 * eps) * (2 * c2 + 3 * t + 4 * eps)
+    )
+    return m1, m2
+
+
 def weyl_margin_minorants(t, c, epsilon) -> tuple[Fraction, Fraction]:
     """(m1(t), m2(t)): the two window minorants at t, exactly.
 
@@ -419,13 +404,7 @@ def weyl_margin_minorants(t, c, epsilon) -> tuple[Fraction, Fraction]:
     eps = _frac(epsilon)
     if not 0 <= t <= 1:
         raise OutOfRange("need t in [0, 1]")
-    rc = regime_constants(c)
-    c1, c2 = rc.c1, rc.c2
-    m1 = (c1 * t**3 - (1 + eps) * t**4) / ((c1 + t) * (c1 + 2 * t) * (2 * c1 + t))
-    m2 = ((c2 + 2 * eps) * t**3 - (1 + eps) * t**4) / (
-        (c2 + 2 * t + 2 * eps) * (c2 + 3 * t + 2 * eps) * (2 * c2 + 3 * t + 4 * eps)
-    )
-    return m1, m2
+    return _minorants(t, regime_constants(c), eps)
 
 
 _DELTA_FLOOR = F(1, 10**12)  # positive clamp for window Delta values
@@ -510,9 +489,9 @@ def margin_verify(c, epsilon=F(1, 1000)) -> MarginReport:
         (c - 1 - sigma, c - 1), (c - 1 + 3 * sigma + 2 * eps, c - 1),
         2 * sigma + 3 * eps,
     )
-    m1, _ = weyl_margin_minorants(F(1, 2) - beta, c, eps)
-    _, m2a = weyl_margin_minorants(F(2, 3), c, eps)
-    _, m2b = weyl_margin_minorants(1 - 2 * beta, c, eps)
+    m1, _ = _minorants(F(1, 2) - beta, rc, eps)
+    _, m2a = _minorants(F(2, 3), rc, eps)
+    _, m2b = _minorants(1 - 2 * beta, rc, eps)
     m2 = min(m2a, m2b)
     t1_ok, t2_ok = w1 >= 0, w2 >= 0
     return MarginReport(

@@ -120,7 +120,7 @@ def test_params_echo_lossless():
     assert rec["params"]["c"] == "5/2"
 
 
-# exact stdout of three constants commands that no fixture covers; the version
+# exact stdout of constants commands that no fixture covers; the version
 # is substituted so that a release bump does not touch the pins
 _PINNED_STDOUT = [
     (["constants", "rbound", "-c", "5/2"],
@@ -138,6 +138,33 @@ _PINNED_STDOUT = [
      '"type2_at":[0.6666666666666666,0.4981719801111436],"type2_ok":true,"minorant1":0.002817201233809213,'
      '"minorant1_ok":false,"minorant2":0.004981684613586902,"minorant2_ok":false,"ok":true},'
      '"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "regime", "-c", "3"],
+     '{"command":"constants.regime","params":{"c":"3"},"result":{"all_hold":true,"inequalities":[{"id":"3.2",'
+     '"lhs":0.002453285357975222,"rhs":0.002687786973250312,"slack":0.00023450161527509048,"holds":true},'
+     '{"id":"3.3","lhs":0.004906570715950444,"rhs":0.004933388273331363,"slack":2.6817557380919703e-05,'
+     '"holds":true},{"id":"3.4","lhs":0.004906570715950444,"rhs":0.00671816263187193,'
+     '"slack":0.0018115919159214864,"holds":true},{"id":"beta-cap","lhs":0.04906570715950444,"rhs":0.1,'
+     '"slack":0.05093429284049556,"holds":true}]},"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "lemma23", "-c", "1.05", "--theta", "1/100"],
+     '{"command":"constants.lemma23","params":{"c":"1.05","theta":"1/100","kappa":"1/1000000"},"result":'
+     '{"alpha":0.05,"all_hold":true,"inequalities":[{"id":"i","lhs":0.12,"rhs":1.05,"slack":0.93,"holds":true},'
+     '{"id":"ii","lhs":1.2,"rhs":2.0,"slack":0.8,"holds":true},{"id":"iii","lhs":156.73666666666668,"rhs":174.0,'
+     '"slack":17.263333333333332,"holds":true},{"id":"iv","lhs":3.736666666666667,"rhs":4.0,'
+     '"slack":0.2633333333333333,"holds":true},{"id":"v","lhs":3.09,"rhs":4.0,"slack":0.91,"holds":true},'
+     '{"id":"vi","lhs":0.91,"rhs":1.0,"slack":0.09,"holds":true},{"id":"vii","lhs":0.955,"rhs":1.0,'
+     '"slack":0.045,"holds":true},{"id":"viii","lhs":0.6766666666666666,"rhs":1.0,"slack":0.3233333333333333,'
+     '"holds":true},{"id":"ix","lhs":0.49,"rhs":1.0,"slack":0.51,"holds":true},{"id":"x","lhs":0.545,'
+     '"rhs":1.05,"slack":0.505,"holds":true},{"id":"xi","lhs":2.21,"rhs":3.0,"slack":0.79,"holds":true}]},'
+     '"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "maxc", "-R", "12", "--greaves-degree"],
+     '{"command":"constants.maxc","params":{"R":12,"tol":1e-06,"greaves_degree":true},'
+     '"result":{"max_c":1.141143227174282},"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "threshold", "--ineq", "3.2", "--lo", "13/10", "--hi", "3/2"],
+     '{"command":"constants.threshold","params":{"ineq":"3.2","lo":"13/10","hi":"3/2","tol":0.001},'
+     '"result":{"value":1.4194444444444445,"multi_crossing":false},"tool_version":"VERSION","elapsed_ms":0}'),
+    (["constants", "threshold", "--ineq", "3.4", "--lo", "9/5", "--hi", "12/5"],
+     '{"command":"constants.threshold","params":{"ineq":"3.4","lo":"9/5","hi":"12/5","tol":0.001},'
+     '"result":{"value":2.1973484848484848,"multi_crossing":false},"tool_version":"VERSION","elapsed_ms":0}'),
 ]
 
 
@@ -175,6 +202,17 @@ BAD_INPUTS = {
     "NaN tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "nan"], None, {}),
     "tol below 2^-52": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "1e-20"], None, {}),
     "zero scale": (["expsum", "trilinear", "--D", "0", "--M", "2", "--L", "2", "--h", "1", "-c", "3/2"], None, {}),
+    "zero maxc tol": (["constants", "maxc", "-R", "8", "--tol", "0"], None, {}),
+    "zero threshold tol": (["constants", "threshold", "--ineq", "3.3", "--lo", "9/5", "--hi", "12/5", "--tol", "0"],
+                           None, {}),
+    "zero discrepancy tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "0"],
+                             None, {}),
+    "zero jobs": (["constants", "table", "--jobs", "0"], None, {}),
+    "negative jobs": (["constants", "table", "--jobs", "-1"], None, {}),
+    "zero jobs in config": (["--config", "{file}", "constants", "table"], "jobs=0\n", {}),
+    "verify with zero jobs": (["verify", "--jobs", "0"], None, {}),
+    "zero maxc kappa": (["constants", "maxc", "-R", "8", "--kappa", "0"], None, {}),
+    "negative maxc kappa": (["constants", "maxc", "-R", "8", "--kappa", "-1"], None, {}),
 }
 
 

@@ -83,6 +83,45 @@ def test_feasible_interval_consistent_with_check():
         assert all(r.holds for r in reps)
 
 
+def test_feasible_interval_is_tight():
+    # each end is a stated bound or the zero of one inequality's slack, and
+    # every inequality holds at the midpoint
+    seen = 0
+    for c in [F(1) + F(i, 60) for i in range(1, 21)] + [p.c_R_exact for p in cn.admissible_pairs()]:
+        for R in (None, 3, 8, 12, 19):
+            for kappa in (F(1, 10**9), F(1, 10**4), F(1, 50)):
+                for greaves in (False, True) if R else (False,):
+                    iv = cn.feasible_theta_interval(c, R, kappa, greaves)
+                    if iv is None:
+                        continue
+                    seen += 1
+                    named = {F(0), F(1, 20) - kappa}
+                    if R:
+                        named |= {F(1, R), c / (R - cn.greaves_delta_frac(R))}
+                    for end in set(iv) - named:
+                        alpha = cn.FeasibilityParams(c, end, kappa).alpha
+                        assert 0 in [r - l for _, l, r in cn._near_one_system(c, end, alpha)]
+                    mid = cn.FeasibilityParams(c, (iv[0] + iv[1]) / 2, kappa)
+                    assert all(r.holds for r in cn.feasibility_check(mid))
+    assert seen > 100, seen
+
+
+def test_near_one_slacks_are_affine_in_theta_on_both_pieces():
+    for c in (F(101, 100), F(1052, 1000), F(6, 5), F(7, 4)):
+        for kappa in (F(1, 10**9), F(1, 100)):
+            for alpha in (lambda th: F(1, 20), lambda th: th + kappa):
+                s = [[r - l for _, l, r in cn._near_one_system(c, F(th), alpha(F(th)))] for th in (0, 1, 2)]
+                assert s[2] == [2 * b - a for a, b in zip(s[0], s[1])]
+
+
+@pytest.mark.parametrize("kappa", [0, F(-1, 10**6), -1])
+def test_kappa_must_be_positive(kappa):
+    with pytest.raises(OutOfRange):
+        cn.feasible_theta_interval(F(21, 20), 8, kappa)
+    with pytest.raises(OutOfRange):
+        cn.max_c_feasible(8, kappa=kappa)
+
+
 def test_max_c_feasible_bounds():
     vals = [cn.max_c_feasible(r, 1e-4) for r in range(8, 20)]
     for pair, v in zip(cn.admissible_pairs(), vals):
@@ -148,6 +187,22 @@ def test_regime_inequalities_at_quoted_points():
     assert at_2081["3.2"]
     at_2198 = {r.id: r.holds for r in cn.regime_inequalities(F(2198, 1000))}
     assert at_2198["3.3"] and at_2198["3.4"]
+
+
+def test_regime_inequalities_are_the_printed_displays():
+    # 3.2-3.4 as printed in the paper, against the eps = 0 corner minorants
+    for i in range(0, 400, 7):
+        c = F(101, 100) + F(i, 7)
+        rc = cn.regime_constants(c)
+        s, b, c1, c2 = rc.sigma, rc.beta, rc.c1, rc.c2
+        t, u = F(1, 2) - b, 1 - 2 * b
+        printed = {
+            "3.2": (s, (c1 * t**3 - t**4) / ((c1 + t) * (c1 + 1 - 2 * b) * (2 * c1 + t))),
+            "3.3": (2 * s, (F(8, 27) * c2 - F(16, 81)) / ((c2 + F(4, 3)) * (c2 + 2) * (2 * c2 + 2))),
+            "3.4": (2 * s, (c2 * u**3 - u**4) / ((c2 + 2 - 4 * b) * (c2 + 3 - 6 * b) * (2 * c2 + 3 - 6 * b))),
+        }
+        for ineq_id, want in printed.items():
+            assert cn._large_regime_lhs(ineq_id, rc) == want
 
 
 def test_threshold_of_bilinear_inequalities():
