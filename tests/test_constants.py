@@ -190,7 +190,7 @@ def test_regime_inequalities_at_quoted_points():
 
 
 def test_regime_inequalities_are_the_printed_displays():
-    # 3.2-3.4 as printed in the paper, against the eps = 0 corner minorants
+    # 3.2-3.4 written out in closed form, against the eps = 0 corner minorants
     for i in range(0, 400, 7):
         c = F(101, 100) + F(i, 7)
         rc = cn.regime_constants(c)
