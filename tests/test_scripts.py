@@ -1,4 +1,4 @@
-"""Smoke runs of the drivers in scripts/ at tiny sizes."""
+"""Smoke runs of each program in scripts/ at a tiny size."""
 import json
 import os
 import subprocess
