@@ -236,7 +236,7 @@ def criterion_11(ctx: LabContext):
     worst = 0.0
     worst_at = (0, 0)
     for d in range(1, 51):
-        counts = np.bincount(vals % d, minlength=d)
+        counts = ex._residue_counts(vals, d)
         expected = n / d
         dev = np.abs(counts - expected) / expected
         j = int(np.argmax(dev))

@@ -325,25 +325,39 @@ def floor_pow(n: int, c, caps: Caps = DEFAULT_CAPS) -> int:
     return _floor_root(n, c.num, c.den, 0, caps)
 
 
+def _float_floors(ns: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray]:
+    """(floors, bad): float64 floors of n**c as int64, and where they are not
+    certified (their floors are left 0).  The float temporaries die here."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite v is bad
+        v = np.exp(c.num / c.den * np.log(ns.astype(np.float64)))
+        fl = np.floor(v)
+        frac = v - fl
+    margin = v * _FLOAT_REL_MARGIN
+    bad = (frac <= margin) | (frac >= 1.0 - margin) | ~np.isfinite(v)
+    fl[bad] = 0.0
+    return fl.astype(np.int64), bad
+
+
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Certified floor(n**c) for an int64 array of n.
 
     Fast path: v = exp(c * log(n)) in float64.  An element is recomputed by
-    floor_pow when v >= 2^52 (float spacing reaches 1), when v is not
-    finite, or when v lies within v * 1e-12 of an integer.  That margin
-    bounds the float error, with u = 2^-52 and Y = ln(n^c) < 52 ln 2 < 36.05:
+    floor_pow when v is not finite or lies within v * 1e-12 of an integer.
+    From v ~ 5e11 on that margin exceeds 1/2, so every element there is
+    recomputed, and an accepted v is below 5e11 < 2^39.  The margin bounds
+    the float error there, with u = 2^-52 and Y = ln(n^c) < 39 ln 2 < 27.1:
 
     * c rounded to a float, the product c * log(n) and the floor step each
       round correctly (relative error <= u/2; v - floor(v) is exact);
     * log and exp add at most k ulps each (relative error <= k u);
     * so c * log(n) is off by at most Y (1 + k) u in absolute terms, which
       exp turns into a relative error, and v is off by a relative
-      (Y (1 + k) + k) u < (37.05 k + 36.05) u.
+      (Y (1 + k) + k) u < (28.1 k + 27.1) u.
 
-    1e-12 exceeds that for any k <= 120 ulps, far beyond numpy's libm.  A
+    1e-12 exceeds that for any k <= 150 ulps, far beyond numpy's libm.  A
     float whose distance to the nearest integer exceeds the error has the
-    true floor.  From v ~ 5e11 on the margin exceeds 1/2, so every element
-    there is recomputed.
+    true floor.  Raises Overflow when a floor reaches 2^63, decided on the
+    recomputed exact floors.
     """
     c = as_exponent(c)
     ns = np.asarray(ns, dtype=np.int64)
@@ -351,15 +365,12 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if int(ns.min()) < 1:
         raise OutOfRange("floor_pow_batch needs n >= 1")
-    cf = c.num / c.den
-    v = np.exp(cf * np.log(ns.astype(np.float64)))
-    fl = np.floor(v)
-    frac = v - fl
-    margin = v * _FLOAT_REL_MARGIN
-    bad = (frac <= margin) | (frac >= 1.0 - margin) | (v >= 2.0 ** 52) | ~np.isfinite(v)
-    out = fl.astype(np.int64)
+    out, bad = _float_floors(ns, c)
     idx = np.flatnonzero(bad)
-    out[idx] = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
+    exact = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
+    if exact and max(exact) >= 1 << 63:
+        raise Overflow(f"floor(n^{c}) reaches 2^63, beyond int64")
+    out[idx] = exact
     return out
 
 

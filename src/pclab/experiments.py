@@ -1,27 +1,32 @@
 """Empirical censuses and distribution measurements over floor(p^c), p <= x.
 
-Census counts are exact.  Members below 2^62 are held as one int64 array,
-and the squarefree and almost-prime censuses decide them all at once with
-``factor.signature_arrays``: trial division to the cube root of the largest
-member leaves a cofactor with at most two prime factors, so squarefreeness
-follows from a perfect-square test and Omega <= R needs ``is_prime`` only
-where the cofactor's primality decides it.  Larger members, and every member
-of ``ps_prime_count``, are decided one by one in chunks of the member list;
-with ``jobs > 1`` the chunks run in a process pool, and their counts are
-combined in fixed chunk order, so worker count never changes a result.
+``members`` picks the members' layout once, from its exact largest floor:
+below 2^62 (``factor.TWO62``) they come from ``floor_pow_batch`` as one int64
+array, above it from ``floor_pow`` one by one as Python ints.
+
+Census counts are exact.  On int64 members the squarefree and almost-prime
+censuses decide them all at once with ``factor.signature_arrays``: trial
+division to the cube root of the largest member leaves a cofactor with at
+most two prime factors, so squarefreeness follows from a perfect-square test
+and Omega <= R needs ``is_prime`` only where the cofactor's primality decides
+it.  Larger members, and every member of ``ps_prime_count``, are decided one
+by one by ``_count``, in chunks of the member list; with ``jobs > 1`` the
+chunks run in a process pool, and their counts are combined in fixed chunk
+order, so worker count never changes a result.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow
 from .exactpow import RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
-from .factor import factor_signature, is_prime, signature_arrays
+from .factor import TWO62, factor_signature, is_prime, signature_arrays
 from .primes import primes_in
 
 _CHUNK = 1 << 13
@@ -90,20 +95,21 @@ class DiscrepancyReport(Report):
 
 
 def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:
-    """(primes p <= x, floor(p^c)) as int64 arrays; certified floors."""
+    """(primes p <= x, floor(p^c)); certified floors.
+
+    The floors are int64 when the largest is below 2^62, Python ints in an
+    object array otherwise.
+    """
     c = as_exponent(c)
     if x < 2:
         raise OutOfRange("need x >= 2")
     ps = primes_in(0, x, caps=caps)
-    top_bits = float(c) * math.log2(x)
-    if top_bits >= caps.member_bits and floor_pow(int(ps[-1]), c, caps).bit_length() >= caps.member_bits:
+    top = floor_pow(int(ps[-1]), c, caps)  # floors rise with p
+    if top.bit_length() >= caps.member_bits:
         raise Overflow(f"floor(p^c) reaches 2^{caps.member_bits} at p={int(ps[-1])}")
-    if top_bits < 50:
+    if top < TWO62:
         return ps, floor_pow_batch(ps, c, caps)
-    vals = np.array([floor_pow(int(p), c, caps) for p in ps.tolist()], dtype=object)
-    if top_bits < 62:
-        vals = vals.astype(np.int64)
-    return ps, vals
+    return ps, np.array([floor_pow(p, c, caps) for p in ps.tolist()], dtype=object)
 
 
 def _chunks(seq):
@@ -117,29 +123,21 @@ def _map_ordered(func, items, jobs):
         return list(ex.map(func, items))
 
 
-def _omega_counts_chunk(args):
-    member_list, r_cap = args
-    hit = 0
-    for m in member_list:
-        if factor_signature(m).omega_big <= r_cap:
-            hit += 1
-    return hit
+def _omega_at_most(R: int, m: int) -> bool:
+    return factor_signature(m).omega_big <= R
 
 
-def _squarefree_chunk(member_list):
-    hit = 0
-    for m in member_list:
-        if factor_signature(m).squarefree:
-            hit += 1
-    return hit
+def _squarefree(m: int) -> bool:
+    return factor_signature(m).squarefree
 
 
-def _prime_chunk(member_list):
-    hit = 0
-    for m in member_list:
-        if is_prime(m):
-            hit += 1
-    return hit
+def _count_chunk(test, member_list) -> int:
+    return sum(1 for m in member_list if test(m))
+
+
+def _count(test, vals: np.ndarray, jobs: int) -> int:
+    """Members m with test(m), decided one by one; test must pickle."""
+    return sum(_map_ordered(partial(_count_chunk, test), _chunks(vals.tolist()), jobs))
 
 
 def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
@@ -166,10 +164,7 @@ def almost_prime_census(x: int, c, R: int, *, jobs: int = 1, caps: Caps = DEFAUL
     if vals.dtype == np.int64:
         count = int(np.count_nonzero(_omega_within(vals, R)))
     else:
-        parts = _map_ordered(
-            _omega_counts_chunk, [(ch, R) for ch in _chunks([int(v) for v in vals])], jobs
-        )
-        count = int(sum(parts))
+        count = _count(partial(_omega_at_most, R), vals, jobs)
     eta_hat = count * math.log(x) ** 2 / x
     return CensusReport(x, c, R, count, int(ps.size), eta_hat)
 
@@ -183,7 +178,7 @@ def squarefree_census(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) ->
     if vals.dtype == np.int64:
         count = int(np.count_nonzero(signature_arrays(vals)[1]))
     else:
-        count = int(sum(_map_ordered(_squarefree_chunk, _chunks([int(v) for v in vals]), jobs)))
+        count = _count(_squarefree, vals, jobs)
     ratio = count / ps.size
     return SquarefreeReport(x, c, count, int(ps.size), ratio, abs(ratio - SQUAREFREE_DENSITY))
 
@@ -192,8 +187,7 @@ def ps_prime_count(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> Ps
     """Pi_c(x) = |{p <= x : floor(p^c) prime}|, with Balog's normalization."""
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    parts = _map_ordered(_prime_chunk, _chunks([int(v) for v in vals]), jobs)
-    count = int(sum(parts))
+    count = _count(is_prime, vals, jobs)
     balog_ref = x / (float(c) * math.log(x) ** 2)
     return PsPrimeReport(x, c, count, int(ps.size), balog_ref)
 

@@ -66,25 +66,14 @@ def prime_count(x: int, *, caps: Caps = DEFAULT_CAPS) -> int:
 
 @dataclass(frozen=True)
 class MangoldtTable:
-    """All prime powers n = p^k <= limit with their base primes.
+    """All prime powers n = p^k <= x with their base primes.
 
     Lambda(n) = log p exactly on the listed n and 0 elsewhere.
     """
 
-    limit: int
     ns: np.ndarray       # prime powers, ascending
     ps: np.ndarray       # matching base primes
     logs: np.ndarray     # log(p) per entry
-
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        return list(zip(self.ns.tolist(), self.ps.tolist()))
-
-    def weight(self, n: int) -> float:
-        i = int(np.searchsorted(self.ns, n))
-        if i < self.ns.size and int(self.ns[i]) == n:
-            return float(self.logs[i])
-        return 0.0
 
 
 def mangoldt_table(x: int, *, caps: Caps = DEFAULT_CAPS) -> MangoldtTable:
@@ -101,4 +90,4 @@ def mangoldt_table(x: int, *, caps: Caps = DEFAULT_CAPS) -> MangoldtTable:
     order = np.argsort(np.array(ns, dtype=np.int64), kind="stable")
     ns_a = np.array(ns, dtype=np.int64)[order]
     ps_a = np.array(ps, dtype=np.int64)[order]
-    return MangoldtTable(x, ns_a, ps_a, np.log(ps_a.astype(np.float64)))
+    return MangoldtTable(ns_a, ps_a, np.log(ps_a.astype(np.float64)))

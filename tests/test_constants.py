@@ -126,7 +126,11 @@ def test_max_c_feasible_bounds():
     vals = [cn.max_c_feasible(r, 1e-4) for r in range(8, 20)]
     for pair, v in zip(cn.admissible_pairs(), vals):
         assert v >= pair.c_R
-    assert vals == sorted(vals)  # non-decreasing in R
+    # without the Greaves degree, (iv) c < 4/3 - 2 theta binds as theta -> 0
+    for v in vals:
+        assert v == pytest.approx(4 / 3, abs=1e-4)
+    deg = [cn.max_c_feasible(r, 1e-4, greaves_degree=True) for r in range(8, 20)]
+    assert all(a < b for a, b in zip(deg, deg[1:]))  # strictly increasing in R
 
 
 def test_max_c_feasible_degree_mode_differs():

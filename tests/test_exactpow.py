@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from pclab import _intmath
 from pclab import exactpow as ep
-from pclab.errors import DEFAULT_CAPS, IntegerExponent, NotAFraction, OutOfRange
+from pclab.errors import DEFAULT_CAPS, IntegerExponent, NotAFraction, OutOfRange, Overflow
 
 # floor_exact_bits=0 sends every power through the interval path
 INTERVAL_CAPS = replace(DEFAULT_CAPS, floor_exact_bits=0)
@@ -155,8 +155,9 @@ def test_floor_pow_batch_agrees_with_scalar():
 @pytest.mark.parametrize("cc", ["10521/10000", "3/2", "5/2"])
 @pytest.mark.parametrize("cut_bits", [38, 52])
 def test_floor_pow_batch_at_the_float_cut(cc, cut_bits, monkeypatch):
-    # 2^52 is the float path's cut; from about 2^39 on its margin exceeds 1/2
-    # and every element escalates, so 2^38 is the largest v it decides itself
+    # from about 2^39 on the float path's margin exceeds 1/2 and every element
+    # escalates, so 2^38 is the largest v it decides itself; 2^52, where the
+    # float spacing reaches 1, lies well inside the escalated range
     c = ep.as_exponent(cc)
     lo, hi = 1, 2**cut_bits
     while hi - lo > 1:  # largest n with n^c < 2^cut_bits
@@ -169,6 +170,16 @@ def test_floor_pow_batch_at_the_float_cut(cc, cut_bits, monkeypatch):
     monkeypatch.setattr(ep, "floor_pow", lambda n, c, caps: escalated.append(n) or want[n - int(ns[0])])
     assert ep.floor_pow_batch(ns, c).tolist() == want
     assert (len(escalated) < len(ns)) == (cut_bits == 38)
+
+
+@pytest.mark.filterwarnings("error")
+def test_floor_pow_batch_overflow_is_decided_exactly():
+    # (2^42)^(3/2) = 2^63 exactly, one past int64; (2^42 - 1)^(3/2) still fits
+    n = 2**42
+    assert ep.floor_pow_batch([n - 1], "3/2").tolist() == [ep.floor_pow(n - 1, "3/2")]
+    for ns, cc in (([n - 1, n], "3/2"), ([10**7], "31/10"), ([2, 3 * 10**18], "35/2")):
+        with pytest.raises(Overflow):
+            ep.floor_pow_batch(ns, cc)
 
 
 # ---------------------------------------------------------------- fractional parts

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pclab import experiments as ex
 from pclab.acceptance import _omega_oracle
 from pclab.errors import OutOfRange
+from pclab.exactpow import floor_pow
 from pclab.factor import factor_signature, signature_arrays
 
 # members of floor(p^1.5) for p <= 20: {2, 5, 11, 18, 36, 46, 70, 82}
@@ -111,7 +112,24 @@ def test_parallel_runs_equal_sequential(monkeypatch):
     sa = ex.squarefree_census(300, "77/10", jobs=1)
     sb = ex.squarefree_census(300, "77/10", jobs=3)
     assert sa == sb
-    assert pools == [3, 3]
+    pa = ex.ps_prime_count(300, "77/10", jobs=1)
+    pb = ex.ps_prime_count(300, "77/10", jobs=3)
+    assert pa == pb
+    assert pools == [3, 3, 3]
+
+
+def test_members_layout_follows_the_largest_floor():
+    # 3.1 * log2(2^20) = 62.0, but the largest floor, at p = 1048573, is below 2^62
+    ps, vals = ex.members(2**20, "31/10")
+    assert vals.dtype == np.int64
+    assert int(vals[-1]) == floor_pow(int(ps[-1]), "31/10") < 2**62
+    # 7/2 at 2e4 reaches 2^51; every floor comes from the batch
+    ps, vals = ex.members(2 * 10**4, "7/2")
+    assert vals.dtype == np.int64 and int(vals[-1]).bit_length() == 51
+    assert vals.tolist() == [floor_pow(p, "7/2") for p in ps.tolist()]
+    # from 2^62 on the members are Python ints, even while they fit int64
+    _, vals = ex.members(280, "77/10")
+    assert vals.dtype == object and 2**62 <= max(vals) < 2**63
 
 
 def test_signature_arrays_over_the_whole_range():

@@ -53,10 +53,11 @@ def test_range_cap():
 
 def test_mangoldt_entries():
     t = primes.mangoldt_table(100)
-    assert (8, 2) in t.entries
-    assert t.weight(8) == pytest.approx(math.log(2))
-    assert t.weight(6) == 0.0
-    assert t.weight(97) == pytest.approx(math.log(97))
+    ns = t.ns.tolist()
+    assert (8, 2) in zip(ns, t.ps.tolist())
+    assert t.logs[ns.index(8)] == pytest.approx(math.log(2))
+    assert 6 not in ns  # Lambda(6) = 0
+    assert t.logs[ns.index(97)] == pytest.approx(math.log(97))
 
 
 def test_mangoldt_psi_100():
@@ -79,7 +80,7 @@ def test_mangoldt_psi_100():
 
 def test_mangoldt_every_entry_is_prime_power():
     t = primes.mangoldt_table(10**4)
-    for n, p in t.entries:
+    for n, p in zip(t.ns.tolist(), t.ps.tolist()):
         m = n
         while m % p == 0:
             m //= p
