@@ -28,7 +28,7 @@ from . import experiments as ex
 from . import expsum as es
 from ._json import jsonable
 from .errors import NotAFraction, OutOfRange, Overflow, PCLabError, PrecisionExhausted, RangeTooLarge, caps_from_env
-from .exactpow import as_ratio, floor_pow, parse_exponent
+from .exactpow import DEFAULT_FRAC_TOL, as_ratio, floor_pow, parse_exponent
 
 _CAP_ERRORS = (RangeTooLarge, Overflow, PrecisionExhausted)
 
@@ -50,25 +50,23 @@ def _int_arg(text: str) -> int:
 
 _FORMATS = ("jsonl", "csv")
 
+# --format, --config and --timing go on every parser, the scoped flags only
+# on the commands that read them (new's extra names); the root parser holds
+# every default, so a --config file can set any of them
 _GLOBAL_FLAGS = (
-    ("--format", dict(choices=_FORMATS, default="jsonl")),
-    ("--jobs", dict(type=int, default=os.cpu_count() or 1)),
-    ("--seed", dict(type=int, default=0)),
-    ("--tol", dict(type=float, default=None)),
-    ("--config", dict(type=str, default=None, help="flat key=value defaults file")),
-    ("--timing", dict(action="store_true", default=False,
-                      help="report real elapsed_ms (breaks byte-identity)")),
-    ("--fixtures", dict(type=str, default="fixtures/fixtures.jsonl")),
+    ("--format", dict(choices=_FORMATS)),
+    ("--config", dict(type=str, help="flat key=value defaults file")),
+    ("--timing", dict(action="store_true", help="report real elapsed_ms (breaks byte-identity)")),
 )
+_SCOPED_TYPES = {"jobs": int, "seed": int, "tol": float, "fixtures": str}
+_DEFAULTS = dict(format="jsonl", config=None, timing=False, jobs=os.cpu_count() or 1, seed=0, tol=None,
+                 fixtures="fixtures/fixtures.jsonl")
 
 
-def _add_globals(parser: argparse.ArgumentParser, suppress: bool):
-    # subparsers get SUPPRESS defaults so they never clobber root values
-    for flag, kw in _GLOBAL_FLAGS:
-        kw = dict(kw)
-        if suppress:
-            kw["default"] = argparse.SUPPRESS
-        parser.add_argument(flag, **kw)
+def _add_flags(parser: argparse.ArgumentParser, scoped=()):
+    # SUPPRESS defaults, so a subcommand never clobbers the root's values
+    for flag, kw in (*_GLOBAL_FLAGS, *((f"--{name}", dict(type=_SCOPED_TYPES[name])) for name in scoped)):
+        parser.add_argument(flag, default=argparse.SUPPRESS, **kw)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,14 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="computational laboratory for the arithmetic of floor(p^c)",
         allow_abbrev=False,
     )
-    _add_globals(ap, suppress=False)
+    _add_flags(ap)
+    ap.set_defaults(**_DEFAULTS)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def new(parent, name, **kw):
+    def new(parent, name, *scoped, **kw):
         # name is the dotted command ("expsum.weyl"); the innermost wins args.cmd
         p = parent.add_parser(name.rpartition(".")[2], allow_abbrev=False, **kw)
         p.set_defaults(cmd=name)
-        _add_globals(p, suppress=True)
+        _add_flags(p, scoped)
         return p
 
     p = new(sub, "floor", help="exact floor(n^c)")
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=str, required=True)
 
     for name in ("census", "squarefree", "psprimes"):
-        p = new(sub, name)
+        p = new(sub, name, "jobs")
         p.add_argument("--x", type=_int_arg, required=True)
         p.add_argument("-c", type=str, required=True)
         if name == "census":
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-model", default="unit")
     p.add_argument("--all-residues", action="store_true")
 
-    p = new(sub, "discrepancy", help="star discrepancy of {h p^c / d}")
+    p = new(sub, "discrepancy", "tol", help="star discrepancy of {h p^c / d}")
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--h", type=_int_arg, required=True)
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--h", type=_int_arg, required=True)
     p.add_argument("--d", type=_int_arg, required=True)
-    p = new(se, "expsum.trilinear")
+    p = new(se, "expsum.trilinear", "seed")
     p.add_argument("--D", type=_int_arg, required=True)
     p.add_argument("--M", type=_int_arg, required=True)
     p.add_argument("--L", type=_int_arg, required=True)
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--theta", type=_frac_arg, required=True)
     p.add_argument("--kappa", type=_frac_arg, default=Fraction(1, 10**6))
-    p = new(sc, "constants.maxc")
+    p = new(sc, "constants.maxc", "tol")
     p.add_argument("-R", type=int, required=True)
     p.add_argument("--kappa", type=_frac_arg, default=Fraction(1, 10**9))
     p.add_argument("--greaves-degree", action="store_true")
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=str, required=True)
     p = new(sc, "constants.regime")
     p.add_argument("-c", type=str, required=True)
-    p = new(sc, "constants.threshold")
+    p = new(sc, "constants.threshold", "tol")
     p.add_argument("--ineq", choices=("3.2", "3.3", "3.4", "beta-cap"), required=True)
     p.add_argument("--lo", type=_frac_arg, required=True)
     p.add_argument("--hi", type=_frac_arg, required=True)
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--eps", type=_frac_arg, default=Fraction(1, 1000))
 
-    p = new(sub, "verify", help="run the acceptance suite")
+    p = new(sub, "verify", "jobs", "fixtures", help="run the acceptance suite")
     p.add_argument("--record", action="store_true", help="write regression fixtures")
 
     return ap
@@ -189,7 +188,7 @@ def _format_value(text: str) -> str:
 
 
 # a config value becomes a parser default, which argparse never checks
-_CONFIG_KEYS = {"format": _format_value, "jobs": int, "seed": int, "tol": float, "fixtures": str}
+_CONFIG_KEYS = {"format": _format_value, **_SCOPED_TYPES}
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -295,10 +294,11 @@ def _results_match(a, b, rel=1e-9) -> bool:
 
 def _fixture_result(name: str, params: dict, jobs: int, caps) -> dict:
     """The result of the CLI invocation a fixture records."""
-    argv = [*name.split("."), "--jobs", str(jobs)]
+    argv = name.split(".")
     for key, value in params.items():
         argv += [f"-{key}" if key in ("c", "R") else f"--{key}", str(value)]
     args = build_parser().parse_args(argv)
+    args.jobs = jobs
     if args.cmd not in _COMMANDS:
         raise OutOfRange(f"unknown fixture command {name!r}")
     return jsonable(_COMMANDS[args.cmd](args, caps)[1])
@@ -368,7 +368,7 @@ def _lemma23(a, caps):
     params = cn.feasibility_params(a.c, a.theta, a.kappa)
     return (
         {"c": a.c, "theta": params.theta, "kappa": params.kappa},
-        {"alpha": float(params.alpha), **_holds(cn.feasibility_check(params))},
+        {"alpha": cn.float_mirror(params.alpha), **_holds(cn.feasibility_check(params))},
     )
 
 
@@ -399,7 +399,7 @@ _COMMANDS = {
     ),
     "discrepancy": lambda a, caps: (
         {"x": a.x, "c": a.c, "h": a.h, "d": a.d},
-        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=1e-12 if a.tol is None else a.tol, caps=caps),
+        ex.star_discrepancy(a.x, a.c, a.h, a.d, tol=DEFAULT_FRAC_TOL if a.tol is None else a.tol, caps=caps),
     ),
     "expsum.weyl": lambda a, caps: _sum(es.weyl_sum(a.c, a.Theta, a.Delta, a.N, epsilon=a.eps, caps=caps)),
     "expsum.prime": lambda a, caps: _sum(es.prime_expsum(a.x, a.c, a.h, a.d, caps=caps)),

@@ -55,6 +55,14 @@ def _frac(x) -> Fraction:
     return as_ratio(x)
 
 
+def float_mirror(q) -> float:
+    """float(q) for an exact value q; OutOfRange where q is beyond float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise OutOfRange("an exact value exceeds the float range (about 1.8e308)") from None
+
+
 def greaves_delta_frac(r: int) -> Fraction:
     if r < 2:
         raise InvalidR(f"need R >= 2, got {r}")
@@ -64,7 +72,7 @@ def greaves_delta_frac(r: int) -> Fraction:
 def greaves_delta(r: int) -> float:
     """The sieve constant delta_R: 0.044560 / 0.074267 / 0.103974 for
     R = 2, 3, 4 and 0.124820 for R >= 5."""
-    return float(greaves_delta_frac(r))
+    return float_mirror(greaves_delta_frac(r))
 
 
 def greaves_min_R(rho) -> int:
@@ -92,7 +100,7 @@ class AdmissiblePair:
 
 def admissible_pairs() -> list[AdmissiblePair]:
     """The stored (R, c_R) table for R = 8..19."""
-    return [AdmissiblePair(r, float(c)) for r, c in _PAIRS]
+    return [AdmissiblePair(r, float_mirror(c)) for r, c in _PAIRS]
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class InequalityReport(Report):
 
 def _report(ineq_id: str, lhs: Fraction, rhs: Fraction) -> InequalityReport:
     slack = rhs - lhs
-    return InequalityReport(ineq_id, float(lhs), float(rhs), float(slack), slack > STRICTNESS)
+    return InequalityReport(ineq_id, float_mirror(lhs), float_mirror(rhs), float_mirror(slack), slack > STRICTNESS)
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,7 @@ def max_c_feasible(
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return float_mirror((lo + hi) / 2)
 
 
 @dataclass(frozen=True)
@@ -248,7 +256,7 @@ class RegimeConstants(Report):
         out: dict = {"coeff": self.coeff}
         for name in ("c", "sigma", "beta", "c1", "c2"):
             q = getattr(self, name)
-            out[name], out[f"{name}_float"] = jsonable(q), float(q)
+            out[name], out[f"{name}_float"] = jsonable(q), float_mirror(q)
         return out
 
 
@@ -286,7 +294,7 @@ def r_bound(c) -> RBound:
     if c / rc.sigma + F(23, 20) != exact:
         raise PCLabError(f"cubic identity c/sigma + 1.15 fails at c = {c}")
     integer_r = greaves_min_R(c / rc.sigma + F(1, 10**9))
-    return RBound(float(exact), exact, integer_r)
+    return RBound(float_mirror(exact), exact, integer_r)
 
 
 def _large_regime_lhs(ineq_id: str, rc: RegimeConstants) -> tuple[Fraction, Fraction]:
@@ -349,7 +357,7 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
     upward = [i for i in transitions if vals[i]]
     if not upward:
         state = "already holds" if vals[0] else "never holds"
-        raise NoCrossing(f"{ineq_id} {state} on [{float(lo)}, {float(hi)}]")
+        raise NoCrossing(f"{ineq_id} {state} on [{float_mirror(lo)}, {float_mirror(hi)}]")
     i = upward[0]
     a, b = xs[i - 1], xs[i]
     while b - a > tol:
@@ -358,7 +366,7 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
             b = mid
         else:
             a = mid
-    return ThresholdResult(float((a + b) / 2), len(transitions) > 1)
+    return ThresholdResult(float_mirror((a + b) / 2), len(transitions) > 1)
 
 
 def vinogradov_degree(c, theta, delta) -> int:
@@ -376,7 +384,7 @@ def vinogradov_saving(k: int, epsilon=0) -> Fraction:
     if k < 3:
         raise NonPositiveRho(f"degree k={k} is below 3")
     if eps >= k - 2:
-        raise NonPositiveRho(f"epsilon={float(eps)} >= k-2={k - 2}")
+        raise NonPositiveRho(f"epsilon={float_mirror(eps)} >= k-2={k - 2}")
     if eps < 0:
         raise OutOfRange("epsilon must be >= 0")
     return (k - 2 - eps) / F(k * (k + 1) * (2 * k - 1))
@@ -456,7 +464,7 @@ def _window_margins(c, eps, th_lo, th_hi, lo, hi, target):
         th = max(th_lo, a / (k - c + b), _DELTA_FLOOR / (k - c))
         margin = th * vinogradov_saving(k, eps) - target
         if worst is None or margin < worst:
-            worst, at = margin, (float(th), float(max(delta_lo(th), (k - 1 - c) * th)))
+            worst, at = margin, (float_mirror(th), float_mirror(max(delta_lo(th), (k - 1 - c) * th)))
     return worst, at
 
 
@@ -495,19 +503,19 @@ def margin_verify(c, epsilon=F(1, 1000)) -> MarginReport:
     m2 = min(m2a, m2b)
     t1_ok, t2_ok = w1 >= 0, w2 >= 0
     return MarginReport(
-        c=float(c),
-        epsilon=float(eps),
-        sigma=float(sigma),
-        beta=float(beta),
-        type1_worst=float(w1),
+        c=float_mirror(c),
+        epsilon=float_mirror(eps),
+        sigma=float_mirror(sigma),
+        beta=float_mirror(beta),
+        type1_worst=float_mirror(w1),
         type1_at=at1,
         type1_ok=t1_ok,
-        type2_worst=float(w2),
+        type2_worst=float_mirror(w2),
         type2_at=at2,
         type2_ok=t2_ok,
-        minorant1=float(m1),
+        minorant1=float_mirror(m1),
         minorant1_ok=m1 >= sigma + eps,
-        minorant2=float(m2),
+        minorant2=float_mirror(m2),
         minorant2_ok=m2 >= 2 * sigma + 3 * eps,
         ok=t1_ok and t2_ok,
     )

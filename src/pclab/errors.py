@@ -62,10 +62,8 @@ class Caps:
     weyl_terms: int = 10**8          # terms in one Weyl sum
     trilinear_terms: int = 10**8     # D*M*L term budget
     triple_term_evals: int = 10**9   # H*D*x budget for the weighted triple sum
-    triple_x: int = 10**7            # dyadic base for the triple sum
     floor_exact_bits: int = 10**6    # exact root while the radicand has <= this many bits (and den <= 64)
     prec_cap_bits: int = 10**5       # interval-arithmetic escalation cap
-    member_bits: int = 127           # floor(p^c) members must stay below 2^this
 
 
 # Caps that PSC_LAB_CAP=<int> rewrites wholesale (the count-like ones).
@@ -75,7 +73,6 @@ _COUNT_CAPS = (
     "weyl_terms",
     "trilinear_terms",
     "triple_term_evals",
-    "triple_x",
 )
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow
-from .exactpow import RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
-from .factor import TWO62, factor_signature, is_prime, signature_arrays
+from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
+from .factor import TWO62, TWO127, factor_signature, is_prime, signature_arrays
 from .primes import primes_in
 
 _CHUNK = 1 << 13
@@ -98,15 +98,15 @@ def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.nda
     """(primes p <= x, floor(p^c)); certified floors.
 
     The floors are int64 when the largest is below 2^62, Python ints in an
-    object array otherwise.
+    object array otherwise; Overflow from 2^127 on, where factor stops.
     """
     c = as_exponent(c)
     if x < 2:
         raise OutOfRange("need x >= 2")
     ps = primes_in(0, x, caps=caps)
     top = floor_pow(int(ps[-1]), c, caps)  # floors rise with p
-    if top.bit_length() >= caps.member_bits:
-        raise Overflow(f"floor(p^c) reaches 2^{caps.member_bits} at p={int(ps[-1])}")
+    if top >= TWO127:
+        raise Overflow(f"floor(p^c) reaches 2^127 at p={int(ps[-1])}")
     if top < TWO62:
         return ps, floor_pow_batch(ps, c, caps)
     return ps, np.array([floor_pow(p, c, caps) for p in ps.tolist()], dtype=object)
@@ -255,7 +255,7 @@ def star_discrepancy_points(points) -> float:
 
 
 def star_discrepancy(
-    x: int, c, h: int, d: int, *, tol: float = 1e-12, caps: Caps = DEFAULT_CAPS
+    x: int, c, h: int, d: int, *, tol: float = DEFAULT_FRAC_TOL, caps: Caps = DEFAULT_CAPS
 ) -> DiscrepancyReport:
     """Star discrepancy of {h * p^c / d mod 1 : p <= x}."""
     if h < 0 or d < 1:

@@ -265,17 +265,15 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     c = as_exponent(c)
     if x < 2 or d_scale < 1:
         raise OutOfRange("triple_sum needs x >= 2 and D >= 1")
-    if x > caps.triple_x:
-        raise RangeTooLarge(f"x={x} exceeds cap {caps.triple_x}")
     if h_count is None:
         h_count = d_scale * math.ceil(math.log(x) ** 3)
-    table = mangoldt_table(2 * x, caps=caps)
-    sel = (table.ns > x) & (table.ns <= 2 * x)
-    ns = table.ns[sel].tolist()
-    logs = table.logs[sel]
     evals = h_count * d_scale * x
     if evals > caps.triple_term_evals:
         raise RangeTooLarge(f"H*D*x = {evals} exceeds cap {caps.triple_term_evals}")
+    table = mangoldt_table(2 * x, caps=caps)  # caps x at mangoldt_x / 2
+    sel = (table.ns > x) & (table.ns <= 2 * x)
+    ns = table.ns[sel].tolist()
+    logs = table.logs[sel]
 
     table = scaled_floor_table(ns, c, _SHIFT, caps)
     abs_parts: list[float] = []

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -48,19 +49,87 @@ def test_unknown_flag_usage_error():
     assert code == 1
 
 
+def subcommand_parsers(parser=None, path=()) -> dict:
+    """{command path: parser} for every subcommand under build_parser()."""
+    found = {}
+    for action in (parser or cli.build_parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[(*path, name)] = sub
+                found.update(subcommand_parsers(sub, (*path, name)))
+    return found
+
+
 def test_help_exits_zero_everywhere():
-    subcommands = [
-        ["floor"], ["census"], ["squarefree"], ["psprimes"], ["histogram"],
-        ["leveldist"], ["discrepancy"], ["expsum"], ["expsum", "weyl"],
-        ["expsum", "prime"], ["expsum", "trilinear"], ["expsum", "triple"],
-        ["constants"], ["constants", "delta"], ["constants", "table"],
-        ["constants", "lemma23"], ["constants", "maxc"], ["constants", "sigma"],
-        ["constants", "rbound"], ["constants", "regime"],
-        ["constants", "threshold"], ["constants", "margins"], ["verify"],
-    ]
+    subcommands = subcommand_parsers()
+    assert len(subcommands) == 23
     for sub in subcommands:
-        code, _ = run_cli(sub + ["--help"])
+        code, _ = run_cli([*sub, "--help"])
         assert code == 0, sub
+
+
+# the scoped flags each leaf command reads, and so accepts
+_SCOPED_FLAGS = {
+    ("census",): {"--jobs"},
+    ("squarefree",): {"--jobs"},
+    ("psprimes",): {"--jobs"},
+    ("verify",): {"--jobs", "--fixtures"},
+    ("discrepancy",): {"--tol"},
+    ("constants", "maxc"): {"--tol"},
+    ("constants", "threshold"): {"--tol"},
+    ("expsum", "trilinear"): {"--seed"},
+}
+
+# one valid invocation per leaf command
+_LEAF_ARGV = {
+    ("floor",): ["-n", "97", "-c", "6/5"],
+    ("census",): ["--x", "100", "-c", "3/2", "-R", "2"],
+    ("squarefree",): ["--x", "100", "-c", "3/2"],
+    ("psprimes",): ["--x", "100", "-c", "3/2"],
+    ("histogram",): ["--x", "100", "-c", "3/2", "--d", "3"],
+    ("leveldist",): ["--x", "100", "-c", "3/2", "--D", "3"],
+    ("discrepancy",): ["--x", "100", "-c", "3/2", "--h", "1", "--d", "3"],
+    ("expsum", "weyl"): ["-c", "5/2", "--Theta", "1", "--Delta", "3/10", "--N", "100"],
+    ("expsum", "prime"): ["--x", "100", "-c", "11/5", "--h", "3", "--d", "7"],
+    ("expsum", "trilinear"): ["--D", "2", "--M", "4", "--L", "4", "--h", "1", "-c", "8/5"],
+    ("expsum", "triple"): ["--x", "100", "--D", "2", "--H", "2", "-c", "3/2"],
+    ("constants", "delta"): ["-R", "2"],
+    ("constants", "table"): [],
+    ("constants", "lemma23"): ["-c", "1.05", "--theta", "1/100"],
+    ("constants", "maxc"): ["-R", "8"],
+    ("constants", "sigma"): ["-c", "5/2"],
+    ("constants", "rbound"): ["-c", "5/2"],
+    ("constants", "regime"): ["-c", "3"],
+    ("constants", "threshold"): ["--ineq", "3.2", "--lo", "13/10", "--hi", "3/2"],
+    ("constants", "margins"): ["-c", "2.5"],
+    ("verify",): [],
+}
+
+_SCOPED_VALUES = {"--jobs": "2", "--seed": "9", "--tol": "1e-3", "--fixtures": "fixtures.jsonl"}
+
+
+def test_each_scoped_flag_is_on_the_commands_that_read_it():
+    subcommands = subcommand_parsers()
+    assert {path for path, parser in subcommands.items() if not subcommand_parsers(parser)} == set(_LEAF_ARGV)
+    assert sum(len(flags) for flags in _SCOPED_FLAGS.values()) == 9
+    for path, parser in [((), cli.build_parser()), *subcommands.items()]:
+        options = set(parser._option_string_actions)
+        assert {"--format", "--config", "--timing"} <= options, path
+        assert options & set(_SCOPED_VALUES) == _SCOPED_FLAGS.get(path, set()), path
+
+
+def test_a_flag_a_command_does_not_read_is_a_usage_error(capsys):
+    refused = 0
+    for path, argv in _LEAF_ARGV.items():
+        for flag, value in _SCOPED_VALUES.items():
+            if flag in _SCOPED_FLAGS.get(path, set()):
+                continue
+            code, out = run_cli([*path, *argv, flag, value])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1 and out == "", (path, flag)
+            assert len(err) == 1 and err[0] == f"pclab: unrecognized arguments: {flag} {value}", (path, flag)
+            refused += 1
+    assert refused == 75
 
 
 def test_resource_cap_exit_code():
@@ -110,6 +179,19 @@ def test_config_file_defaults(tmp_path):
     code, out = run_cli([f"--config={cfg}", "constants", "delta", "-R", "3"])
     assert code == 0
     assert out.startswith("command,")
+
+
+def test_config_file_reaches_scoped_flags(tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    trilinear = ["expsum", "trilinear", *_LEAF_ARGV[("expsum", "trilinear")], "--weights", "pm1"]
+    cfg.write_text("seed=9\n")
+    code, from_file = run_cli(["--config", str(cfg), *trilinear])
+    assert code == 0
+    assert from_file == run_cli([*trilinear, "--seed", "9"])[1] != run_cli(trilinear)[1]
+    cfg.write_text("tol=1e-3\n")
+    code, out = run_cli(["--config", str(cfg), "constants", "maxc", "-R", "8"])
+    assert code == 0
+    assert '"tol":0.001' in out
 
 
 def test_params_echo_lossless():
@@ -175,6 +257,15 @@ def test_constants_stdout_is_pinned(argv, want):
     assert out == want.replace("VERSION", pclab.__version__) + "\n"
 
 
+def test_regime_verdicts_stay_exact_where_floats_underflow():
+    # at c = 1e400 the values of 3.2-3.4 lie below the float range, and the
+    # exact slack, though positive, is below the strictness margin
+    code, out = run_cli(["constants", "regime", "-c", "1e400"])
+    assert code == 0
+    reports = json.loads(out)["result"]["inequalities"]
+    assert [(r["lhs"], r["rhs"], r["holds"]) for r in reports][:3] == [(0.0, 0.0, False)] * 3
+
+
 def test_timing_flag_controls_elapsed():
     _, out = run_cli(["constants", "table"])
     assert json.loads(out)["elapsed_ms"] == 0
@@ -213,6 +304,17 @@ BAD_INPUTS = {
     "verify with zero jobs": (["verify", "--jobs", "0"], None, {}),
     "zero maxc kappa": (["constants", "maxc", "-R", "8", "--kappa", "0"], None, {}),
     "negative maxc kappa": (["constants", "maxc", "-R", "8", "--kappa", "-1"], None, {}),
+    "tol on floor": (["floor", "-n", "97", "-c", "6/5", "--tol", "0"], None, {}),
+    "tol on regime": (["constants", "regime", "-c", "3", "--tol", "5"], None, {}),
+    "zero census jobs": (["census", "--x", "100", "-c", "3/2", "-R", "2", "--jobs", "0"], None, {}),
+    "jobs before the subcommand": (["--jobs", "2", "census", "--x", "100", "-c", "3/2", "-R", "2"], None, {}),
+    "removed member_bits cap": (["constants", "table"], None, {"PSC_LAB_CAP": "member_bits=200"}),
+    "removed triple_x cap": (["constants", "table"], None, {"PSC_LAB_CAP": "triple_x=5"}),
+    "huge sigma c": (["constants", "sigma", "-c", "1e400"], None, {}),
+    "huge rbound c": (["constants", "rbound", "-c", "1e400"], None, {}),
+    "huge margins c": (["constants", "margins", "-c", "1e400"], None, {}),
+    "huge lemma23 c": (["constants", "lemma23", "-c", "1e400", "--theta", "1/100"], None, {}),
+    "rbound beyond float range": (["constants", "rbound", "-c", "1e120"], None, {}),
 }
 
 

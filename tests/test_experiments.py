@@ -229,6 +229,17 @@ def test_members_overflow_guard():
         ex.members(10**6, "132/10")  # would exceed 2^127
 
 
+def test_members_reach_up_to_factors_bound():
+    # the largest floor, at p = 997, has 127 bits: below 2^127, so it is a member
+    ps, vals = ex.members(1000, "127/10")
+    assert vals.dtype == object and max(vals).bit_length() == 127
+    assert ex.residue_histogram(1000, "127/10", 7).counts == tuple(
+        sum(1 for v in vals if v % 7 == s) for s in range(7)
+    )
+    with pytest.raises(ex.Overflow):
+        ex.members(1100, "126/10")  # 128 bits at p = 1097
+
+
 def test_invalid_args():
     with pytest.raises(OutOfRange):
         ex.almost_prime_census(100, "3/2", 0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pclab import expsum as es
-from pclab.errors import NonPositiveRho, RangeTooLarge
+from pclab.errors import Caps, NonPositiveRho, RangeTooLarge
 from pclab.exactpow import frac_phase, frac_scaled_pow
 
 
@@ -135,6 +135,17 @@ def test_trilinear_against_direct_loop():
 def test_triple_sum_h_zero():
     r = es.triple_sum(100, 2, 0, "3/2")
     assert r.value == 0j
+
+
+def test_triple_sum_bounds():
+    # H*D*x is checked before the von Mangoldt table of 2x is built
+    with pytest.raises(RangeTooLarge, match="H\\*D\\*x"):
+        es.triple_sum(10**7, 1, 10**3, "3/2")
+    # x itself is bounded by the table's cap, at mangoldt_x / 2
+    caps = Caps(mangoldt_x=200)
+    assert es.triple_sum(100, 1, 1, "3/2", caps=caps).params["prime_powers"] > 0
+    with pytest.raises(RangeTooLarge, match="von Mangoldt"):
+        es.triple_sum(101, 1, 1, "3/2", caps=caps)
 
 
 def test_triple_sum_loop_order_invariance():
