@@ -428,8 +428,27 @@ def _dispatch(args, caps, emit: Emitter) -> int:
     return 0
 
 
+def _refuse_scoped_before_command(argv: list[str]) -> None:
+    """Refuse a scoped flag given before the subcommand, by name.
+
+    The root parser does not know the scoped flags, so it would pass over one
+    there and read its value as the command.
+    """
+    takes_value = {flag for flag, kw in _GLOBAL_FLAGS if "action" not in kw}  # not --timing
+    args = iter(argv)
+    for arg in args:
+        flag = arg.partition("=")[0]
+        if flag.startswith("--") and flag[2:] in _SCOPED_TYPES:
+            raise OutOfRange(f"{flag} goes after the subcommand, not before it")
+        if arg in takes_value:
+            next(args, None)
+        elif not arg.startswith("-"):
+            return  # the subcommand
+
+
 def run(argv: list[str]) -> int:
     try:
+        _refuse_scoped_before_command(argv)
         ap = build_parser()
         _apply_config(ap, argv)
         args = ap.parse_args(argv)

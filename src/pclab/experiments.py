@@ -4,15 +4,17 @@
 below 2^62 (``factor.TWO62``) they come from ``floor_pow_batch`` as one int64
 array, above it from ``floor_pow`` one by one as Python ints.
 
-Census counts are exact.  On int64 members the squarefree and almost-prime
-censuses decide them all at once with ``factor.signature_arrays``: trial
-division to the cube root of the largest member leaves a cofactor with at
-most two prime factors, so squarefreeness follows from a perfect-square test
-and Omega <= R needs ``is_prime`` only where the cofactor's primality decides
-it.  Larger members, and every member of ``ps_prime_count``, are decided one
-by one by ``_count``, in chunks of the member list; with ``jobs > 1`` the
-chunks run in a process pool, and their counts are combined in fixed chunk
-order, so worker count never changes a result.
+Census counts are exact.  Every census decides int64 members all at once,
+through array kernels.  The squarefree and almost-prime censuses use
+``factor.signature_arrays``: trial division to the cube root of the largest
+member leaves a cofactor with at most two prime factors, so squarefreeness
+follows from a perfect-square test, and Omega <= R needs
+``factor.is_prime_array`` only on the cofactors whose primality decides it.
+``ps_prime_count`` decides its members with ``is_prime_array`` itself.
+Object members (2^62 and above) are decided one by one by ``_count``, in
+chunks of the member list; with ``jobs > 1`` the chunks run in a process
+pool, and their counts are combined in fixed chunk order, so worker count
+never changes a result.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow
 from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
-from .factor import TWO62, TWO127, factor_signature, is_prime, signature_arrays
+from .factor import TWO62, TWO127, factor_signature, is_prime, is_prime_array, signature_arrays
 from .primes import primes_in
 
 _CHUNK = 1 << 13
@@ -145,13 +147,13 @@ def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
 
     The cofactor adds 0 (it is 1), 1 (a prime) or 2 (composite) to the small
     count, so only where small count + 1 == R does its primality decide;
-    ``is_prime`` settles those few, deterministically below 2^64.
+    ``is_prime_array`` settles those few, deterministically below 2^64.
     """
     omega_small, _, cofactor = signature_arrays(vals)
     big = cofactor > 1
     within = omega_small + 2 * big <= R
-    edge = np.flatnonzero(big & (omega_small + 1 == R))
-    within[edge] = [is_prime(int(m)) for m in cofactor[edge]]
+    edge = big & (omega_small + 1 == R)
+    within[edge] = is_prime_array(cofactor[edge])
     return within
 
 
@@ -187,7 +189,10 @@ def ps_prime_count(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> Ps
     """Pi_c(x) = |{p <= x : floor(p^c) prime}|, with Balog's normalization."""
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    count = _count(is_prime, vals, jobs)
+    if vals.dtype == np.int64:
+        count = int(np.count_nonzero(is_prime_array(vals)))
+    else:
+        count = _count(is_prime, vals, jobs)
     balog_ref = x / (float(c) * math.log(x) ** 2)
     return PsPrimeReport(x, c, count, int(ps.size), balog_ref)
 

@@ -8,7 +8,10 @@ Brent-cycle Pollard rho with a deterministic constant sequence, so repeated
 runs agree bit for bit.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
-once, by trial division to the cube root of its largest element.
+once, by trial division to the cube root of its largest element, and
+``is_prime_array`` decides primality for a whole int64 array: one numpy
+strong test to the bases of ``_MR_TIERS``'s tier for its largest element
+below 2^50, with ``is_prime`` one by one from 2^50 on.
 """
 from __future__ import annotations
 
@@ -95,6 +98,83 @@ def signature_arrays(vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             squarefree[hit] = False  # p divides these at least twice
     squarefree &= ~_square_above_one(cofactor)
     return omega_small, squarefree, cofactor
+
+
+_MULMOD_LIMIT = 1 << 50
+
+
+def is_prime_array(vals) -> np.ndarray:
+    """is_prime(v) for each v of an int64 array, deterministic below 2^64.
+
+    The screen is primality's: the bases themselves are prime, their
+    multiples composite, and what is left below 37^2 prime.  The rest below
+    2^50 take the strong test together, to the _intmath._MR_TIERS bases of
+    the tier of their largest element; each tier is deterministic below its
+    bound, so for every element of the array.  Base by base, an element
+    leaves as soon as a base witnesses it composite.  Elements from 2^50 on
+    go to is_prime one by one.
+    """
+    vals = np.asarray(vals)
+    if vals.dtype != np.int64 or vals.ndim != 1:
+        raise OutOfRange("is_prime_array needs a 1-D int64 array")
+    prime = np.isin(vals, _intmath.MR_BASES_64)
+    rest = vals > _intmath.MR_BASES_64[-1]
+    for p in _intmath.MR_BASES_64:
+        rest &= vals % p != 0
+    prime |= rest & (vals < 37 * 37)
+    rest &= vals >= 37 * 37
+    big = np.flatnonzero(rest & (vals >= _MULMOD_LIMIT))
+    prime[big] = [is_prime(v) for v in vals[big].tolist()]
+    idx = np.flatnonzero(rest & (vals < _MULMOD_LIMIT))
+    if not idx.size:
+        return prime
+    n = vals[idx]
+    top = int(n.max())
+    bases = next(bases for bound, bases in _intmath._MR_TIERS if top < bound)
+    # n - 1 = d * 2^s with d odd; the lowest set bit of n - 1 is 2^s
+    low = (n - 1) & (1 - n)
+    d = (n - 1) // low
+    s = np.frexp(low.astype(np.float64))[1] - 1
+    for a in bases:
+        x = _powmod(np.full(n.shape, a, dtype=np.int64), d, n)
+        passed = (x == 1) | (x == n - 1)
+        for i in range(1, int(s.max())):
+            x = _mulmod(x, x, n)
+            passed |= (x == n - 1) & (i < s)
+        idx, n, d, s = idx[passed], n[passed], d[passed], s[passed]
+        if not idx.size:
+            return prime
+    prime[idx] = True
+    return prime
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a*b mod n for int64 arrays with 0 <= a, b < n < 2^50.
+
+    Error argument (the float quotient of Barrett, CRYPTO '86; Moller &
+    Granlund, IEEE TC 60(2), 2011): a, b and n are exact in float64, and
+    ab/n < n - 1 < 2^50.  Rounding a*b and then the quotient errs by a
+    relative (1 + 2^-53)^2 - 1 = 2^-52 + 2^-106, so the float quotient is
+    within (2^50 - 1)(2^-52 + 2^-106) < 1/4 of ab/n, and q = floor of it is
+    within 1 of floor(ab/n).  Then r = ab - q*n lies in [-n, 2n), so
+    |r| < 2^51: the int64 products wrap modulo 2^64, but their difference is
+    exactly r.  One correction of n either way brings r into [0, n).
+    """
+    q = np.floor(a.astype(np.float64) * b.astype(np.float64) / n.astype(np.float64)).astype(np.int64)
+    r = a * b - q * n
+    r += n * (r < 0)
+    r -= n * (r >= n)
+    return r
+
+
+def _powmod(a: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a^e mod n elementwise, by square-and-multiply; 0 <= a < n < 2^50, e >= 0."""
+    r = np.ones_like(n)
+    for bit in range(int(e.max()).bit_length()):
+        if bit:
+            a = _mulmod(a, a, n)
+        r = np.where((e >> bit) & 1 == 1, _mulmod(r, a, n), r)
+    return r
 
 
 def _square_above_one(m: np.ndarray) -> np.ndarray:

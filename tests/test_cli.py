@@ -132,6 +132,17 @@ def test_a_flag_a_command_does_not_read_is_a_usage_error(capsys):
     assert refused == 75
 
 
+def test_a_scoped_flag_before_the_subcommand_is_named(capsys):
+    for path, flags in _SCOPED_FLAGS.items():
+        for flag in flags:
+            value = _SCOPED_VALUES[flag]
+            for given in ([flag, value], [f"{flag}={value}"], ["--format", "jsonl", flag, value]):
+                code, out = run_cli([*given, *path, *_LEAF_ARGV[path]])
+                err = capsys.readouterr().err.splitlines()
+                assert code == 1 and out == "", given
+                assert err == [f"pclab: {flag} goes after the subcommand, not before it"], given
+
+
 def test_resource_cap_exit_code():
     code, _ = run_cli(["psprimes", "--x", "1e11", "-c", "3/2"])
     assert code == 3
@@ -308,6 +319,8 @@ BAD_INPUTS = {
     "tol on regime": (["constants", "regime", "-c", "3", "--tol", "5"], None, {}),
     "zero census jobs": (["census", "--x", "100", "-c", "3/2", "-R", "2", "--jobs", "0"], None, {}),
     "jobs before the subcommand": (["--jobs", "2", "census", "--x", "100", "-c", "3/2", "-R", "2"], None, {}),
+    "tol= before the subcommand": (["--tol=1e-3", "discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3"],
+                                   None, {}),
     "removed member_bits cap": (["constants", "table"], None, {"PSC_LAB_CAP": "member_bits=200"}),
     "removed triple_x cap": (["constants", "table"], None, {"PSC_LAB_CAP": "triple_x=5"}),
     "huge sigma c": (["constants", "sigma", "-c", "1e400"], None, {}),
@@ -315,6 +328,12 @@ BAD_INPUTS = {
     "huge margins c": (["constants", "margins", "-c", "1e400"], None, {}),
     "huge lemma23 c": (["constants", "lemma23", "-c", "1e400", "--theta", "1/100"], None, {}),
     "rbound beyond float range": (["constants", "rbound", "-c", "1e120"], None, {}),
+}
+
+# the whole stderr line of the cases whose message is pinned
+BAD_INPUT_MESSAGES = {
+    "jobs before the subcommand": "pclab: --jobs goes after the subcommand, not before it",
+    "tol= before the subcommand": "pclab: --tol goes after the subcommand, not before it",
 }
 
 
@@ -333,6 +352,7 @@ def test_bad_input_is_one_line_exit_1(case, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pclab: ")
+    assert lines[0] == BAD_INPUT_MESSAGES.get(case, lines[0])
     assert proc.stdout == ""
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclab import experiments as ex
+from pclab import experiments as ex, factor
 from pclab.acceptance import _omega_oracle
 from pclab.errors import OutOfRange
 from pclab.exactpow import floor_pow
-from pclab.factor import factor_signature, signature_arrays
+from pclab.factor import factor_signature, is_prime, signature_arrays
 
 # members of floor(p^1.5) for p <= 20: {2, 5, 11, 18, 36, 46, 70, 82}
 
@@ -167,8 +167,8 @@ def test_censuses_match_signatures_at_high_members():
 
 
 def test_int64_censuses_make_no_signature_calls(monkeypatch):
-    prime_calls = []
-    is_prime = ex.is_prime
+    prime_calls, array_sizes = [], []
+    is_prime, is_prime_array = ex.is_prime, ex.is_prime_array
 
     def no_signature(n):
         raise AssertionError(f"factor_signature({n}) on the int64 path")
@@ -177,13 +177,28 @@ def test_int64_censuses_make_no_signature_calls(monkeypatch):
         prime_calls.append(n)
         return is_prime(n)
 
+    def counting_is_prime_array(vals):
+        array_sizes.append(len(vals))
+        return is_prime_array(vals)
+
     monkeypatch.setattr(ex, "factor_signature", no_signature)
     monkeypatch.setattr(ex, "is_prime", counting_is_prime)
+    monkeypatch.setattr(factor, "is_prime", counting_is_prime)  # is_prime_array's fallback
+    monkeypatch.setattr(ex, "is_prime_array", counting_is_prime_array)
     assert ex.squarefree_census(10**6, "7/5").count == 47714
-    assert prime_calls == []
+    assert prime_calls == [] and array_sizes == []
     # only members whose cofactor's primality decides Omega <= 8 are tested
     assert ex.almost_prime_census(10**6, "10521/10000", 8).count == 77157
-    assert len(prime_calls) == 906
+    assert prime_calls == [] and array_sizes == [906]
+
+
+def test_ps_prime_count_matches_the_scalar_count():
+    # members of 29/10 at 2e4 reach 2^42; those of 31/10 at 2^20 run to just
+    # below 2^62, so the ones from 2^50 on take is_prime_array's fallback
+    for x, c, bits in ((2 * 10**4, "29/10", 42), (2**20, "31/10", 62)):
+        _, vals = ex.members(x, c)
+        assert vals.dtype == np.int64 and int(vals.max()).bit_length() == bits
+        assert ex.ps_prime_count(x, c).count == ex._count(is_prime, vals, 1), c
 
 
 def test_star_discrepancy_point_formula():

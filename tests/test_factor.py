@@ -68,6 +68,58 @@ def test_mr_tier_bounds_are_pseudoprimes_of_their_tier():
     assert factor.is_prime(2**64 - 59)  # the largest prime below 2^64
 
 
+def test_is_prime_array_agrees_with_the_sieve():
+    got = factor.is_prime_array(np.arange(1, 10**6 + 1, dtype=np.int64))
+    assert (np.flatnonzero(got) + 1).tolist() == _simple_sieve(10**6).tolist()
+
+
+def test_is_prime_array_rejects_each_tier_bound_below_2_50():
+    for n, _ in TIER_PSEUDOPRIMES:
+        if n >= 1 << 50:
+            continue
+        assert factor.is_prime_array(np.array([n], dtype=np.int64)).tolist() == [False], n
+        # just below n the array takes n's own tier, the one that n passes;
+        # with n itself added it takes the next tier
+        below = np.arange(n - 1000, n, dtype=np.int64)
+        assert factor.is_prime_array(below).tolist() == [factor.is_prime(v) for v in below.tolist()], n
+        assert not factor.is_prime_array(np.append(below, n))[-1], n
+
+
+def test_is_prime_array_agrees_with_is_prime_below_2_50():
+    vals = np.random.default_rng(12).integers(0, 1 << 50, size=10**5, dtype=np.int64)
+    assert factor.is_prime_array(vals).tolist() == [factor.is_prime(v) for v in vals.tolist()]
+
+
+def test_is_prime_array_falls_back_to_is_prime_from_2_50(monkeypatch):
+    rng = np.random.default_rng(13)
+    big = [2**61 - 1, 2**62 - 1, 3825123056546413051, 2**50 + 1, 2**50 + 3]
+    vals = np.concatenate([rng.integers(1 << 50, 1 << 62, size=2000, dtype=np.int64),
+                           np.array(big, dtype=np.int64), np.arange(2**50 - 200, 2**50, dtype=np.int64)])
+    want = [factor.is_prime(v) for v in vals.tolist()]
+    scalar = []
+    is_prime = factor.is_prime
+
+    def counting(n):
+        scalar.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(factor, "is_prime", counting)
+    got = factor.is_prime_array(vals)
+    assert got.tolist() == want
+    assert got[2000] and not got[2002]  # 2^61 - 1 is prime; 3825123056546413051 is not
+    assert scalar and min(scalar) >= 2**50
+
+
+def test_is_prime_array_small_values():
+    assert factor.is_prime_array(np.array([], dtype=np.int64)).tolist() == []
+    vals = [0, 1, 2, 3, 4, 37, 41, 1367, 37 * 37 - 1, 37 * 37, 37 * 41, -7]
+    want = [False, False, True, True, False, True, True, True, False, False, False, False]
+    assert factor.is_prime_array(np.array(vals, dtype=np.int64)).tolist() == want
+    for bad in (np.array([5], dtype=object), np.array([[5]], dtype=np.int64)):
+        with pytest.raises(OutOfRange):
+            factor.is_prime_array(bad)
+
+
 def test_factorize_when_the_last_trial_prime_divides_out_the_rest():
     # 99991 is the largest prime in small_primes(): dividing it out can leave
     # m == 1 after the trial loop, which must not reach the rho stage
