@@ -25,6 +25,11 @@ doubled until the enclosure excludes every integer.
 
 Integer values (perfect powers) are the only inputs on which intervals
 could not terminate; they are recognised, and returned exactly.
+
+floor_pow_batch decides an int64 array of floors in three stages, each with
+a written error bound: a float64 log/exp pass, then for den <= 64 one
+double-word Newton step on the elements it leaves, and floor_pow on what
+is still within the bound of an integer.
 """
 from __future__ import annotations
 
@@ -325,9 +330,9 @@ def floor_pow(n: int, c, caps: Caps = DEFAULT_CAPS) -> int:
     return _floor_root(n, c.num, c.den, 0, caps)
 
 
-def _float_floors(ns: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray]:
-    """(floors, bad): float64 floors of n**c as int64, and where they are not
-    certified (their floors are left 0).  The float temporaries die here."""
+def _float_floors(ns: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(floors, bad, v): the float stage's floors of n**c as int64, where they
+    are not certified (left 0), and v = n**c in float64."""
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite v is bad
         v = np.exp(c.num / c.den * np.log(ns.astype(np.float64)))
         fl = np.floor(v)
@@ -335,29 +340,166 @@ def _float_floors(ns: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.n
     margin = v * _FLOAT_REL_MARGIN
     bad = (frac <= margin) | (frac >= 1.0 - margin) | ~np.isfinite(v)
     fl[bad] = 0.0
-    return fl.astype(np.int64), bad
+    return fl.astype(np.int64), bad, v
+
+
+# Veltkamp's splitter 2^27 + 1: a float splits into two 26-bit halves
+_SPLIT = float((1 << 27) + 1)
+
+# elements per double-word pass, which bounds its temporaries
+_DW_CHUNK = 1 << 14
+
+# the double-word stage's error terms (floor_pow_batch): the float stage's
+# relative error below 2^62, one double-word product's, and the unit roundoff
+_FLOAT_REL_ERR = 2.0 ** -39
+_DW_MUL_ERR = 2.0 ** -100
+_U = 2.0 ** -53
+
+_TWO62 = 2.0 ** 62
+
+
+def _dw_mul(xh, xl, yh, yl):
+    """(h, l, k): x * y = (h + l) * 2^k for double words x and y whose high
+    parts lie in [1/2, 1), with h in [1/2, 1) again.
+
+    Dekker's two-product (exact, split by Veltkamp) plus the rounded cross
+    terms, summed by Fast2Sum; the scaling by 2^-k is exact.
+    """
+    p = xh * yh
+    t = _SPLIT * xh
+    ah = t - (t - xh)
+    al = xh - ah
+    t = _SPLIT * yh
+    bh = t - (t - yh)
+    bl = yh - bh
+    e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (xh * yl + xl * yh)
+    h = p + e
+    m, k = np.frexp(h)
+    return m, np.ldexp(e - (h - p), -k), k
+
+
+def _dw_pow(h, l, k, e: int):
+    """x^e = (h' + l') * 2^k' for x = (h + l) * 2^k with h in [1/2, 1), by
+    left-to-right square-and-multiply: bit_length(e) + bit_count(e) - 2
+    double-word products."""
+    rh, rl, rk = h, l, k
+    for bit in bin(e)[3:]:
+        rh, rl, s = _dw_mul(rh, rl, rh, rl)
+        rk = 2 * rk + s
+        if bit == "1":
+            rh, rl, s = _dw_mul(rh, rl, h, l)
+            rk = rk + k + s
+    return rh, rl, rk
+
+
+def _newton(ns: np.ndarray, y0: np.ndarray, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): one Newton step on y^den = n^num from y0, in double words.
+
+    hi + lo = y0 + y0 (A - Y) / (den Y), exactly by Fast2Sum, for the
+    double-word A = n^num and Y = y0^den.  Needs 1 < n < 2^62 and y0 within
+    a relative 2^-39 of n^(num/den).
+    """
+    nh = ns.astype(np.float64)
+    nm, nk = np.frexp(nh)
+    nl = np.ldexp((ns - nh.astype(np.int64)).astype(np.float64), -nk)
+    ah, al, ak = _dw_pow(nm, nl, nk, num)
+    ym, yk = np.frexp(y0)
+    bh, bl, bk = _dw_pow(ym, np.zeros_like(ym), yk, den)
+    s = bk - ak  # -1, 0 or 1, since A / Y is within 2^-32 of 1
+    bh, bl = np.ldexp(bh, s), np.ldexp(bl, s)
+    corr = y0 * (((ah - bh) + (al - bl)) / bh) / den
+    hi = y0 + corr
+    return hi, corr - (hi - y0)
+
+
+def _newton_margin(hi: np.ndarray, c: RationalExponent) -> np.ndarray:
+    """B, the bound on |hi + lo - n^c| and the floor step (floor_pow_batch)."""
+    chain = sum(e.bit_length() + e.bit_count() - 2 for e in (c.num, c.den))
+    k = c.den * _FLOAT_REL_ERR ** 2 / 2 + 6 * _U * _FLOAT_REL_ERR + 2 * chain * _DW_MUL_ERR
+    return hi * k + 2.0 ** -52
+
+
+def _newton_floors(ns: np.ndarray, y0: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray]:
+    """(floors, ok): the double-word stage's int64 floors of ns**c, from the
+    float guesses y0, and which of them it certifies."""
+    floors = np.zeros(ns.size, dtype=np.int64)
+    ok = np.zeros(ns.size, dtype=bool)
+    for i in range(0, ns.size, _DW_CHUNK):
+        part = slice(i, i + _DW_CHUNK)
+        hi, lo = _newton(ns[part], y0[part], c.num, c.den)
+        fh = np.floor(hi)
+        f = (hi - fh) + lo  # lo itself when hi is an integer, else in (0, 1)
+        fl = np.floor(f)
+        g = f - fl
+        ok[part] = (np.minimum(g, 1.0 - g) > _newton_margin(hi, c)) & (hi < _TWO62)
+        floors[part] = fh.astype(np.int64) + fl.astype(np.int64)
+    return floors, ok
 
 
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """Certified floor(n**c) for an int64 array of n.
+    """Certified floor(n**c) for an int64 array of n, in three stages.
 
-    Fast path: v = exp(c * log(n)) in float64.  An element is recomputed by
-    floor_pow when v is not finite or lies within v * 1e-12 of an integer.
-    From v ~ 5e11 on that margin exceeds 1/2, so every element there is
-    recomputed, and an accepted v is below 5e11 < 2^39.  The margin bounds
-    the float error there, with u = 2^-52 and Y = ln(n^c) < 39 ln 2 < 27.1:
+    1. Float: v = exp(c * log(n)) in float64.  Its floor stands when v is
+       finite and lies farther than v * 1e-12 from an integer.
+    2. Double word, for den <= 64: an element the float stage leaves, with
+       n > 1 and v < 2^62, takes one Newton step on y^den = n^num from
+       y0 = v.  A = n^num and Y = y0^den are formed by square-and-multiply
+       in double words (Dekker's two-product with a Veltkamp split; each
+       product is scaled back to [1/2, 1) by an exact power of two, so
+       nothing overflows), and (hi, lo) = two_sum(y0, y0 (A - Y) / (den Y)).
+       Its floor stands when hi < 2^62 and hi + lo lies farther than
+
+         B = hi (den e^2 / 2 + 6 u e + 2 L m) + 2^-52
+
+       from an integer, with e = 2^-39, u = 2^-53, m = 2^-100 and L the
+       number of products in the two chains.
+    3. Exact: every other element is recomputed by floor_pow.
+
+    Stage 1 error argument.  From v ~ 5e11 on the margin exceeds 1/2, so an
+    accepted v is below 5e11 < 2^39.  The margin bounds the float error
+    there, with u' = 2^-52 and Y = ln(n^c) < 39 ln 2 < 27.1:
 
     * c rounded to a float, the product c * log(n) and the floor step each
-      round correctly (relative error <= u/2; v - floor(v) is exact);
-    * log and exp add at most k ulps each (relative error <= k u);
-    * so c * log(n) is off by at most Y (1 + k) u in absolute terms, which
+      round correctly (relative error <= u'/2; v - floor(v) is exact);
+    * log and exp add at most k ulps each (relative error <= k u');
+    * so c * log(n) is off by at most Y (1 + k) u' in absolute terms, which
       exp turns into a relative error, and v is off by a relative
-      (Y (1 + k) + k) u < (28.1 k + 27.1) u.
+      (Y (1 + k) + k) u' < (28.1 k + 27.1) u'.
 
     1e-12 exceeds that for any k <= 150 ulps, far beyond numpy's libm.  A
     float whose distance to the nearest integer exceeds the error has the
-    true floor.  Raises Overflow when a floor reaches 2^63, decided on the
-    recomputed exact floors.
+    true floor.
+
+    Stage 2 error argument, with y = n^c and y0 = y (1 + e0):
+
+    * |e0| <= e: the same argument with Y < ln(2^62) < 43 gives
+      (44 k + 43) u' <= 6643 u' < 2^-39 for k <= 150 (n >= 2^53 rounded to
+      a float adds c u'/2 more, within the slack).
+    * Newton's quadratic term.  The exact step gives y (1 + f(e0)) with
+      0 <= f(e0) <= (den - 1) e0^2 / 2 (1 - e)^-(den + 1), the first term.
+    * Each double-word product (Dekker, Numer. Math. 18, 1971) is off by a
+      relative 8 u^2 (1 + 4 u) < m: three rounded cross terms, their two
+      sums and the dropped lo * lo, each at most 3 u^2 of the product (cf.
+      the FMA variants in Joldes, Muller and Popescu, ACM TOMS 44(2), 2017).
+      Over the L products A / Y is off by below 1.01 L m, which moves the
+      correction by below 1.02 L m y / den; the third term.
+    * The correction, below 1.01 e y, takes five roundings: the sum of the
+      differences (ah - bh is exact by Sterbenz), the division by Y's high
+      part (dropping its low part), the product with y0 and the division
+      by den; a relative 5.01 u, the second term.  Rounding al - bl adds
+      below 2.1 u^2 y / den, inside the third.
+    * two_sum is exact.  The floor is floor(hi) + floor(f) for
+      f = (hi - floor(hi)) + lo, which is lo itself when hi is an integer
+      and otherwise rounds by at most 2^-53 inside (0, 1).  With
+      g = f - floor(f) (exact) the distance is min(g, 1 - g), and 1 - g
+      rounds by at most 2^-53 more: the 2^-52.
+    * y < hi (1 + 2^-30), which den / 2 over (den - 1) / 2 and the rounded
+      up constants absorb.
+
+    An element within B of an integer escalates to stage 3 (Ziv, ACM TOMS
+    17(3), 1991), so _floor_root stays the one certifier.  n = 1 is a
+    perfect power, left to stage 3.  Raises Overflow when a floor reaches
+    2^63, decided on the recomputed exact floors.
     """
     c = as_exponent(c)
     ns = np.asarray(ns, dtype=np.int64)
@@ -365,7 +507,13 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if int(ns.min()) < 1:
         raise OutOfRange("floor_pow_batch needs n >= 1")
-    out, bad = _float_floors(ns, c)
+    out, bad, v = _float_floors(ns, c)
+    if c.den <= _EXACT_ROOT_MAX_DEN:
+        idx = np.flatnonzero(bad & (v < _TWO62) & (ns > 1))
+        floors, ok = _newton_floors(ns[idx], v[idx], c)
+        out[idx[ok]] = floors[ok]
+        bad[idx[ok]] = False
+    del v
     idx = np.flatnonzero(bad)
     exact = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
     if exact and max(exact) >= 1 << 63:

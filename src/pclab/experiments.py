@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from ._json import Report
-from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow
+from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow, RangeTooLarge
 from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
 from .factor import TWO62, TWO127, factor_signature, is_prime, is_prime_array, signature_arrays
 from .primes import primes_in
@@ -202,9 +202,16 @@ def _residue_counts(vals: np.ndarray, d: int) -> np.ndarray:
     return np.bincount((vals % d).astype(np.int64, copy=False), minlength=d)
 
 
-def residue_histogram(x: int, c, d: int, *, caps: Caps = DEFAULT_CAPS) -> ResidueHistogram:
+def _check_modulus(name: str, d: int, caps: Caps) -> None:
+    """A modulus sizes one int64 table of counts, capped like a von Mangoldt table."""
     if d < 1:
-        raise OutOfRange("need d >= 1")
+        raise OutOfRange(f"need {name} >= 1")
+    if d > caps.mangoldt_x:
+        raise RangeTooLarge(f"{name}={d} exceeds the table cap {caps.mangoldt_x}")
+
+
+def residue_histogram(x: int, c, d: int, *, caps: Caps = DEFAULT_CAPS) -> ResidueHistogram:
+    _check_modulus("d", d, caps)
     c = as_exponent(c)
     _, vals = members(x, c, caps=caps)
     return ResidueHistogram(x, c, d, tuple(int(v) for v in _residue_counts(vals, d)))
@@ -225,8 +232,7 @@ def level_error(
     over s coprime to d (over all s with all_residues=True); f is the
     expected multiplicative model, identically 1 by default.
     """
-    if D < 1:
-        raise OutOfRange("need D >= 1")
+    _check_modulus("D", D, caps)
     if f_model != "unit":
         raise OutOfRange(f"unknown f model {f_model!r}")
     c = as_exponent(c)

@@ -328,6 +328,16 @@ BAD_INPUTS = {
     "huge margins c": (["constants", "margins", "-c", "1e400"], None, {}),
     "huge lemma23 c": (["constants", "lemma23", "-c", "1e400", "--theta", "1/100"], None, {}),
     "rbound beyond float range": (["constants", "rbound", "-c", "1e120"], None, {}),
+    "histogram d past int64": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e30"], None, {}),
+    "histogram d past the table cap": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e11"], None, {}),
+    "leveldist D past int64": (["leveldist", "--x", "2", "-c", "3/2", "--D", "1e30"], None, {}),
+}
+
+# cases that end on a resource cap, exit 3; every other case exits 1
+BAD_INPUT_CODES = {
+    "histogram d past int64": 3,
+    "histogram d past the table cap": 3,
+    "leveldist D past int64": 3,
 }
 
 # the whole stderr line of the cases whose message is pinned
@@ -348,7 +358,7 @@ def test_bad_input_is_one_line_exit_1(case, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra_env}
     proc = subprocess.run([sys.executable, "-m", "pclab.cli", *argv], capture_output=True, text=True,
                           env=env, timeout=120)
-    assert proc.returncode == 1
+    assert proc.returncode == BAD_INPUT_CODES.get(case, 1)
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("pclab: ")

@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from pclab import _intmath
 from pclab import exactpow as ep
 from pclab.errors import DEFAULT_CAPS, IntegerExponent, NotAFraction, OutOfRange, Overflow
+from pclab.primes import primes_in
 
 # floor_exact_bits=0 sends every power through the interval path
 INTERVAL_CAPS = replace(DEFAULT_CAPS, floor_exact_bits=0)
@@ -155,9 +156,9 @@ def test_floor_pow_batch_agrees_with_scalar():
 @pytest.mark.parametrize("cc", ["10521/10000", "3/2", "5/2"])
 @pytest.mark.parametrize("cut_bits", [38, 52])
 def test_floor_pow_batch_at_the_float_cut(cc, cut_bits, monkeypatch):
-    # from about 2^39 on the float path's margin exceeds 1/2 and every element
-    # escalates, so 2^38 is the largest v it decides itself; 2^52, where the
-    # float spacing reaches 1, lies well inside the escalated range
+    # from about 2^39 on the float stage's margin exceeds 1/2, so 2^38 is the
+    # largest v it decides itself; at 2^52, where the float spacing reaches 1,
+    # the double-word stage decides den <= 64 and every den-10^4 floor escalates
     c = ep.as_exponent(cc)
     lo, hi = 1, 2**cut_bits
     while hi - lo > 1:  # largest n with n^c < 2^cut_bits
@@ -166,10 +167,23 @@ def test_floor_pow_batch_at_the_float_cut(cc, cut_bits, monkeypatch):
     ns = np.arange(lo - 1499, lo + 2, dtype=np.int64)
     want = [ep.floor_pow(int(n), c) for n in ns]
     assert want[-3] < 2**cut_bits <= want[-1]
-    escalated = []
+    flagged, escalated = [], []
+    real_float_floors = ep._float_floors
+
+    def float_floors(ns, c):
+        out = real_float_floors(ns, c)
+        flagged.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(ep, "_float_floors", float_floors)
     monkeypatch.setattr(ep, "floor_pow", lambda n, c, caps: escalated.append(n) or want[n - int(ns[0])])
     assert ep.floor_pow_batch(ns, c).tolist() == want
-    assert (len(escalated) < len(ns)) == (cut_bits == 38)
+    if cut_bits == 38:
+        assert flagged[0] < len(ns)
+    elif c.den <= 64:
+        assert flagged[0] == len(ns) and len(escalated) <= 3
+    else:
+        assert len(escalated) == len(ns)
 
 
 @pytest.mark.filterwarnings("error")
@@ -180,6 +194,74 @@ def test_floor_pow_batch_overflow_is_decided_exactly():
     for ns, cc in (([n - 1, n], "3/2"), ([10**7], "31/10"), ([2, 3 * 10**18], "35/2")):
         with pytest.raises(Overflow):
             ep.floor_pow_batch(ns, cc)
+
+
+def is_exact_floor(n: int, c, r: int) -> bool:
+    return r**c.den <= n**c.num < (r + 1) ** c.den
+
+
+@pytest.mark.parametrize("x, cc", [(2 * 10**6, "11/5"), (2 * 10**6, "5/2")])
+def test_floor_pow_batch_escalation_count(x, cc, monkeypatch):
+    # every member above v ~ 5e11 takes the double-word stage, in many
+    # chunks; none is near enough an integer to reach floor_pow
+    c = ep.as_exponent(cc)
+    ps = primes_in(0, x)
+    escalated = []
+    real_floor_pow = ep.floor_pow
+    monkeypatch.setattr(ep, "floor_pow", lambda n, c, caps: escalated.append(n) or real_floor_pow(n, c, caps))
+    out = ep.floor_pow_batch(ps, c)
+    assert escalated == []
+    assert all(is_exact_floor(n, c, r) for n, r in zip(ps.tolist(), out.tolist()))
+
+
+def test_floor_pow_batch_perfect_powers_escalate(monkeypatch):
+    # k^den makes n^c the integer k^num, which no margin certifies; its
+    # neighbours need not escalate, but come back exact too
+    real_floor_pow = ep.floor_pow
+    for cc, kmax in (("3/2", 2**20), ("5/2", 2**12), ("11/5", 48), ("7/3", 2**8)):
+        c = ep.as_exponent(cc)
+        ks = sorted({2, 3, kmax, *random.Random(cc).sample(range(2, kmax), 40)})
+        powers = [k**c.den for k in ks]
+        ns = np.array([m for p in powers for m in (p - 1, p, p + 1)], dtype=np.int64)
+        escalated = []
+        monkeypatch.setattr(ep, "floor_pow", lambda n, c, caps: escalated.append(n) or real_floor_pow(n, c, caps))
+        out = ep.floor_pow_batch(ns, c).tolist()
+        assert set(powers) <= set(escalated)
+        assert all(is_exact_floor(n, c, r) for n, r in zip(ns.tolist(), out))
+        assert [out[3 * i + 1] for i in range(len(ks))] == [k**c.num for k in ks]
+
+
+@pytest.mark.parametrize("cc", ["11/5", "5/2", "3/2", "127/64", "255/64", "65/64"])
+def test_floor_pow_batch_sample_is_exact(cc):
+    # log-uniform n up to the int64 range of n^c: 127/64 and 255/64 take
+    # n^num far past 2^1023, 65/64 takes n past 2^53, and the top elements
+    # pass 2^62, where the double-word stage hands over to floor_pow
+    c = ep.as_exponent(cc)
+    top = bisect_root(2 ** (63 * c.den) - 1, c.num)  # largest n with n^c < 2^63
+    rng = random.Random(f"sample {cc}")
+    ns = np.array([top, *(min(top, round(2 ** rng.uniform(1, math.log2(top)))) for _ in range(399))],
+                  dtype=np.int64)
+    out = ep.floor_pow_batch(ns, c)
+    assert all(is_exact_floor(n, c, r) for n, r in zip(ns.tolist(), out.tolist()))
+
+
+@pytest.mark.parametrize("cc", ["5/2", "11/5", "127/64", "255/64", "65/64"])
+def test_newton_margin_covers_the_worst_float_guess(cc):
+    # the float stage allows y0 = y (1 +- 2^-39); the written bound must cover
+    # the Newton step from the worst such guess, where its quadratic term
+    # reaches (den - 1) / den of the bound
+    c = ep.as_exponent(cc)
+    top = math.log2(bisect_root(2 ** (62 * c.den) - 1, c.num))  # n^c < 2^62
+    rng = random.Random(f"margin {cc}")
+    ns = np.array([round(2 ** rng.uniform(1, top)) for _ in range(100)], dtype=np.int64)
+    with mpmath.workdps(60):
+        ys = [mpmath.root(mpmath.mpf(n) ** c.num, c.den) for n in ns.tolist()]
+        for side in (1, -1):
+            y0 = np.array([float(y * (1 + side * 0.999 * 2.0**-39)) for y in ys])
+            hi, lo = ep._newton(ns, y0, c.num, c.den)
+            margin = ep._newton_margin(hi, c)
+            worst = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - y) / b for h, l, y, b in zip(hi, lo, ys, margin))
+            assert 0.4 < worst <= 1
 
 
 # ---------------------------------------------------------------- fractional parts

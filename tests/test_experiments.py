@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pclab import experiments as ex, factor
 from pclab.acceptance import _omega_oracle
-from pclab.errors import OutOfRange
+from pclab.errors import Caps, OutOfRange, RangeTooLarge
 from pclab.exactpow import floor_pow
 from pclab.factor import factor_signature, is_prime, signature_arrays
 
@@ -260,3 +260,14 @@ def test_invalid_args():
         ex.almost_prime_census(100, "3/2", 0)
     with pytest.raises(OutOfRange):
         ex.residue_histogram(100, "3/2", 0)
+
+
+def test_moduli_past_the_table_cap_allocate_nothing(monkeypatch):
+    # the cap is checked before the members are built
+    monkeypatch.setattr(ex, "members", None)
+    caps = Caps(mangoldt_x=1000)
+    for d in (1001, 10**30):
+        with pytest.raises(RangeTooLarge):
+            ex.residue_histogram(100, "3/2", d, caps=caps)
+        with pytest.raises(RangeTooLarge):
+            ex.level_error(100, "3/2", d, caps=caps)
