@@ -30,6 +30,15 @@ floor_pow_batch decides an int64 array of floors in three stages, each with
 a written error bound: a float64 log/exp pass, then for den <= 64 one
 double-word Newton step on the elements it leaves, and floor_pow on what
 is still within the bound of an integer.
+
+frac_scaled_pow_batch and frac_phase_batch certify arrays of fractional
+parts with _certified_frac_batch: from the float guess, two double-word
+Newton steps (the first is floor_pow_batch's) put P within a written bound
+E of about ((e + e2) / q + 2) 2^-102 P, and the phase
+((h mod d) (floor(P) mod d) mod d + h frac(P)) / d then lies within
+B = (h / d) (E + 2^-50) + 2^-51.  A phase stands when B <= tol and its
+enclosure excludes every integer; every other one, perfect powers and
+P >= 2^62 included, goes to _certified_frac, the one per-point certifier.
 """
 from __future__ import annotations
 
@@ -330,11 +339,21 @@ def floor_pow(n: int, c, caps: Caps = DEFAULT_CAPS) -> int:
     return _floor_root(n, c.num, c.den, 0, caps)
 
 
+def _float_pow(bs: np.ndarray, e: int, q: int, b2: int = 1, e2: int = 0) -> np.ndarray:
+    """(b^e * b2^e2)^(1/q) for each b of an int64 array, by float64 log/exp;
+    inf past the float range."""
+    with np.errstate(over="ignore"):
+        x = e / q * np.log(bs.astype(np.float64))
+        if b2 > 1:
+            x += e2 / q * math.log(b2)
+        return np.exp(x)
+
+
 def _float_floors(ns: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(floors, bad, v): the float stage's floors of n**c as int64, where they
     are not certified (left 0), and v = n**c in float64."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite v is bad
-        v = np.exp(c.num / c.den * np.log(ns.astype(np.float64)))
+    v = _float_pow(ns, c.num, c.den)
+    with np.errstate(invalid="ignore"):  # an infinite v is bad
         fl = np.floor(v)
         frac = v - fl
     margin = v * _FLOAT_REL_MARGIN
@@ -356,6 +375,10 @@ _DW_MUL_ERR = 2.0 ** -100
 _U = 2.0 ** -53
 
 _TWO62 = 2.0 ** 62
+
+# largest q for the double-word stages, exclusive: q 2^-39 < 2^-15 keeps
+# Newton's step contracting, and the exponents of A below 2^30 (int32)
+_DW_MAX_DEN = 1 << 24
 
 
 def _dw_mul(xh, xl, yh, yl):
@@ -392,31 +415,70 @@ def _dw_pow(h, l, k, e: int):
     return rh, rl, rk
 
 
-def _newton(ns: np.ndarray, y0: np.ndarray, num: int, den: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo): one Newton step on y^den = n^num from y0, in double words.
-
-    hi + lo = y0 + y0 (A - Y) / (den Y), exactly by Fast2Sum, for the
-    double-word A = n^num and Y = y0^den.  Needs 1 < n < 2^62 and y0 within
-    a relative 2^-39 of n^(num/den).
-    """
+def _dw_split(ns: np.ndarray):
+    """(m, l, k): ns = (m + l) * 2^k exactly, m in [1/2, 1), for int64 ns in [1, 2^62]."""
     nh = ns.astype(np.float64)
     nm, nk = np.frexp(nh)
-    nl = np.ldexp((ns - nh.astype(np.int64)).astype(np.float64), -nk)
-    ah, al, ak = _dw_pow(nm, nl, nk, num)
-    ym, yk = np.frexp(y0)
-    bh, bl, bk = _dw_pow(ym, np.zeros_like(ym), yk, den)
-    s = bk - ak  # -1, 0 or 1, since A / Y is within 2^-32 of 1
+    return nm, np.ldexp((ns - nh.astype(np.int64)).astype(np.float64), -nk), nk
+
+
+def _dw_power(bs: np.ndarray, e: int, b2: int = 1, e2: int = 0):
+    """A = b^e * b2^e2 = (h + l) * 2^k in double words, for int64 bs and b2 in
+    [1, 2^62]; the factors are multiplied once more when b2 > 1."""
+    ah, al, ak = _dw_pow(*_dw_split(bs), e)
+    if b2 > 1:
+        ch, cl, ck = _dw_pow(*_dw_split(np.array([b2], dtype=np.int64)), e2)
+        ah, al, s = _dw_mul(ah, al, ch, cl)
+        ak = ak + ck + s
+    return ah, al, ak
+
+
+def _newton(a, yh: np.ndarray, yl: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): one Newton step on y^q = A from the double word y = yh + yl.
+
+    hi + lo = yh + (yl + yh (A - Y) / (q Y)), exactly by Fast2Sum, for the
+    double-word A = a = _dw_power(...) and Y = y^q.  Needs y within a
+    relative 2^-39 of A^(1/q) and below 2^62, and q < _DW_MAX_DEN.
+    """
+    ah, al, ak = a
+    ym, yk = np.frexp(yh)
+    bh, bl, bk = _dw_pow(ym, np.ldexp(yl, -yk), yk, q)
+    s = bk - ak  # -1, 0 or 1, since A / Y is within q 2^-38 < 2^-14 of 1
     bh, bl = np.ldexp(bh, s), np.ldexp(bl, s)
-    corr = y0 * (((ah - bh) + (al - bl)) / bh) / den
-    hi = y0 + corr
-    return hi, corr - (hi - y0)
+    t = yl + yh * (((ah - bh) + (al - bl)) / bh) / q
+    hi = yh + t
+    return hi, t - (hi - yh)
+
+
+def _chain_err(ratio: float) -> float:
+    """Relative bound on what the double-word chains move a Newton step by,
+    for ratio = (e + e2) / q, the c of n^c (floor_pow_batch's stage 2)."""
+    return (ratio + 2) * _DW_MUL_ERR / 4
+
+
+def _step_err(q: int, ratio: float) -> float:
+    """Relative bound on one Newton step's error from a float guess
+    (floor_pow_batch's stage 2)."""
+    return q * _FLOAT_REL_ERR ** 2 / 2 + 6 * _U * _FLOAT_REL_ERR + _chain_err(ratio)
+
+
+def _root_rel_err(q: int, ratio: float) -> float:
+    """Relative bound on |hi + lo - P| after _dw_root's two steps
+    (_certified_frac_batch)."""
+    e1 = _step_err(q, ratio)
+    return q * e1 ** 2 / 2 + 8 * _U * e1 + _chain_err(ratio) + _U ** 2
+
+
+def _dw_root(a, y0: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): two Newton steps on y^q = A from the float guesses y0, the
+    second from the first's double word."""
+    hi, lo = _newton(a, y0, np.zeros(y0.size), q)
+    return _newton(a, hi, lo, q)
 
 
 def _newton_margin(hi: np.ndarray, c: RationalExponent) -> np.ndarray:
     """B, the bound on |hi + lo - n^c| and the floor step (floor_pow_batch)."""
-    chain = sum(e.bit_length() + e.bit_count() - 2 for e in (c.num, c.den))
-    k = c.den * _FLOAT_REL_ERR ** 2 / 2 + 6 * _U * _FLOAT_REL_ERR + 2 * chain * _DW_MUL_ERR
-    return hi * k + 2.0 ** -52
+    return hi * _step_err(c.den, c.num / c.den) + 2.0 ** -52
 
 
 def _newton_floors(ns: np.ndarray, y0: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +488,8 @@ def _newton_floors(ns: np.ndarray, y0: np.ndarray, c: RationalExponent) -> tuple
     ok = np.zeros(ns.size, dtype=bool)
     for i in range(0, ns.size, _DW_CHUNK):
         part = slice(i, i + _DW_CHUNK)
-        hi, lo = _newton(ns[part], y0[part], c.num, c.den)
+        yh = y0[part]
+        hi, lo = _newton(_dw_power(ns[part], c.num), yh, np.zeros_like(yh), c.den)
         fh = np.floor(hi)
         f = (hi - fh) + lo  # lo itself when hi is an integer, else in (0, 1)
         fl = np.floor(f)
@@ -449,10 +512,9 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
        nothing overflows), and (hi, lo) = two_sum(y0, y0 (A - Y) / (den Y)).
        Its floor stands when hi < 2^62 and hi + lo lies farther than
 
-         B = hi (den e^2 / 2 + 6 u e + 2 L m) + 2^-52
+         B = hi (den e^2 / 2 + 6 u e + (c + 2) m / 4) + 2^-52
 
-       from an integer, with e = 2^-39, u = 2^-53, m = 2^-100 and L the
-       number of products in the two chains.
+       from an integer, with e = 2^-39, u = 2^-53 and m = 2^-100.
     3. Exact: every other element is recomputed by floor_pow.
 
     Stage 1 error argument.  From v ~ 5e11 on the margin exceeds 1/2, so an
@@ -478,16 +540,21 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     * Newton's quadratic term.  The exact step gives y (1 + f(e0)) with
       0 <= f(e0) <= (den - 1) e0^2 / 2 (1 - e)^-(den + 1), the first term.
     * Each double-word product (Dekker, Numer. Math. 18, 1971) is off by a
-      relative 8 u^2 (1 + 4 u) < m: three rounded cross terms, their two
-      sums and the dropped lo * lo, each at most 3 u^2 of the product (cf.
-      the FMA variants in Joldes, Muller and Popescu, ACM TOMS 44(2), 2017).
-      Over the L products A / Y is off by below 1.01 L m, which moves the
-      correction by below 1.02 L m y / den; the third term.
+      relative 8 u^2 (1 + 4 u) < m / 8: two rounded cross terms (u^2 each),
+      their rounded sum (2 u^2), the dropped lo * lo (u^2) and the rounded
+      sum with the exact two-product error (3 u^2) (cf. the FMA variants in
+      Joldes, Muller and Popescu, ACM TOMS 44(2), 2017).  Square-and-multiply
+      raises the error of a product that reaches exponent k to the power
+      e / k, and the partial exponents at least double per bit, so x^e is
+      off by below 2 e m / 8: A by below 2 num m / 8 and Y by below
+      2 den m / 8.  They move the step by their difference over den, below
+      (2 c + 2) m / 8 of y; the third term, whose rounded-up constant also
+      holds the error of al - bl.
     * The correction, below 1.01 e y, takes five roundings: the sum of the
       differences (ah - bh is exact by Sterbenz), the division by Y's high
       part (dropping its low part), the product with y0 and the division
       by den; a relative 5.01 u, the second term.  Rounding al - bl adds
-      below 2.1 u^2 y / den, inside the third.
+      below 2.1 u^2 y / den, inside the third (its slack is 8 u^2 y).
     * two_sum is exact.  The floor is floor(hi) + floor(f) for
       f = (hi - floor(hi)) + lo, which is lo itself when hi is an integer
       and otherwise rounds by at most 2^-53 inside (0, 1).  With
@@ -522,6 +589,111 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     return out
 
 
+def _certified_frac_batch(
+    h: int, d: int, tol: float, caps: Caps, bs: np.ndarray, e: int, q: int, b2: int = 1, e2: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bounds): certified {h * P / d} for each b of the int64 array bs,
+    P = (b^e * b2^e2)^(1/q) as in _certified_frac, with every bound <= tol.
+
+    In chunks of _DW_CHUNK, for h >= 1, d < 2^31, h < 2^53, b2 < 2^62 and
+    q < _DW_MAX_DEN:
+
+    1. Float: y0 = exp((e/q) log b + (e2/q) log b2), for b > 1 and y0 < 2^62.
+    2. Double word: two Newton steps on y^q = A from y0 (_dw_root), with
+       A = b^e * b2^e2 formed once (_dw_power); the second starts from the
+       first's (hi, lo).  With w = (e + e2) / q and
+       e1 = q e^2 / 2 + 6 u e + (w + 2) m / 4, the bound floor_pow_batch's
+       stage 2 proves for one step (_step_err), hi + lo lies within
+
+         E = hi (q e1^2 / 2 + 8 u e1 + (w + 2) m / 4 + u^2)
+
+       of P (_root_rel_err), with e = 2^-39, u = 2^-53 and m = 2^-100 as
+       there.
+    3. Phase: F = floor(hi) + floor(f) and g = f - floor(f) for
+       f = (hi - floor(hi)) + lo, as in floor_pow_batch; r = (h mod d)
+       (F mod d) mod d in int64; t = (r + h g) / d and phase = t - floor(t).
+       Its bound is
+
+         B = (h / d) (E + 2^-50) + 2^-51.
+
+    An element stands when hi < 2^62, g lies farther than E + 2^-52 from an
+    integer (which sends every perfect power on), B <= tol, and
+    B < phase < 1 - B, so the enclosure excludes every integer.  Every other
+    element, n = 1 and P >= 2^62 included, is recomputed by _certified_frac
+    (Ziv, ACM TOMS 17(3), 1991), which stays the one certifier.
+
+    Stage 2 error argument, with y = P and y1 = hi1 + lo1 = y (1 + ε):
+
+    * y0 is within e = 2^-39 of y: floor_pow_batch's stage 2 argument, where
+      the second base's term and the sum add (k + 1) u' Y, and
+      (43 (k + 2) + k) u' <= 6686 u' < 2^-39 for k <= 150.
+    * |ε| <= e1, floor_pow_batch's bound for the first step.
+    * The exact second step gives y (1 + f(ε)) with
+      0 <= f(ε) <= (q - 1) ε^2 / 2 (1 - e1)^-(q + 1) < q e1^2 / 2.
+    * A and Y are off by relative α and β, below (2 e + 2 e2 + 1) m / 8 and
+      2 q m / 8 (floor_pow_batch's chain argument, and one product more for
+      the second base), and the step moves to y (1 + (α - β) / q) up to
+      second-order terms: below (w + 2) m / 4 of y, which also holds
+      rounding al - bl (below 2.1 u^2 y / q).
+    * The correction, below 1.01 e1 y, takes the five roundings of the first
+      step plus the product with hi1 in place of y1; adding lo1 rounds by
+      below u (u y + 1.01 e1 y): together below 8 u e1 y + u^2 y.
+    * two_sum is exact, and y < hi (1 + 2^-52) is absorbed by rounding the
+      constants up.
+
+    Stage 3 error argument: F + g is within E + 2^-52 of y (floor_pow_batch's
+    floor step), and h F = r mod d exactly, so T = (r + h (y - F)) / d has
+    {T} = {h y / d}.  h g rounds by u h (h < 2^53 is exact in a float), the
+    sum by u (d + h), the division by u (d + h) / d, and t - floor(t) is
+    exact for t >= 0, so |t - T| <= (h / d) (E + 2^-52 + 3.01 u) + 2.01 u,
+    below B.  When [phase - B, phase + B] holds no integer, neither does
+    [t - B, t + B], so floor(t) = floor(T) and the phase is within B of
+    {h y / d}.  phase + B < 1 is tested as a rounded sum, which rounds to 1
+    whenever the exact sum reaches it.
+    """
+    values = np.zeros(bs.size)
+    bounds = np.zeros(bs.size)
+    ok = np.zeros(bs.size, dtype=bool)
+    if q < _DW_MAX_DEN and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
+        rel = _root_rel_err(q, (e + e2) / q)
+        for i in range(0, bs.size, _DW_CHUNK):
+            b = bs[i : i + _DW_CHUNK]
+            y0 = _float_pow(b, e, q, b2, e2)
+            sel = np.flatnonzero((b > 1) & (y0 < _TWO62))
+            hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y0[sel], q)
+            fh = np.floor(hi)
+            f = (hi - fh) + lo
+            fl = np.floor(f)
+            g = f - fl
+            err = hi * rel
+            r = h % d * ((fh.astype(np.int64) + fl.astype(np.int64)) % d) % d
+            t = (r + h * g) / d
+            phase = t - np.floor(t)
+            bound = h / d * (err + 2.0 ** -50) + 2.0 ** -51
+            good = (
+                (hi < _TWO62)
+                & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
+                & (bound <= tol)
+                & (bound < phase)
+                & (phase + bound < 1.0)
+            )
+            idx = i + sel[good]
+            values[idx] = phase[good]
+            bounds[idx] = bound[good]
+            ok[idx] = True
+    for i in np.flatnonzero(~ok).tolist():
+        r = _certified_frac(h, d, tol, caps, int(bs[i]), e, q, b2, e2)
+        values[i], bounds[i] = r.value, r.error_bound
+    return values, bounds
+
+
+def _check_frac_args(n_min: int, h: int, d: int, tol: float) -> None:
+    if n_min < 1 or h < 0 or d < 1:
+        raise OutOfRange("frac_scaled_pow needs n >= 1, h >= 0, d >= 1")
+    if not 2.0 ** -52 < tol < math.inf:
+        raise OutOfRange("tol must be finite and above 2^-52")
+
+
 def frac_scaled_pow(
     n: int,
     c,
@@ -537,13 +709,43 @@ def frac_scaled_pow(
     exceed 2^-52, the rounding of the returned float.
     """
     c = as_exponent(c)
-    if n < 1 or h < 0 or d < 1:
-        raise OutOfRange("frac_scaled_pow needs n >= 1, h >= 0, d >= 1")
-    if not 2.0 ** -52 < tol < math.inf:
-        raise OutOfRange("tol must be finite and above 2^-52")
+    _check_frac_args(n, h, d, tol)
     if h == 0:
         return CertifiedReal(0.0, 0.0)
     return _certified_frac(h, d, tol, caps, n, c.num, c.den)
+
+
+def frac_scaled_pow_batch(
+    ns,
+    c,
+    h: int,
+    d: int,
+    tol: float = DEFAULT_FRAC_TOL,
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bounds): frac_scaled_pow's certified {h * n**c / d} for each n
+    of an int64 array, as two float64 arrays (_certified_frac_batch).
+
+    Each value lies within its bound, at most tol, of the phase; the values
+    may differ from frac_scaled_pow's in the last bits of their rounding.
+    """
+    c = as_exponent(c)
+    ns = np.asarray(ns, dtype=np.int64)
+    _check_frac_args(int(ns.min()) if ns.size else 1, h, d, tol)
+    if h == 0:
+        return np.zeros(ns.size), np.zeros(ns.size)
+    return _certified_frac_batch(h, d, tol, caps, ns, c.num, c.den)
+
+
+def _phase_root(z_min: int, c, n_base: int, delta) -> tuple[int, int, int]:
+    """(e, q, e2) with z**c * n_base**delta = (z^e * n_base^e2)^(1/q)."""
+    c = as_exponent(c)
+    delta = as_ratio(delta)
+    if z_min < 1 or n_base < 2 or delta <= 0:
+        raise OutOfRange("frac_phase needs z >= 1, n_base >= 2, delta > 0")
+    dn, dd = delta.numerator, delta.denominator
+    q = math.lcm(c.den, dd)
+    return c.num * (q // c.den), q, dn * (q // dd)
 
 
 def frac_phase(z: int, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> CertifiedReal:
@@ -552,13 +754,17 @@ def frac_phase(z: int, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> Cert
     delta is an exact positive rational; working precision scales with the
     magnitude of the product.
     """
-    c = as_exponent(c)
-    delta = as_ratio(delta)
-    if z < 1 or n_base < 2 or delta <= 0:
-        raise OutOfRange("frac_phase needs z >= 1, n_base >= 2, delta > 0")
-    dn, dd = delta.numerator, delta.denominator
-    q = math.lcm(c.den, dd)
-    return _certified_frac(1, 1, PHASE_TOL, caps, z, c.num * (q // c.den), q, n_base, dn * (q // dd))
+    e, q, e2 = _phase_root(z, c, n_base, delta)
+    return _certified_frac(1, 1, PHASE_TOL, caps, z, e, q, n_base, e2)
+
+
+def frac_phase_batch(zs, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bounds): frac_phase's certified {z**c * n_base**delta} for each
+    z of an int64 array, as two float64 arrays, every bound <= 2^-48
+    (_certified_frac_batch)."""
+    zs = np.asarray(zs, dtype=np.int64)
+    e, q, e2 = _phase_root(int(zs.min()) if zs.size else 1, c, n_base, delta)
+    return _certified_frac_batch(1, 1, PHASE_TOL, caps, zs, e, q, n_base, e2)
 
 
 def scaled_floor_table(values, c, shift_bits: int = 64, caps: Caps = DEFAULT_CAPS):

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow, RangeTooLarge
-from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow
+from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow_batch
 from .factor import TWO62, TWO127, factor_signature, is_prime, is_prime_array, signature_arrays
 from .primes import primes_in
 
@@ -230,9 +230,13 @@ def level_error(
 
     For each modulus d the deviation |count(s, d) - f(d) N / d| is maximized
     over s coprime to d (over all s with all_residues=True); f is the
-    expected multiplicative model, identically 1 by default.
+    expected multiplicative model, identically 1 by default.  The tables for
+    d <= D hold D (D + 1) / 2 entries in all, capped like one von Mangoldt
+    table.
     """
     _check_modulus("D", D, caps)
+    if D * (D + 1) // 2 > caps.mangoldt_x:
+        raise RangeTooLarge(f"D={D} needs D(D+1)/2 table entries, beyond the cap {caps.mangoldt_x}")
     if f_model != "unit":
         raise OutOfRange(f"unknown f model {f_model!r}")
     c = as_exponent(c)
@@ -255,14 +259,12 @@ def level_error(
 
 def star_discrepancy_points(points) -> float:
     """Exact star discrepancy of a finite point multiset in [0, 1)."""
-    pts = sorted(float(p) for p in points)
-    n = len(pts)
+    pts = np.sort(np.asarray(points, dtype=np.float64))
+    n = pts.size
     if n == 0:
         raise OutOfRange("need at least one point")
-    worst = 0.0
-    for i, p in enumerate(pts, start=1):
-        worst = max(worst, i / n - p, p - (i - 1) / n)
-    return worst
+    steps = np.arange(n + 1) / n  # i / n, exactly rounded as Python's int division
+    return max(0.0, float(np.max(steps[1:] - pts)), float(np.max(pts - steps[:-1])))
 
 
 def star_discrepancy(
@@ -275,5 +277,5 @@ def star_discrepancy(
     ps = primes_in(0, x, caps=caps)
     if ps.size == 0:
         raise OutOfRange("no primes <= x")
-    pts = [frac_scaled_pow(int(p), c, h, d, tol=tol, caps=caps).value for p in ps.tolist()]
-    return DiscrepancyReport(x, c, h, d, len(pts), star_discrepancy_points(pts))
+    pts, _ = frac_scaled_pow_batch(ps, c, h, d, tol, caps)
+    return DiscrepancyReport(x, c, h, d, int(pts.size), star_discrepancy_points(pts))

@@ -26,8 +26,9 @@ from .exactpow import (
     as_exponent,
     as_ratio,
     frac_from_fixed,
-    frac_phase,
+    frac_phase_batch,
     frac_scaled_pow,
+    frac_scaled_pow_batch,
     scaled_floor_table,
 )
 from .primes import mangoldt_table, primes_in
@@ -100,7 +101,7 @@ def weyl_sum(c, theta, delta, n_scale: int, *, epsilon=0, caps: Caps = DEFAULT_C
     m = iroot(n_scale ** theta.numerator, theta.denominator)
     if m > caps.weyl_terms:
         raise RangeTooLarge(f"N^theta = {m} terms exceeds cap {caps.weyl_terms}")
-    fracs = [frac_phase(z, c, n_scale, delta, caps=caps).value for z in range(m + 1, 2 * m + 1)]
+    fracs, _ = frac_phase_batch(np.arange(m + 1, 2 * m + 1, dtype=np.int64), c, n_scale, delta, caps)
     value = _e_sum(fracs)
     bound = math.exp(float(theta) * (1.0 - float(rho)) * math.log(n_scale))
     params = {
@@ -126,15 +127,15 @@ def prime_expsum(x: int, c, h: int, d: int, *, caps: Caps = DEFAULT_CAPS) -> Sum
     if h < 1 or d < 1:
         raise OutOfRange("prime_expsum needs h >= 1 and d >= 1")
     ps = primes_in(0, x, caps=caps)
-    fracs = [frac_scaled_pow(int(p), c, h, d, caps=caps).value for p in ps.tolist()]
+    fracs, _ = frac_scaled_pow_batch(ps, c, h, d, caps=caps)
     value = _e_sum(fracs)
-    n_terms = float(len(fracs))
+    n_terms = float(fracs.size)
     bound = None
     if c.as_fraction >= Fraction(11, 5):
         sigma = regime_constants(c.as_fraction).sigma
         bound = math.exp((1.0 - float(sigma)) * math.log(x)) if x >= 2 else 1.0
     ratio = abs(value) / bound if bound else None
-    params = {"x": x, "c": c, "h": h, "d": d, "terms": len(fracs)}
+    params = {"x": x, "c": c, "h": h, "d": d, "terms": fracs.size}
     return SumEval("prime", params, value, n_terms, bound, ratio)
 
 

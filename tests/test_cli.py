@@ -331,6 +331,7 @@ BAD_INPUTS = {
     "histogram d past int64": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e30"], None, {}),
     "histogram d past the table cap": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e11"], None, {}),
     "leveldist D past int64": (["leveldist", "--x", "2", "-c", "3/2", "--D", "1e30"], None, {}),
+    "leveldist D squared past the table cap": (["leveldist", "--x", "2", "-c", "3/2", "--D", "2e7"], None, {}),
 }
 
 # cases that end on a resource cap, exit 3; every other case exits 1
@@ -338,6 +339,7 @@ BAD_INPUT_CODES = {
     "histogram d past int64": 3,
     "histogram d past the table cap": 3,
     "leveldist D past int64": 3,
+    "leveldist D squared past the table cap": 3,
 }
 
 # the whole stderr line of the cases whose message is pinned

@@ -258,7 +258,7 @@ def test_newton_margin_covers_the_worst_float_guess(cc):
         ys = [mpmath.root(mpmath.mpf(n) ** c.num, c.den) for n in ns.tolist()]
         for side in (1, -1):
             y0 = np.array([float(y * (1 + side * 0.999 * 2.0**-39)) for y in ys])
-            hi, lo = ep._newton(ns, y0, c.num, c.den)
+            hi, lo = ep._newton(ep._dw_power(ns, c.num), y0, np.zeros_like(y0), c.den)
             margin = ep._newton_margin(hi, c)
             worst = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - y) / b for h, l, y, b in zip(hi, lo, ys, margin))
             assert 0.4 < worst <= 1
@@ -356,3 +356,132 @@ def test_scaled_floor_table_paths():
     big = 3**65
     assert ep.scaled_floor_table([big], "66/65") == {big: ("exact", 3**66)}
     assert ep.floor_pow(big, "66/65") == 3**66
+
+
+# ---------------------------------------------------------------- batch fractional parts
+
+def exact_phase(h: int, d: int, b: int, e: int, q: int, b2: int = 1, e2: int = 0) -> F:
+    """{h P / d} to within h / (d 2^128), from the 128-bit fixed-point floor of P."""
+    u = ep._floor_root(b, e, q, 128, DEFAULT_CAPS, b2, e2)
+    return F(h * u, d << 128) % 1
+
+
+def phase_ratios(values, bounds, h, d, bs, e, q, b2=1, e2=0) -> list[F]:
+    """|value - phase| / bound per element (0 for an exact value); each must be <= 1."""
+    out = []
+    for b, v, bound in zip(np.asarray(bs).tolist(), values.tolist(), bounds.tolist()):
+        err = abs(F(v) - exact_phase(h, d, b, e, q, b2, e2))
+        assert err <= F(bound) + F(h, d << 128), (b, v, bound)
+        out.append(err / F(bound) if bound else F(0))
+    return out
+
+
+@pytest.fixture
+def escalated(monkeypatch):
+    """The bases that the batch hands to _certified_frac, in order."""
+    out = []
+    real = ep._certified_frac
+
+    def counting(h, d, tol, caps, b, *rest):
+        out.append(b)
+        return real(h, d, tol, caps, b, *rest)
+
+    monkeypatch.setattr(ep, "_certified_frac", counting)
+    return out
+
+
+@pytest.mark.parametrize("cc", ["3/2", "11/5", "5/2", "127/64", "255/64", "10521/10000"])
+def test_frac_scaled_pow_batch_sample_within_bounds(cc, escalated):
+    # log-uniform n up to P = 2^62; 127/64 and 255/64 take n^num past 2^1023.
+    # Below P = 2^50 only perfect powers escalate; above it E can pass tol.
+    # At (h, d) = (3, 7) the worst error of the accepted values reaches
+    # past an eighth of their bound (0.14 to 0.25 measured)
+    c = ep.as_exponent(cc)
+    rng = random.Random(f"phase {cc}")
+    ns = np.array([round(2 ** rng.uniform(1, 62 / float(c))) for _ in range(150)], dtype=np.int64)
+    for h, d in ((3, 7), (1, 1), (10, 3)):
+        escalated.clear()
+        values, bounds = ep.frac_scaled_pow_batch(ns, c, h, d)
+        assert ((0 <= values) & (values < 1) & (bounds <= ep.DEFAULT_FRAC_TOL)).all()
+        ratios = phase_ratios(values, bounds, h, d, ns, c.num, c.den)
+        for n in escalated:
+            assert n**c.num >= 2 ** (50 * c.den) or _intmath.perfect_root(n, c.den) is not None
+        assert len(escalated) < len(ns) // 4
+        if (h, d) == (3, 7):
+            accepted = [r for n, r in zip(ns.tolist(), ratios) if n not in escalated]
+            assert F(1, 8) < max(accepted) <= 1
+
+
+def test_frac_scaled_pow_batch_edge_cases(escalated):
+    # n = 1 and the perfect squares escalate, in one array with their
+    # neighbours; h >= d, h = 0 and empty input
+    c = ep.as_exponent("5/2")
+    powers = [k * k for k in (2, 3, 17, 1000)]
+    ns = np.array([1, *(m for p in powers for m in (p - 1, p, p + 1))], dtype=np.int64)
+    for h, d in ((3, 7), (7, 7), (12, 5), (1, 1)):
+        escalated.clear()
+        values, bounds = ep.frac_scaled_pow_batch(ns, c, h, d)
+        assert escalated == [1, *powers]
+        for i in (0, *range(2, ns.size, 3)):
+            assert ep.CertifiedReal(values[i], bounds[i]) == ep.frac_scaled_pow(int(ns[i]), c, h, d)
+        phase_ratios(values, bounds, h, d, ns, c.num, c.den)
+    escalated.clear()
+    values, bounds = ep.frac_scaled_pow_batch(ns, c, 0, 7)
+    assert not values.any() and not bounds.any() and escalated == []
+    for out in (ep.frac_scaled_pow_batch([], c, 3, 7), ep.frac_phase_batch([], c, 10, F(1, 3))):
+        assert [a.size for a in out] == [0, 0]
+    for args in (([0, 2], c, 1, 3), ([2], c, -1, 3), ([2], c, 1, 0), ([2], c, 1, 3, 2.0**-52)):
+        with pytest.raises(OutOfRange):
+            ep.frac_scaled_pow_batch(*args)
+    with pytest.raises(OutOfRange):
+        ep.frac_phase_batch([0, 2], c, 10, F(1, 3))
+
+
+def test_frac_scaled_pow_batch_tol_near_the_float_rounding_escalates(escalated):
+    ns = np.arange(2, 60, dtype=np.int64)
+    tol = 2.0**-51.5
+    values, bounds = ep.frac_scaled_pow_batch(ns, "11/5", 3, 7, tol)
+    assert escalated == ns.tolist()
+    assert values.tolist() == [ep.frac_scaled_pow(n, "11/5", 3, 7, tol).value for n in ns.tolist()]
+    assert (bounds <= tol).all()
+
+
+@pytest.mark.parametrize("size", [2**14 - 1, 2**14, 2**14 + 1])
+def test_frac_scaled_pow_batch_chunk_edges(size, escalated):
+    ns = primes_in(0, 2 * 10**5)[:size]
+    values, bounds = ep.frac_scaled_pow_batch(ns, "11/5", 3, 7)
+    assert escalated == [] and values.size == size
+    idx = sorted({0, 1, size - 2, size - 1, *range(2**14 - 2, min(size, 2**14 + 2))})
+    phase_ratios(values[idx], bounds[idx], 3, 7, ns[idx], 11, 5)
+
+
+def test_frac_phase_batch_two_bases(escalated):
+    # 5/2 with delta 3/10 take q = 10; only z = 1 escalates
+    zs = np.array([1, *random.Random("weyl").sample(range(2, 10**5), 200)], dtype=np.int64)
+    values, bounds = ep.frac_phase_batch(zs, "5/2", 40000, F(3, 10))
+    assert escalated == [1] and (bounds <= ep.PHASE_TOL).all()
+    phase_ratios(values, bounds, 1, 1, zs, 25, 10, 40000, 3)
+    # 2^(3/2) * 2^(1/2) = 4 cancels across the bases and is exact
+    escalated.clear()
+    values, bounds = ep.frac_phase_batch([2, 3], "3/2", 2, F(1, 2))
+    assert escalated == [2] and (values[0], bounds[0]) == (0.0, 0.0)
+    phase_ratios(values, bounds, 1, 1, [2, 3], 3, 2, 2, 1)
+
+
+@pytest.mark.parametrize("cc", ["5/2", "11/5", "127/64", "255/64", "10521/10000"])
+def test_root_rel_err_covers_the_worst_float_guess(cc):
+    # from y0 = y (1 +- 0.999 2^-39) the first step leaves Newton's quadratic
+    # term and the second the double-word products, whose worst case E takes
+    # (the worst errors measured are 1/90 to 1/33 of it)
+    c = ep.as_exponent(cc)
+    rng = random.Random(f"root {cc}")
+    ns = np.array([round(2 ** rng.uniform(1, 61.9 / float(c))) for _ in range(100)], dtype=np.int64)
+    rel = ep._root_rel_err(c.den, float(c))
+    a = ep._dw_power(ns, c.num)
+    with mpmath.workdps(60):
+        ys = [mpmath.root(mpmath.mpf(n) ** c.num, c.den) for n in ns.tolist()]
+        for side in (1, -1):
+            y0 = np.array([float(y * (1 + side * 0.999 * 2.0**-39)) for y in ys])
+            hi, lo = ep._dw_root(a, y0, c.den)
+            worst = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - y) / (h * rel) for h, l, y in zip(hi, lo, ys))
+            assert 2.0**-8 < worst <= 1

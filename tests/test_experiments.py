@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -207,6 +208,29 @@ def test_star_discrepancy_point_formula():
     assert ex.star_discrepancy_points([k / n for k in range(n)]) == pytest.approx(1 / n)
 
 
+def star_discrepancy_loop(points):
+    """The per-point loop that star_discrepancy_points replaced, as its reference."""
+    pts = sorted(float(p) for p in points)
+    n = len(pts)
+    worst = 0.0
+    for i, p in enumerate(pts, start=1):
+        worst = max(worst, i / n - p, p - (i - 1) / n)
+    return worst
+
+
+def test_star_discrepancy_points_equals_the_loop():
+    # IEEE division and max are exactly rounded, so the array form gives the
+    # same float; ties from repeated points and a coarse grid included
+    rng = random.Random(11)
+    for n in (1, 2, 3, 7, 100, 4097, 30011):
+        pts = [rng.random() for _ in range(n)]
+        pts += rng.choices(pts, k=n // 3 + 1) + [rng.randrange(8) / 8 for _ in range(n // 2 + 1)]
+        rng.shuffle(pts)
+        want = star_discrepancy_loop(pts)
+        assert ex.star_discrepancy_points(pts) == want
+        assert ex.star_discrepancy_points(np.array(pts)) == want
+
+
 def brute_discrepancy(points):
     pts = sorted(points)
     n = len(pts)
@@ -271,3 +295,11 @@ def test_moduli_past_the_table_cap_allocate_nothing(monkeypatch):
             ex.residue_histogram(100, "3/2", d, caps=caps)
         with pytest.raises(RangeTooLarge):
             ex.level_error(100, "3/2", d, caps=caps)
+
+
+def test_level_error_caps_its_table_entries():
+    # the tables for d <= D hold D (D + 1) / 2 entries in all
+    caps = Caps(mangoldt_x=1000)
+    assert ex.level_error(2, "3/2", 44, caps=caps).D == 44  # 990 entries
+    with pytest.raises(RangeTooLarge):
+        ex.level_error(2, "3/2", 45, caps=caps)  # 1035

@@ -6,7 +6,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclab import expsum as es
+from pclab import exactpow, expsum as es
+from pclab import experiments as ex
 from pclab.errors import Caps, NonPositiveRho, RangeTooLarge
 from pclab.exactpow import frac_phase, frac_scaled_pow
 
@@ -176,3 +177,24 @@ def test_sumeval_json_shape():
 def test_trivial_bound_invariant(x, h, d):
     r = es.prime_expsum(x, "5/3", h, d)
     assert abs(r.value) <= r.trivial_bound + 1e-6
+
+
+@pytest.mark.parametrize(
+    "run, escalations",
+    [
+        (lambda: es.prime_expsum(10**5, "11/5", 3, 7), 0),
+        (lambda: es.prime_expsum(10**5, "10521/10000", 3, 7), 0),
+        (lambda: ex.star_discrepancy(10**5, "10521/10000", 1, 7), 0),
+        (lambda: es.weyl_sum("5/2", 1, F(3, 10), 10**4), 0),
+        # the largest phases, near 2^49, have E past 2^-48 and escalate
+        (lambda: es.weyl_sum("5/2", 1, F(3, 10), 10**5), 41),
+    ],
+    ids=["prime_11_5", "prime_10521_10000", "discrepancy_10521_10000", "weyl_1e4", "weyl_1e5"],
+)
+def test_sum_phases_escalate_as_pinned(run, escalations, monkeypatch):
+    # the batch phases hand only these to the per-point certifier
+    calls = []
+    real = exactpow._certified_frac
+    monkeypatch.setattr(exactpow, "_certified_frac", lambda *args: calls.append(args) or real(*args))
+    run()
+    assert len(calls) == escalations
