@@ -450,6 +450,16 @@ def _window_margins(c, eps, th_lo, th_hi, lo, hi, target):
     interval (rho > 0), so the infimum is the least Theta_k*rho(k) - target.
     Returns it with the least Theta, then least Delta, reaching that degree
     (the limit point itself when the infimum is a right-limit).
+
+    Only k_hi and the degrees below 2s, s = 2 + eps, can set it, so the work
+    does not grow with c.  Theta_k is non-increasing in k.  With
+    rho(k) = (k - s) / (k (k + 1) (2k - 1)), the sign of rho'(k) is that of
+    -4k^3 + (6s - 1) k^2 + 2sk - s, which is negative for k >= 2s:
+    -4k^3 + 6sk^2 <= -k^3 and -k^2 + 2sk <= 0 there.  So rho > 0 strictly
+    decreases from 2s on, and each degree in [2s, k_hi) has a larger margin
+    than k_hi.  The degrees are taken in descending order, k_hi first, so
+    ties go as over the full range, and those skipped never raise
+    NonPositiveRho (which needs k <= s), so any error is the same one.
     """
     (a, b), (a_hi, b_hi) = lo, hi
 
@@ -458,8 +468,10 @@ def _window_margins(c, eps, th_lo, th_hi, lo, hi, target):
 
     k_hi = vinogradov_degree(c, th_lo, a_hi - b_hi * th_lo)
     k_lo = vinogradov_degree(c, th_hi, delta_lo(th_hi))
+    below = min(k_hi, math.ceil(4 + 2 * eps))  # the degrees below it are < 2s
     worst = at = None
-    for k in range(k_hi, k_lo - 1, -1):  # Theta_k ascends as k descends
+    # Theta_k ascends as k descends
+    for k in [*range(k_hi, k_lo - 1, -1)[:1], *range(below - 1, k_lo - 1, -1)]:
         # c + Delta_lo(Theta)/Theta < k on both pieces of Delta_lo
         th = max(th_lo, a / (k - c + b), _DELTA_FLOOR / (k - c))
         margin = th * vinogradov_saving(k, eps) - target

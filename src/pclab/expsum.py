@@ -6,9 +6,11 @@ weights), and, where the theory supplies one, an analytic comparator bound
 together with the ratio |value| / bound.  The comparators carry unknown
 implied constants, so ratios are reported and never hard-fail.
 
-Phases go through the certified fractional-part kernels; accumulation is
-exactly-rounded per fixed index chunk, which makes the results independent
-of evaluation order and worker count.
+Every sum takes its phases from the certified batch kernels
+(frac_scaled_pow_batch, frac_phase_batch), whose one per-point certifier
+decides what their bound cannot; accumulation is exactly-rounded per fixed
+index chunk, which makes the results independent of evaluation order and
+worker count.
 """
 from __future__ import annotations
 
@@ -22,20 +24,11 @@ from ._intmath import iroot
 from ._json import Report
 from .constants import regime_constants, vinogradov_degree, vinogradov_saving
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
-from .exactpow import (
-    as_exponent,
-    as_ratio,
-    frac_from_fixed,
-    frac_phase_batch,
-    frac_scaled_pow,
-    frac_scaled_pow_batch,
-    scaled_floor_table,
-)
+from .exactpow import as_exponent, as_ratio, frac_phase_batch, frac_scaled_pow_batch
 from .primes import mangoldt_table, primes_in
 from .prng import pm1_weights
 
 _CHUNK = 1 << 16
-_SHIFT = 64  # fixed-point bits of the scaled_floor_table entries
 
 
 @dataclass(frozen=True)
@@ -46,24 +39,6 @@ class SumEval(Report):
     trivial_bound: float
     analytic_bound: float | None
     ratio: float | None
-
-
-def _table_fracs(table, ns, c, h: int, d: int, caps: Caps) -> list[float]:
-    """{h * n^c / d} for each n in ns, from its scaled_floor_table entry.
-
-    A fixed entry gives the phase through frac_from_fixed; the rare entry
-    whose enclosure straddles an integer is resolved by frac_scaled_pow.
-    """
-    mod = d << _SHIFT
-    out = []
-    for n in ns:
-        tag, u = table[n]
-        if tag == "exact":
-            out.append((h * u) % d / d)
-            continue
-        f = frac_from_fixed(u, mod, h)
-        out.append(f if f is not None else frac_scaled_pow(n, c, h, d, caps=caps).value)
-    return out
 
 
 def _e_sum(fracs, weights=None) -> complex:
@@ -98,9 +73,13 @@ def weyl_sum(c, theta, delta, n_scale: int, *, epsilon=0, caps: Caps = DEFAULT_C
         raise OutOfRange("weyl_sum needs N >= 2")
     k = vinogradov_degree(c.as_fraction, theta, delta)
     rho = vinogradov_saving(k, epsilon)
-    m = iroot(n_scale ** theta.numerator, theta.denominator)
-    if m > caps.weyl_terms:
-        raise RangeTooLarge(f"N^theta = {m} terms exceeds cap {caps.weyl_terms}")
+    # N^num >= 2^(num (bits(N) - 1)) >= 2^(den bits(cap + 1)) > (cap + 1)^den
+    # decides m > cap before the power is formed
+    num, den = theta.numerator, theta.denominator
+    too_many = num * (n_scale.bit_length() - 1) >= den * (caps.weyl_terms + 1).bit_length()
+    m = None if too_many else iroot(n_scale ** num, den)
+    if too_many or m > caps.weyl_terms:
+        raise RangeTooLarge(f"N^theta terms exceed cap {caps.weyl_terms}")
     fracs, _ = frac_phase_batch(np.arange(m + 1, 2 * m + 1, dtype=np.int64), c, n_scale, delta, caps)
     value = _e_sum(fracs)
     bound = math.exp(float(theta) * (1.0 - float(rho)) * math.log(n_scale))
@@ -209,12 +188,6 @@ def trilinear_sum(
         raise RangeTooLarge(f"{n_terms} terms exceeds cap {caps.trilinear_terms}")
     cd, am, bl = _trilinear_weights(weights, d_scale, m_scale, l_scale, seed)
 
-    # phase {h (l m)^c / d} from one certified fixed-point root per product
-    products = sorted(
-        {m * l for m in range(m_scale + 1, 2 * m_scale + 1) for l in range(l_scale + 1, 2 * l_scale + 1)}
-    )
-    table = scaled_floor_table(products, c, _SHIFT, caps)
-
     prod_weight: dict[int, float] = {}
     for mi, m in enumerate(range(m_scale + 1, 2 * m_scale + 1)):
         for li, l in enumerate(range(l_scale + 1, 2 * l_scale + 1)):
@@ -223,13 +196,15 @@ def trilinear_sum(
                 key = m * l
                 prod_weight[key] = prod_weight.get(key, 0.0) + w
 
+    # phase {h (l m)^c / d} over the distinct products, in prod_weight's order
+    products = np.fromiter(prod_weight, dtype=np.int64, count=len(prod_weight))
     ws = list(prod_weight.values())
     re_parts: list[float] = []
     im_parts: list[float] = []
     for di, dd in enumerate(range(d_scale + 1, 2 * d_scale + 1)):
         if not cd[di]:
             continue
-        part = _e_sum(_table_fracs(table, prod_weight, c, h, dd, caps), ws)
+        part = _e_sum(frac_scaled_pow_batch(products, c, h, dd, caps=caps)[0], ws)
         re_parts.append(cd[di] * part.real)
         im_parts.append(cd[di] * part.imag)
     value = complex(math.fsum(re_parts), math.fsum(im_parts))
@@ -273,14 +248,13 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
         raise RangeTooLarge(f"H*D*x = {evals} exceeds cap {caps.triple_term_evals}")
     table = mangoldt_table(2 * x, caps=caps)  # caps x at mangoldt_x / 2
     sel = (table.ns > x) & (table.ns <= 2 * x)
-    ns = table.ns[sel].tolist()
+    ns = table.ns[sel]
     logs = table.logs[sel]
 
-    table = scaled_floor_table(ns, c, _SHIFT, caps)
     abs_parts: list[float] = []
     for h in range(1, h_count + 1):
         for dd in range(d_scale + 1, 2 * d_scale + 1):
-            abs_parts.append(abs(_e_sum(_table_fracs(table, ns, c, h, dd, caps), logs)))
+            abs_parts.append(abs(_e_sum(frac_scaled_pow_batch(ns, c, h, dd, caps=caps)[0], logs)))
     total = math.fsum(abs_parts)
     value = complex(total, 0.0)
     psi_mass = float(math.fsum(logs.tolist()))

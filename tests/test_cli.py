@@ -332,6 +332,9 @@ BAD_INPUTS = {
     "histogram d past the table cap": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e11"], None, {}),
     "leveldist D past int64": (["leveldist", "--x", "2", "-c", "3/2", "--D", "1e30"], None, {}),
     "leveldist D squared past the table cap": (["leveldist", "--x", "2", "-c", "3/2", "--D", "2e7"], None, {}),
+    "weyl N^Theta with 12 million bits": (
+        ["expsum", "weyl", "-c", "5/2", "--Theta", "1000000", "--Delta", "1", "--N", "1e12"], None, {}
+    ),
 }
 
 # cases that end on a resource cap, exit 3; every other case exits 1
@@ -340,12 +343,14 @@ BAD_INPUT_CODES = {
     "histogram d past the table cap": 3,
     "leveldist D past int64": 3,
     "leveldist D squared past the table cap": 3,
+    "weyl N^Theta with 12 million bits": 3,
 }
 
 # the whole stderr line of the cases whose message is pinned
 BAD_INPUT_MESSAGES = {
     "jobs before the subcommand": "pclab: --jobs goes after the subcommand, not before it",
     "tol= before the subcommand": "pclab: --tol goes after the subcommand, not before it",
+    "weyl N^Theta with 12 million bits": "pclab: resource cap: N^theta terms exceed cap 100000000",
 }
 
 

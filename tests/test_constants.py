@@ -360,6 +360,50 @@ def test_margin_verify_worst_is_the_window_infimum(c, eps):
         assert min(abs(v - F(worst)) for v in near) <= F(1, 10**9)
 
 
+def _full_window_margins(c, eps, th_lo, th_hi, lo, hi, target):
+    """_window_margins over every degree of the window, the reference."""
+    (a, b), (a_hi, b_hi) = lo, hi
+
+    def delta_lo(th):
+        return max(a - b * th, cn._DELTA_FLOOR)
+
+    k_hi = cn.vinogradov_degree(c, th_lo, a_hi - b_hi * th_lo)
+    k_lo = cn.vinogradov_degree(c, th_hi, delta_lo(th_hi))
+    worst = at = None
+    for k in range(k_hi, k_lo - 1, -1):
+        th = max(th_lo, a / (k - c + b), cn._DELTA_FLOOR / (k - c))
+        margin = th * cn.vinogradov_saving(k, eps) - target
+        if worst is None or margin < worst:
+            worst, at = margin, (cn.float_mirror(th), cn.float_mirror(max(delta_lo(th), (k - 1 - c) * th)))
+    return worst, at
+
+
+def _margin_outcome(c, eps):
+    try:
+        return repr(cn.margin_verify(c, eps))
+    except (NonPositiveRho, OutOfRange) as e:
+        return repr(e)
+
+
+def test_window_margins_match_the_full_degree_loop(monkeypatch):
+    # only k_hi and the degrees below 2(2 + eps) can bind; the full loop agrees
+    # on every value, point and error
+    rng = random.Random(20261018)
+    cs = [F(11, 5) + F(rng.randrange(1, 1000), rng.choice((7, 10, 1000))) for _ in range(40)]
+    cs += [F(11, 5), F(5, 2), F(3), F(5), F(6), F(41, 5), F(1000)]
+    epss = (F(1, 1000), F(1, 2), F(9, 10), F(3, 2), F(7))
+    fast = {(c, eps): _margin_outcome(c, eps) for c in cs for eps in epss}
+    monkeypatch.setattr(cn, "_window_margins", _full_window_margins)
+    assert fast == {(c, eps): _margin_outcome(c, eps) for c in cs for eps in epss}
+    assert any("NonPositiveRho" in v for v in fast.values())
+    assert any("MarginReport" in v for v in fast.values())
+
+
+def test_margin_verify_at_large_c_returns():
+    m = cn.margin_verify(F(10**6))
+    assert not m.ok and m.type1_at[1] > 10**5
+
+
 def test_strictness_margin():
     # verdicts use slack > 1e-12: an exactly-tied inequality must not hold
     rep = cn._report("tie", F(1), F(1))
@@ -405,3 +449,13 @@ def test_constants_imports_nothing_from_expsum():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     assert names and not any("expsum" in name for name in names)
+
+
+def test_expsum_has_one_phase_path():
+    # every sum takes its phases from the batch kernels, none from the
+    # fixed-point table or the per-point certifier's public entry
+    tree = ast.parse(Path(cn.__file__).with_name("expsum.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "frac_scaled_pow_batch" in names
+    assert not names & {"scaled_floor_table", "frac_from_fixed", "frac_scaled_pow"}

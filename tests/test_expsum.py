@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pclab import exactpow, expsum as es
+from pclab._intmath import iroot
 from pclab import experiments as ex
 from pclab.errors import Caps, NonPositiveRho, RangeTooLarge
 from pclab.exactpow import frac_phase, frac_scaled_pow
@@ -47,6 +48,20 @@ def test_weyl_needs_degree_3():
 def test_weyl_term_cap():
     with pytest.raises(RangeTooLarge):
         es.weyl_sum("3/2", 1, F(1, 2), 10**9)
+
+
+@pytest.mark.parametrize("cap", [63, 64, 100])
+@pytest.mark.parametrize("theta", [F(1), F(1, 2), F(2, 3)])
+def test_weyl_term_cap_is_decided_on_floor_n_theta(cap, theta):
+    # the bit-length test ahead of the power rejects only what the cap would
+    caps = Caps(weyl_terms=cap)
+    for n in {max(2, round(b ** (1 / theta)) + j) for b in (cap, cap + 1, 64, 128) for j in (-1, 0, 1)}:
+        m = iroot(n ** theta.numerator, theta.denominator)
+        if m > cap:
+            with pytest.raises(RangeTooLarge):
+                es.weyl_sum("5/2", theta, 1, n, caps=caps)
+        else:
+            assert es.weyl_sum("5/2", theta, 1, n, caps=caps).params["terms"] == m
 
 
 def test_prime_expsum_single_term():
@@ -188,8 +203,19 @@ def test_trivial_bound_invariant(x, h, d):
         (lambda: es.weyl_sum("5/2", 1, F(3, 10), 10**4), 0),
         # the largest phases, near 2^49, have E past 2^-48 and escalate
         (lambda: es.weyl_sum("5/2", 1, F(3, 10), 10**5), 41),
+        (lambda: es.trilinear_sum(8, 32, 32, 1, "10521/10000", "pm1", seed=42), 0),
+        # the squares 121 and 169 are exact, once per (h, d) pair of 2 x 2
+        (lambda: es.triple_sum(100, 2, 2, "3/2"), 8),
     ],
-    ids=["prime_11_5", "prime_10521_10000", "discrepancy_10521_10000", "weyl_1e4", "weyl_1e5"],
+    ids=[
+        "prime_11_5",
+        "prime_10521_10000",
+        "discrepancy_10521_10000",
+        "weyl_1e4",
+        "weyl_1e5",
+        "trilinear_10521_10000",
+        "triple_3_2",
+    ],
 )
 def test_sum_phases_escalate_as_pinned(run, escalations, monkeypatch):
     # the batch phases hand only these to the per-point certifier
