@@ -39,6 +39,9 @@ E of about ((e + e2) / q + 2) 2^-102 P, and the phase
 B = (h / d) (E + 2^-50) + 2^-51.  A phase stands when B <= tol and its
 enclosure excludes every integer; every other one, perfect powers and
 P >= 2^62 included, goes to _certified_frac, the one per-point certifier.
+One batch serves many (h, d) pairs over the same array: the double-word
+stage runs once, and the fixed-point roots _certified_frac computes are
+kept for the later pairs.
 """
 from __future__ import annotations
 
@@ -307,13 +310,26 @@ def frac_from_fixed(u: int, m: int, h: int) -> float | None:
     return value if value < 1.0 else _BELOW_ONE
 
 
+def _frac_bits(h: int, tol: float) -> int:
+    """The first s at which _certified_frac tries floor(2^s * P)."""
+    return max(64, h.bit_length() + max(8, int(-math.log2(tol))) + 4)
+
+
 def _certified_frac(
-    h: int, d: int, tol: float, caps: Caps, b: int, e: int, q: int, b2: int = 1, e2: int = 0
+    h: int, d: int, tol: float, caps: Caps, b: int, e: int, q: int, b2: int = 1, e2: int = 0,
+    roots: dict[int, int] | None = None,
 ) -> CertifiedReal:
-    """Certified {h * P / d} with error_bound <= tol, for tol > 2^-52."""
-    s = max(64, h.bit_length() + max(8, int(-math.log2(tol))) + 4)
+    """Certified {h * P / d} with error_bound <= tol, for tol > 2^-52.
+
+    roots, when given, holds floor(2^s * P) by s across the calls for one P,
+    so that the (h, d) pairs of one batch compute each root once.
+    """
+    roots = {} if roots is None else roots
+    s = _frac_bits(h, tol)
     while True:
-        u = _floor_root(b, e, q, s, caps, b2, e2)
+        u = roots.get(s)
+        if u is None:
+            u = roots[s] = _floor_root(b, e, q, s, caps, b2, e2)
         # an integer P leaves the low s bits of u clear
         if not u & ((1 << s) - 1):
             v = _integer_root(b, e, q, b2, e2)
@@ -590,13 +606,16 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
 
 
 def _certified_frac_batch(
-    h: int, d: int, tol: float, caps: Caps, bs: np.ndarray, e: int, q: int, b2: int = 1, e2: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, bounds): certified {h * P / d} for each b of the int64 array bs,
-    P = (b^e * b2^e2)^(1/q) as in _certified_frac, with every bound <= tol.
+    pairs, tol: float, caps: Caps, bs: np.ndarray, e: int, q: int, b2: int = 1, e2: int = 0
+):
+    """Yield (values, bounds) for each (h, d) of pairs: certified {h * P / d}
+    for each b of the int64 array bs, P = (b^e * b2^e2)^(1/q) as in
+    _certified_frac, with every bound <= tol.
 
     In chunks of _DW_CHUNK, for h >= 1, d < 2^31, h < 2^53, b2 < 2^62 and
-    q < _DW_MAX_DEN:
+    q < _DW_MAX_DEN; stages 1 and 2 and the floor of stage 3 do not depend
+    on (h, d), so they run once (_dw_phase_roots), for the first pair that
+    takes them, and every later pair reuses them.  h = 0 gives zeros.
 
     1. Float: y0 = exp((e/q) log b + (e2/q) log b2), for b > 1 and y0 < 2^62.
     2. Double word: two Newton steps on y^q = A from y0 (_dw_root), with
@@ -620,7 +639,13 @@ def _certified_frac_batch(
     integer (which sends every perfect power on), B <= tol, and
     B < phase < 1 - B, so the enclosure excludes every integer.  Every other
     element, n = 1 and P >= 2^62 included, is recomputed by _certified_frac
-    (Ziv, ACM TOMS 17(3), 1991), which stays the one certifier.
+    (Ziv, ACM TOMS 17(3), 1991), which stays the one certifier.  While more
+    pairs follow, the fixed-point roots it computes for an element are kept
+    (_certified_frac's roots), and a later pair takes _certified_frac's
+    first step on the kept root itself, calling it only when that step
+    decides nothing.  So an element that escalates for every pair, as every
+    P >= 2^62 and every P with q >= _DW_MAX_DEN does, has its root computed
+    once, not once per pair.
 
     Stage 2 error argument, with y = P and y1 = hi1 + lo1 = y (1 + ε):
 
@@ -651,40 +676,84 @@ def _certified_frac_batch(
     {h y / d}.  phase + B < 1 is tested as a rounded sum, which rounds to 1
     whenever the exact sum reaches it.
     """
-    values = np.zeros(bs.size)
-    bounds = np.zeros(bs.size)
+    n = bs.size
+    stage = None
+    kept: dict[int, dict[int, int]] = {}
+    pairs = iter(pairs)
+    pair = next(pairs, None)
+    while pair is not None:
+        h, d = pair
+        pair = next(pairs, None)  # None on the last pair, which keeps no roots
+        if h == 0:
+            yield np.zeros(n), np.zeros(n)
+            continue
+        values = np.zeros(n)
+        bounds = np.zeros(n)
+        good = np.zeros(n, dtype=bool)
+        if q < _DW_MAX_DEN and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
+            if stage is None:
+                stage = _dw_phase_roots(bs, e, q, b2, e2)
+            for i in range(0, n, _DW_CHUNK):
+                ok, floors, g, err = (a[i : i + _DW_CHUNK] for a in stage)
+                r = h % d * (floors % d) % d
+                t = (r + h * g) / d
+                phase = t - np.floor(t)
+                bound = h / d * (err + 2.0 ** -50) + 2.0 ** -51
+                sel = ok & (bound <= tol) & (bound < phase) & (phase + bound < 1.0)
+                idx = i + np.flatnonzero(sel)
+                values[idx] = phase[sel]
+                bounds[idx] = bound[sel]
+                good[idx] = True
+        s = _frac_bits(h, tol)
+        low = (1 << s) - 1
+        m = d << s
+        err = h / (2.0 * m) + 2.0 ** -52
+        idx = np.flatnonzero(~good)
+        keys = idx.tolist()
+        # _certified_frac's first step, taken here on the roots that earlier
+        # pairs kept, decides most phases without a call
+        us = [kept[i].get(s) if i in kept and err <= tol else None for i in keys]
+        vals = [frac_from_fixed(u, m, h) if u is not None and u & low else None for u in us]
+        errs = [err] * len(keys)
+        for k, value in enumerate(vals):
+            if value is None:
+                i = keys[k]
+                roots = kept.get(i) if pair is None else kept.setdefault(i, {})
+                res = _certified_frac(h, d, tol, caps, int(bs[i]), e, q, b2, e2, roots)
+                vals[k], errs[k] = res.value, res.error_bound
+        values[idx] = vals
+        bounds[idx] = errs
+        yield values, bounds
+
+
+def _dw_phase_roots(
+    bs: np.ndarray, e: int, q: int, b2: int, e2: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, floors, g, err): _certified_frac_batch's stages 1 and 2 and the
+    floor of stage 3 for each b of bs, F = floors and g as int64 and float64
+    arrays, and E = err; ok marks where hi < 2^62 and g lies farther than
+    E + 2^-52 from an integer (0 and False for b = 1 and y0 >= 2^62)."""
     ok = np.zeros(bs.size, dtype=bool)
-    if q < _DW_MAX_DEN and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
-        rel = _root_rel_err(q, (e + e2) / q)
-        for i in range(0, bs.size, _DW_CHUNK):
-            b = bs[i : i + _DW_CHUNK]
-            y0 = _float_pow(b, e, q, b2, e2)
-            sel = np.flatnonzero((b > 1) & (y0 < _TWO62))
-            hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y0[sel], q)
-            fh = np.floor(hi)
-            f = (hi - fh) + lo
-            fl = np.floor(f)
-            g = f - fl
-            err = hi * rel
-            r = h % d * ((fh.astype(np.int64) + fl.astype(np.int64)) % d) % d
-            t = (r + h * g) / d
-            phase = t - np.floor(t)
-            bound = h / d * (err + 2.0 ** -50) + 2.0 ** -51
-            good = (
-                (hi < _TWO62)
-                & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
-                & (bound <= tol)
-                & (bound < phase)
-                & (phase + bound < 1.0)
-            )
-            idx = i + sel[good]
-            values[idx] = phase[good]
-            bounds[idx] = bound[good]
-            ok[idx] = True
-    for i in np.flatnonzero(~ok).tolist():
-        r = _certified_frac(h, d, tol, caps, int(bs[i]), e, q, b2, e2)
-        values[i], bounds[i] = r.value, r.error_bound
-    return values, bounds
+    floors = np.zeros(bs.size, dtype=np.int64)
+    gs = np.zeros(bs.size)
+    errs = np.zeros(bs.size)
+    rel = _root_rel_err(q, (e + e2) / q)
+    for i in range(0, bs.size, _DW_CHUNK):
+        b = bs[i : i + _DW_CHUNK]
+        y0 = _float_pow(b, e, q, b2, e2)
+        sel = np.flatnonzero((b > 1) & (y0 < _TWO62))
+        hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y0[sel], q)
+        fh = np.floor(hi)
+        f = (hi - fh) + lo
+        fl = np.floor(f)
+        g = f - fl
+        err = hi * rel
+        idx = i + sel
+        ok[idx] = (hi < _TWO62) & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
+        floors[idx] = fh.astype(np.int64) + fl.astype(np.int64)
+        gs[idx] = g
+        errs[idx] = err
+    return ok, floors, gs, errs
 
 
 def _check_frac_args(n_min: int, h: int, d: int, tol: float) -> None:
@@ -729,12 +798,23 @@ def frac_scaled_pow_batch(
     Each value lies within its bound, at most tol, of the phase; the values
     may differ from frac_scaled_pow's in the last bits of their rounding.
     """
+    return next(_frac_scaled_pow_pairs(ns, c, [(h, d)], tol, caps))
+
+
+def _frac_scaled_pow_pairs(ns, c, pairs, tol: float = DEFAULT_FRAC_TOL, caps: Caps = DEFAULT_CAPS):
+    """Yield frac_scaled_pow_batch(ns, c, h, d, tol, caps) for each (h, d) of
+    the iterable pairs, in turn; one _certified_frac_batch serves them all,
+    so each root of ns is computed once for every pair."""
     c = as_exponent(c)
     ns = np.asarray(ns, dtype=np.int64)
-    _check_frac_args(int(ns.min()) if ns.size else 1, h, d, tol)
-    if h == 0:
-        return np.zeros(ns.size), np.zeros(ns.size)
-    return _certified_frac_batch(h, d, tol, caps, ns, c.num, c.den)
+    n_min = int(ns.min()) if ns.size else 1
+
+    def checked():
+        for h, d in pairs:
+            _check_frac_args(n_min, h, d, tol)
+            yield h, d
+
+    return _certified_frac_batch(checked(), tol, caps, ns, c.num, c.den)
 
 
 def _phase_root(z_min: int, c, n_base: int, delta) -> tuple[int, int, int]:
@@ -764,7 +844,7 @@ def frac_phase_batch(zs, c, n_base: int, delta, caps: Caps = DEFAULT_CAPS) -> tu
     (_certified_frac_batch)."""
     zs = np.asarray(zs, dtype=np.int64)
     e, q, e2 = _phase_root(int(zs.min()) if zs.size else 1, c, n_base, delta)
-    return _certified_frac_batch(1, 1, PHASE_TOL, caps, zs, e, q, n_base, e2)
+    return next(_certified_frac_batch([(1, 1)], PHASE_TOL, caps, zs, e, q, n_base, e2))
 
 
 def scaled_floor_table(values, c, shift_bits: int = 64, caps: Caps = DEFAULT_CAPS):

@@ -8,12 +8,14 @@ implied constants, so ratios are reported and never hard-fail.
 
 Every sum takes its phases from the certified batch kernels
 (frac_scaled_pow_batch, frac_phase_batch), whose one per-point certifier
-decides what their bound cannot; accumulation is exactly-rounded per fixed
-index chunk, which makes the results independent of evaluation order and
-worker count.
+decides what their bound cannot; trilinear_sum and triple_sum run one batch
+over all their (h, d) pairs (_frac_scaled_pow_pairs), so each root is
+computed once.  Accumulation is exactly-rounded per fixed index chunk,
+which makes the results independent of evaluation order and worker count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,7 @@ from ._intmath import iroot
 from ._json import Report
 from .constants import regime_constants, vinogradov_degree, vinogradov_saving
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
-from .exactpow import as_exponent, as_ratio, frac_phase_batch, frac_scaled_pow_batch
+from .exactpow import _frac_scaled_pow_pairs, as_exponent, as_ratio, frac_phase_batch, frac_scaled_pow_batch
 from .primes import mangoldt_table, primes_in
 from .prng import pm1_weights
 
@@ -199,14 +201,14 @@ def trilinear_sum(
     # phase {h (l m)^c / d} over the distinct products, in prod_weight's order
     products = np.fromiter(prod_weight, dtype=np.int64, count=len(prod_weight))
     ws = list(prod_weight.values())
+    dws = [(w, dd) for w, dd in zip(cd, range(d_scale + 1, 2 * d_scale + 1)) if w]
+    phases = _frac_scaled_pow_pairs(products, c, ((h, dd) for _, dd in dws), caps=caps)
     re_parts: list[float] = []
     im_parts: list[float] = []
-    for di, dd in enumerate(range(d_scale + 1, 2 * d_scale + 1)):
-        if not cd[di]:
-            continue
-        part = _e_sum(frac_scaled_pow_batch(products, c, h, dd, caps=caps)[0], ws)
-        re_parts.append(cd[di] * part.real)
-        im_parts.append(cd[di] * part.imag)
+    for (w, _), (fracs, _) in zip(dws, phases):
+        part = _e_sum(fracs, ws)
+        re_parts.append(w * part.real)
+        im_parts.append(w * part.imag)
     value = complex(math.fsum(re_parts), math.fsum(im_parts))
 
     trivial = (
@@ -251,11 +253,8 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     ns = table.ns[sel]
     logs = table.logs[sel]
 
-    abs_parts: list[float] = []
-    for h in range(1, h_count + 1):
-        for dd in range(d_scale + 1, 2 * d_scale + 1):
-            abs_parts.append(abs(_e_sum(frac_scaled_pow_batch(ns, c, h, dd, caps=caps)[0], logs)))
-    total = math.fsum(abs_parts)
+    pairs = itertools.product(range(1, h_count + 1), range(d_scale + 1, 2 * d_scale + 1))
+    total = math.fsum(abs(_e_sum(fracs, logs)) for fracs, _ in _frac_scaled_pow_pairs(ns, c, pairs, caps=caps))
     value = complex(total, 0.0)
     psi_mass = float(math.fsum(logs.tolist()))
     trivial = h_count * d_scale * psi_mass

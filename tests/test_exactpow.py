@@ -455,6 +455,24 @@ def test_frac_scaled_pow_batch_chunk_edges(size, escalated):
     phase_ratios(values[idx], bounds[idx], 3, 7, ns[idx], 11, 5)
 
 
+@pytest.mark.parametrize("cc", ["3/2", "77/10", "100000001/100000000"])
+def test_frac_pairs_compute_each_root_once(cc, monkeypatch):
+    # every n^(77/10) here passes 2^62 and den 10^8 skips the double-word
+    # stage, so both escalate for every pair; at 3/2 only the squares 32^2
+    # and 33^2 do.  The pairs share each root and each matches its own batch.
+    ns = np.arange(1000, 1100, dtype=np.int64)
+    pairs = [(h, d) for h in (1, 2, 5) for d in (3, 4)]
+    expected = [ep.frac_scaled_pow_batch(ns, cc, h, d) for h, d in pairs]
+    roots = []
+    real = ep._floor_root
+    monkeypatch.setattr(ep, "_floor_root", lambda *args: roots.append(args[0]) or real(*args))
+    got = list(ep._frac_scaled_pow_pairs(ns, cc, iter(pairs)))
+    assert len(got) == len(pairs)
+    for (values, bounds), (want_values, want_bounds) in zip(got, expected):
+        assert values.tolist() == want_values.tolist() and bounds.tolist() == want_bounds.tolist()
+    assert sorted(roots) == ([32**2, 33**2] if cc == "3/2" else ns.tolist())
+
+
 def test_frac_phase_batch_two_bases(escalated):
     # 5/2 with delta 3/10 take q = 10; only z = 1 escalates
     zs = np.array([1, *random.Random("weyl").sample(range(2, 10**5), 200)], dtype=np.int64)
