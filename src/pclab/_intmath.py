@@ -4,8 +4,9 @@ Shared by the certified-power kernels and the factorization front end.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_right
+from math import gcd
 
 from .errors import FactorizationTimeout
 from .primes import _simple_sieve
@@ -230,12 +231,51 @@ def small_primes() -> list[int]:
     return _small_primes_cache
 
 
+# Trial blocks: runs of consecutive primes from 7 to 10^5, each run's primes
+# p in [q, q^2) for its first prime q and their product at most
+# _BLOCK_BITS bits, so that one gcd per block stays cheap.  Entries are
+# (q^2, last prime, product, primes), appended on first use.
+_BLOCK_BITS = 1 << 10
+_trial_blocks: list[tuple[int, int, int, tuple[int, ...]]] = []
+
+
+def _add_trial_block() -> bool:
+    """Append the next trial block; False once every prime to 10^5 is in one."""
+    primes = small_primes()
+    start = bisect_right(primes, _trial_blocks[-1][1]) if _trial_blocks else 3
+    if start == len(primes):
+        return False
+    q = primes[start]
+    end, product = start, 1
+    while end < len(primes) and primes[end] < q * q and (product * primes[end]).bit_length() <= _BLOCK_BITS:
+        product *= primes[end]
+        end += 1
+    _trial_blocks.append((q * q, primes[end - 1], product, tuple(primes[start:end])))
+    return True
+
+
+# Below 2^30 (one CPython digit) the remaining block gcds decide a cofactor
+# faster than the strong test does.  Any threshold up to 2^64 gives the same
+# result: below it the test is deterministic and agrees with trial division,
+# and from it on the cofactors tested are the ones tested after each found
+# prime, so the probabilistic flag is set by the same verdicts.
+_PRIMALITY_FROM = 1 << 30
+
+
 def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
     """Complete factorization of n >= 1 as {prime: exponent}.
 
-    Returns (factors, probabilistic_flag).  Trial division runs to 10^5 and
-    stops past isqrt of the cofactor, which is then 1 or prime; a cofactor
-    left beyond 10^5 is tested, and composites go to Brent rho.  Raises
+    Returns (factors, probabilistic_flag).  Trial division runs to 10^5 with
+    one gcd of the cofactor m per trial block (Bernstein, "How to find
+    smooth parts of integers", 2004), and is exact.  A block is entered with
+    no prime below its first prime q left in m, so m < q^2 leaves m equal to
+    1 or a prime, and the division stops.  The gcd g is a product of
+    distinct block primes, any two of which multiply past q^2 and so past
+    every block prime: a g up to the block's last prime is that prime, and
+    only a larger g is scanned prime by prime.  Found primes enter in
+    ascending order.  After a found prime p with p^2 <= m, a cofactor
+    m >= 2^30 is tested, and a prime one ends the division.  A cofactor left
+    beyond 10^5 is tested, and composites go to Brent rho.  Raises
     FactorizationTimeout (carrying the partial result) if the rho budget is
     exceeded.
     """
@@ -244,26 +284,45 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
     factors: dict[int, int] = {}
     probabilistic = False
     m = n
-    for p in (2, 3, 5):
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-    limit = math.isqrt(m)
-    for p in itertools.islice(small_primes(), 3, None):
-        if p > limit:  # no prime factor up to isqrt(m): m is 1 or prime
-            if m > 1:
-                factors[m] = factors.get(m, 0) + 1
-            return factors, probabilistic
+    if not m & 1:
+        e = (m & -m).bit_length() - 1
+        factors[2] = e
+        m >>= e
+    for p in (3, 5):
         if m % p == 0:
+            e = 0
             while m % p == 0:
-                factors[p] = factors.get(p, 0) + 1
                 m //= p
-            limit = math.isqrt(m)
-            if p <= limit:
+                e += 1
+            factors[p] = e
+    blocks = _trial_blocks
+    i = 0
+    while i < len(blocks) or _add_trial_block():
+        q2, last, product, block = blocks[i]
+        i += 1
+        if m < q2:
+            if m > 1:
+                factors[m] = 1
+            return factors, probabilistic
+        g = gcd(m, product)
+        while g > 1:
+            if g <= last:
+                p = g
+            else:
+                for p in block:
+                    if g % p == 0:
+                        break
+            g //= p
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = e
+            if m >= _PRIMALITY_FROM and p * p <= m:
                 verdict, det = primality(m)
                 probabilistic |= not det
                 if verdict:
-                    factors[m] = factors.get(m, 0) + 1
+                    factors[m] = 1
                     return factors, probabilistic
     # m is 1 here when the last trial prime divided it out completely
     pending = [m] if m > 1 else []

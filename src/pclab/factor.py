@@ -5,7 +5,13 @@ size of n, _intmath._MR_TIERS); above that a 64-round seeded random-base
 test plus a strong Lucas check is used and the result is flagged
 probabilistic.  Factorization is trial division to 10^5 followed by
 Brent-cycle Pollard rho with a deterministic constant sequence, so repeated
-runs agree bit for bit.
+runs agree bit for bit.  Trial division takes one gcd of the cofactor with
+the product of each block of consecutive primes (Bernstein 2004).  A block
+starting at the prime q holds only primes below q^2 and is reached with
+every smaller prime divided out, so the rule is exact: a cofactor below q^2
+is 1 or a prime, and a gcd up to the block's last prime is one prime, as
+two block primes multiply past q^2.  Only a larger gcd is scanned prime by
+prime (``_intmath.factorize``).
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and
@@ -15,7 +21,7 @@ below 2^50, with ``is_prime`` one by one from 2^50 on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,17 +33,28 @@ TWO62 = 1 << 62
 TWO127 = 1 << 127
 
 
-@dataclass(frozen=True)
-class FactorSignature:
+class _SignatureFields(NamedTuple):
     n: int
     omega_big: int        # Omega(n): prime factors counted with multiplicity
     squarefree: bool
     prime: bool
     probabilistic: bool = False
 
-    def __post_init__(self):
-        if (self.omega_big == 0) != (self.n == 1) or (self.prime and self.omega_big != 1):
-            raise OutOfRange(f"inconsistent factor signature for n={self.n}")
+
+class FactorSignature(_SignatureFields):
+    """Immutable, compared and hashed by value; inconsistent fields raise
+    OutOfRange, also through ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, omega_big, squarefree, prime, probabilistic=False):
+        if (omega_big == 0) != (n == 1) or (prime and omega_big != 1):
+            raise OutOfRange(f"inconsistent factor signature for n={n}")
+        return tuple.__new__(cls, (n, omega_big, squarefree, prime, probabilistic))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def is_prime(n: int) -> bool:
@@ -55,13 +72,8 @@ def factor_signature(n: int, rho_budget: int = 1 << 24) -> FactorSignature:
         raise OutOfRange("factor_signature needs 1 <= n < 2^127")
     factors, probabilistic = _intmath.factorize(n, rho_budget)
     omega = sum(factors.values())
-    return FactorSignature(
-        n=n,
-        omega_big=omega,
-        squarefree=all(e == 1 for e in factors.values()),
-        prime=(omega == 1 and n in factors),
-        probabilistic=probabilistic,
-    )
+    # every exponent is at least 1, so omega == len(factors) only if all are 1
+    return FactorSignature(n, omega, omega == len(factors), omega == 1 and n in factors, probabilistic)
 
 
 def factorize(n: int, rho_budget: int = 1 << 24) -> dict[int, int]:

@@ -1,11 +1,19 @@
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pclab
 from pclab import _intmath, factor
-from pclab.errors import OutOfRange
+from pclab.acceptance import _omega_oracle
+from pclab.errors import FactorizationTimeout, OutOfRange
 from pclab.primes import _simple_sieve
 
 
@@ -135,7 +143,7 @@ def test_is_prime_agrees_with_the_sieve():
 
 
 def test_primality_work_is_pinned_as_counts(monkeypatch):
-    calls = {"witness": 0, "primality": 0}
+    calls = {"witness": 0, "primality": 0, "gcd": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -145,15 +153,23 @@ def test_primality_work_is_pinned_as_counts(monkeypatch):
 
     monkeypatch.setattr(_intmath, "_mr_composite_witness", counting("witness", _intmath._mr_composite_witness))
     monkeypatch.setattr(_intmath, "primality", counting("primality", _intmath.primality))
+    monkeypatch.setattr(_intmath, "gcd", counting("gcd", _intmath.gcd))
     # below 1,373,653 the strong test takes bases 2 and 3 only
     assert sum(map(factor.is_prime, range(10**6, 10**6 + 10**4))) == 753
     assert calls["witness"] == 2239
-    # below 10^10 trial division decides every cofactor it passes the root of;
-    # primality runs only where a divided-out factor leaves a larger cofactor
+    # below 2^30 the trial blocks decide every cofactor, one gcd per block
+    # reached, with no strong test
     calls["primality"] = 0
     for n in range(1, 10**5 + 1):
         factor.factor_signature(n)
-    assert calls["primality"] == 31376
+    assert calls["primality"] == 0
+    assert calls["gcd"] == 141139
+    # from 2^30 on a cofactor left above the square of a found prime is tested
+    calls["primality"] = calls["gcd"] = 0
+    for n in range(2**40, 2**40 + 1000):
+        factor.factor_signature(n)
+    assert calls["primality"] == 855
+    assert calls["gcd"] == 36021
 
 
 def test_is_prime_probabilistic_path():
@@ -220,6 +236,159 @@ def test_out_of_range():
 def test_deterministic_repetition():
     n = 2**67 - 1
     assert factor.factorize(n) == factor.factorize(n)
+
+
+def test_signature_is_an_immutable_value():
+    s = factor.factor_signature(12)
+    same = factor.FactorSignature(n=12, omega_big=3, squarefree=False, prime=False)
+    assert s == same and hash(s) == hash(same)
+    # the hash of the field tuple, as the frozen dataclass it replaced hashed
+    assert hash(s) == hash((12, 3, False, False, False))
+    assert s != factor.factor_signature(18) and s != same._replace(probabilistic=True)
+    assert len({s, same, factor.factor_signature(12)}) == 1
+    assert (s.n, s.omega_big, s.squarefree, s.prime, s.probabilistic) == (12, 3, False, False, False)
+    with pytest.raises(AttributeError):
+        s.omega_big = 2
+    with pytest.raises(OutOfRange):
+        s._replace(prime=True)
+    with pytest.raises(OutOfRange):
+        factor.FactorSignature._make((1, 1, True, False, False))
+
+
+def per_prime_factorize(n, rho_budget=1 << 24):
+    """factorize with one m % p per trial prime, as before the trial blocks."""
+    factors = {}
+    probabilistic = False
+    m = n
+    for p in (2, 3, 5):
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+    limit = math.isqrt(m)
+    for p in itertools.islice(_intmath.small_primes(), 3, None):
+        if p > limit:
+            if m > 1:
+                factors[m] = factors.get(m, 0) + 1
+            return factors, probabilistic
+        if m % p == 0:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
+            limit = math.isqrt(m)
+            if p <= limit:
+                verdict, det = _intmath.primality(m)
+                probabilistic |= not det
+                if verdict:
+                    factors[m] = factors.get(m, 0) + 1
+                    return factors, probabilistic
+    pending = [m] if m > 1 else []
+    budget = [rho_budget]
+    while pending:
+        m = pending.pop()
+        verdict, det = _intmath.primality(m)
+        probabilistic |= not det
+        if verdict:
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        r = _intmath.perfect_root(m, 2)
+        if r is not None:
+            pending.extend((r, r))
+            continue
+        d = _intmath.brent_rho(m, budget)
+        if d is None or d == m:
+            raise FactorizationTimeout("budget", partial=(dict(factors), m))
+        pending.extend((d, m // d))
+    return factors, probabilistic
+
+
+def factorize_outcome(fn, n, rho_budget):
+    """Factors in insertion order and the flag, or the timeout's partial."""
+    try:
+        factors, probabilistic = fn(n, rho_budget)
+    except FactorizationTimeout as e:
+        factors, cofactor = e.partial
+        return "timeout", list(factors.items()), cofactor
+    return list(factors.items()), probabilistic
+
+
+def assert_factorize_unchanged(ns, rho_budget=1 << 24):
+    for n in ns:
+        assert factorize_outcome(_intmath.factorize, n, rho_budget) == \
+            factorize_outcome(per_prime_factorize, n, rho_budget), n
+
+
+def trial_blocks():
+    while _intmath._add_trial_block():
+        pass
+    return _intmath._trial_blocks
+
+
+def test_trial_blocks_cover_the_primes_to_1e5_in_order():
+    blocks = trial_blocks()
+    assert [p for block in blocks for p in block[3]] == _intmath.small_primes()[3:]
+    for q2, last, product, primes in blocks:
+        assert q2 == primes[0] ** 2 and last == primes[-1] and product == math.prod(primes)
+        # two primes of a block multiply past its last prime
+        assert last < q2 and product.bit_length() <= _intmath._BLOCK_BITS
+
+
+def test_factorize_unchanged_at_the_block_edges():
+    blocks = trial_blocks()
+    firsts = [block[3][0] for block in blocks] + [100003]  # 100003: the first prime past trial division
+    lasts = [block[1] for block in blocks]
+    ns = [31**2, 37**2, 97 * 101, 997**2, 1009**2, 99989 * 99991, 99991**2, 99991 * 100003, 100003**2]
+    for q, last, nxt in zip(firsts, lasts, firsts[1:]):
+        for n in (q * q, last * last, q * last, last * nxt, nxt * nxt, q * last * nxt, q**3 * nxt):
+            ns += [n, 210 * n]
+    assert_factorize_unchanged(ns)
+
+
+def test_factorize_unchanged_near_2_62_and_2_64():
+    rng = random.Random(6264)
+    ns = [c + rng.randrange(-2**40, 2**40) for c in (2**62, 2**64) for _ in range(60)]
+    # and multiples of trial primes on each side, some of them repeated
+    ps = _intmath.small_primes()
+    for c in (2**62, 2**64):
+        for _ in range(40):
+            head = rng.choice(ps) * rng.choice(ps[:100]) ** rng.randint(1, 3)
+            ns += [c // head * head, (c // head + 1) * head]
+    assert_factorize_unchanged(ns, 1 << 16)
+
+
+def test_factorize_unchanged_on_probable_primes_and_timeouts():
+    m89 = 2**89 - 1  # a Mersenne prime: its verdict is probabilistic
+    ns = [m89 * p for p in (1, 2, 3, 7, 31, 37, 97, 101, 997, 99991)]
+    ns += [m89 * 7 * 7, m89 * 101 * 99991, m89**2, 3 * 2**64 + 3 * 13]
+    assert _intmath.factorize(m89 * 7) == ({7: 1, m89: 1}, True)
+    assert_factorize_unchanged(ns)
+    # composite cofactors past trial division that a tiny rho budget cannot split
+    semiprime = 1000003 * 1000033
+    ns = [semiprime, 7 * semiprime, 2 * 101 * 101 * semiprime, 99991 * semiprime * 1000037, m89 * semiprime]
+    for n in ns:
+        assert factorize_outcome(_intmath.factorize, n, 4)[0] == "timeout", n
+    assert_factorize_unchanged(ns, 4)
+
+
+def test_import_and_small_factorizations_build_only_small_blocks():
+    src = str(Path(pclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import pclab.cli; from pclab import _intmath, factor; n0 = len(_intmath._trial_blocks); "
+            "factor.factor_signature(2 * 3 * 5 * 7 * 11 * 13 * 101 * 103); "
+            "print(n0, len(_intmath._trial_blocks), _intmath._trial_blocks[-1][1])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    n0, n1, last = map(int, out.stdout.split())
+    assert n0 == 0 and n1 <= 3 and last < 2000
+
+
+def test_signature_arrays_agree_with_the_sieve_oracle_to_1e6():
+    limit = 10**6
+    omega, squarefree = _omega_oracle(limit)
+    omega_small, sf, cofactor = factor.signature_arrays(np.arange(1, limit + 1, dtype=np.int64))
+    edge = np.flatnonzero(cofactor > 1)
+    # the cofactor adds 1 when prime and 2 when composite
+    omega_small[edge] += 2 - factor.is_prime_array(cofactor[edge])
+    assert np.array_equal(omega_small, omega[1:])
+    assert np.array_equal(sf, squarefree[1:])
 
 
 def check_signature_arrays(vals):
