@@ -22,11 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._intmath import iroot
 from ._json import Report
 from .constants import regime_constants, vinogradov_degree, vinogradov_saving
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
-from .exactpow import _frac_scaled_pow_pairs, as_exponent, as_ratio, frac_phase_batch, frac_scaled_pow_batch
+from .exactpow import _floor_root, _frac_scaled_pow_pairs, as_exponent, as_ratio, frac_phase_batch, frac_scaled_pow_batch
 from .primes import mangoldt_table, primes_in
 from .prng import pm1_weights
 
@@ -76,10 +75,12 @@ def weyl_sum(c, theta, delta, n_scale: int, *, epsilon=0, caps: Caps = DEFAULT_C
     k = vinogradov_degree(c.as_fraction, theta, delta)
     rho = vinogradov_saving(k, epsilon)
     # N^num >= 2^(num (bits(N) - 1)) >= 2^(den bits(cap + 1)) > (cap + 1)^den
-    # decides m > cap before the power is formed
+    # decides m > cap before the floor is taken.  _floor_root forms N^num only
+    # for den <= 64 within caps.floor_exact_bits and encloses N^theta in
+    # intervals otherwise, so a huge den costs no huge power.
     num, den = theta.numerator, theta.denominator
     too_many = num * (n_scale.bit_length() - 1) >= den * (caps.weyl_terms + 1).bit_length()
-    m = None if too_many else iroot(n_scale ** num, den)
+    m = None if too_many else _floor_root(n_scale, num, den, 0, caps)
     if too_many or m > caps.weyl_terms:
         raise RangeTooLarge(f"N^theta terms exceed cap {caps.weyl_terms}")
     fracs, _ = frac_phase_batch(np.arange(m + 1, 2 * m + 1, dtype=np.int64), c, n_scale, delta, caps)

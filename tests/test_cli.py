@@ -292,6 +292,8 @@ def test_scientific_notation_exact():
     assert code == 1  # not an exact integer
 
 
+HUGE_DEN_THETA = "1.0000000000000000000000000000001"
+
 # argv ("{file}" names a file holding file_text), file_text, environment
 BAD_INPUTS = {
     "zero denominator": (["constants", "sigma", "-c", "1/0"], None, {}),
@@ -335,6 +337,10 @@ BAD_INPUTS = {
     "weyl N^Theta with 12 million bits": (
         ["expsum", "weyl", "-c", "5/2", "--Theta", "1000000", "--Delta", "1", "--N", "1e12"], None, {}
     ),
+    # num and den near 1e31: the bit-length test passes, and floor(N^Theta) = N > 1e8
+    "weyl huge-den Theta past the cap": (
+        ["expsum", "weyl", "-c", "5/2", "--Theta", HUGE_DEN_THETA, "--Delta", "1", "--N", "134217727"], None, {}
+    ),
 }
 
 # cases that end on a resource cap, exit 3; every other case exits 1
@@ -344,6 +350,7 @@ BAD_INPUT_CODES = {
     "leveldist D past int64": 3,
     "leveldist D squared past the table cap": 3,
     "weyl N^Theta with 12 million bits": 3,
+    "weyl huge-den Theta past the cap": 3,
 }
 
 # the whole stderr line of the cases whose message is pinned
@@ -351,6 +358,7 @@ BAD_INPUT_MESSAGES = {
     "jobs before the subcommand": "pclab: --jobs goes after the subcommand, not before it",
     "tol= before the subcommand": "pclab: --tol goes after the subcommand, not before it",
     "weyl N^Theta with 12 million bits": "pclab: resource cap: N^theta terms exceed cap 100000000",
+    "weyl huge-den Theta past the cap": "pclab: resource cap: N^theta terms exceed cap 100000000",
 }
 
 
@@ -371,6 +379,17 @@ def test_bad_input_is_one_line_exit_1(case, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("pclab: ")
     assert lines[0] == BAD_INPUT_MESSAGES.get(case, lines[0])
     assert proc.stdout == ""
+
+
+def test_weyl_with_a_huge_theta_denominator_ends():
+    # floor(N^Theta) comes from intervals, not from N^num with num near 1e31
+    src = str(Path(pclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["expsum", "weyl", "-c", "5/2", "--Theta", HUGE_DEN_THETA, "--Delta", "1", "--N", "100"]
+    proc = subprocess.run([sys.executable, "-m", "pclab.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["params"]["terms"] == 100
 
 
 def test_verify_record_reproduces_fixtures(tmp_path):
