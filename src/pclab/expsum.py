@@ -25,7 +25,14 @@ import numpy as np
 from ._json import Report
 from .constants import regime_constants, vinogradov_degree, vinogradov_saving
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, RangeTooLarge
-from .exactpow import _floor_root, _frac_scaled_pow_pairs, as_exponent, as_ratio, frac_phase_batch, frac_scaled_pow_batch
+from .exactpow import (
+    _floor_root,
+    _frac_scaled_pow_pairs,
+    as_exponent,
+    as_ratio,
+    frac_phase_batch,
+    frac_scaled_pow_batch,
+)
 from .primes import mangoldt_table, primes_in
 from .prng import pm1_weights
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -247,6 +248,7 @@ def test_signature_is_an_immutable_value():
     assert s != factor.factor_signature(18) and s != same._replace(probabilistic=True)
     assert len({s, same, factor.factor_signature(12)}) == 1
     assert (s.n, s.omega_big, s.squarefree, s.prime, s.probabilistic) == (12, 3, False, False, False)
+    assert pickle.loads(pickle.dumps(s)) == s
     with pytest.raises(AttributeError):
         s.omega_big = 2
     with pytest.raises(OutOfRange):
