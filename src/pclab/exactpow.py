@@ -33,8 +33,8 @@ is still within the bound of an integer.
 
 frac_scaled_pow_batch and frac_phase_batch certify arrays of fractional
 parts with _certified_frac_batch: from the float guess, two double-word
-Newton steps (the first is floor_pow_batch's) put P within a written bound
-E of about ((e + e2) / q + 2) 2^-102 P, and the phase
+Newton steps put P within a written bound E of about
+((e + e2) / q + 2) 2^-102 P, and the phase
 ((h mod d) (floor(P) mod d) mod d + h frac(P)) / d then lies within
 B = (h / d) (E + 2^-50) + 2^-51.  A phase stands when B <= tol and its
 enclosure excludes every integer; every other one, perfect powers and
@@ -42,6 +42,9 @@ P >= 2^62 included, goes to _certified_frac, the one per-point certifier.
 One batch serves many (h, d) pairs over the same array: the double-word
 stage runs once, and the fixed-point roots _certified_frac computes are
 kept for the later pairs.
+
+Both double-word stages are one kernel, _dw_floors, with a step count; its
+docstring holds the error argument for one step and for two.
 """
 from __future__ import annotations
 
@@ -252,6 +255,10 @@ def _integer_root(b: int, e: int, q: int, b2: int, e2: int) -> int | None:
 
 
 def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2: int) -> int:
+    # P >= 2^low, decided in integers before e log2(b) may pass the float range
+    low = (e * (b.bit_length() - 1) + e2 * (b2.bit_length() - 1)) // q
+    if low + s + 16 + 64 > caps.prec_cap_bits:
+        raise Overflow(f"result needs over {caps.prec_cap_bits - 64} bits, beyond the precision cap")
     est_bits = max(0, int((e * math.log2(b) + e2 * math.log2(b2)) / q)) + s + 16
     if est_bits + 64 > caps.prec_cap_bits:
         raise Overflow(
@@ -384,7 +391,7 @@ _SPLIT = float((1 << 27) + 1)
 # elements per double-word pass, which bounds its temporaries
 _DW_CHUNK = 1 << 14
 
-# the double-word stage's error terms (floor_pow_batch): the float stage's
+# the double-word stage's error terms (_dw_floors): the float guess's
 # relative error below 2^62, one double-word product's, and the unit roundoff
 _FLOAT_REL_ERR = 2.0 ** -39
 _DW_MUL_ERR = 2.0 ** -100
@@ -392,7 +399,7 @@ _U = 2.0 ** -53
 
 _TWO62 = 2.0 ** 62
 
-# largest q for the double-word stages, exclusive: q 2^-39 < 2^-15 keeps
+# largest q for the double-word stage, exclusive: q 2^-39 < 2^-15 keeps
 # Newton's step contracting, and the exponents of A below 2^30 (int32)
 _DW_MAX_DEN = 1 << 24
 
@@ -466,53 +473,106 @@ def _newton(a, yh: np.ndarray, yl: np.ndarray, q: int) -> tuple[np.ndarray, np.n
     return hi, t - (hi - yh)
 
 
-def _chain_err(ratio: float) -> float:
-    """Relative bound on what the double-word chains move a Newton step by,
-    for ratio = (e + e2) / q, the c of n^c (floor_pow_batch's stage 2)."""
-    return (ratio + 2) * _DW_MUL_ERR / 4
+def _root_rel_err(q: int, ratio: float, steps: int) -> float:
+    """Relative bound on |hi + lo - P| after _dw_root's steps (1 or 2) from a
+    float guess, for ratio = (e + e2) / q (argument in _dw_floors)."""
+    chain = (ratio + 2) * _DW_MUL_ERR / 4
+    err = q * _FLOAT_REL_ERR ** 2 / 2 + 6 * _U * _FLOAT_REL_ERR + chain
+    if steps == 2:
+        err = q * err ** 2 / 2 + 8 * _U * err + chain + _U ** 2
+    return err
 
 
-def _step_err(q: int, ratio: float) -> float:
-    """Relative bound on one Newton step's error from a float guess
-    (floor_pow_batch's stage 2)."""
-    return q * _FLOAT_REL_ERR ** 2 / 2 + 6 * _U * _FLOAT_REL_ERR + _chain_err(ratio)
+def _dw_root(a, y0: np.ndarray, q: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): steps Newton steps on y^q = A from the float guesses y0, each
+    from the last one's double word."""
+    hi, lo = y0, np.zeros(y0.size)
+    for _ in range(steps):
+        hi, lo = _newton(a, hi, lo, q)
+    return hi, lo
 
 
-def _root_rel_err(q: int, ratio: float) -> float:
-    """Relative bound on |hi + lo - P| after _dw_root's two steps
-    (_certified_frac_batch)."""
-    e1 = _step_err(q, ratio)
-    return q * e1 ** 2 / 2 + 8 * _U * e1 + _chain_err(ratio) + _U ** 2
+def _dw_floors(bs: np.ndarray, y0: np.ndarray, e: int, q: int, steps: int, b2: int = 1, e2: int = 0):
+    """Yield (idx, floors, g, err) for each chunk of _DW_CHUNK elements of the
+    int64 array bs: the one double-word stage, of floor_pow_batch (steps=1)
+    and _certified_frac_batch (steps=2), for P = (b^e * b2^e2)^(1/q).
 
+    An element takes part when b > 1 and its float guess y0 = _float_pow(b)
+    is below 2^62; needs e + e2 < 62 q, q < _DW_MAX_DEN and b2 < 2^62.
+    A = b^e * b2^e2 is formed once (_dw_power), and steps Newton steps on
+    y^q = A from y0 (_dw_root, each step _newton) give the double word
+    hi + lo, within
 
-def _dw_root(a, y0: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo): two Newton steps on y^q = A from the float guesses y0, the
-    second from the first's double word."""
-    hi, lo = _newton(a, y0, np.zeros(y0.size), q)
-    return _newton(a, hi, lo, q)
+      E = hi * _root_rel_err(q, (e + e2) / q, steps)
 
+    of P.  F = floor(hi) + floor(f) and g = f - floor(f) for
+    f = (hi - floor(hi)) + lo.  An element is yielded, with its index idx
+    into bs, F as int64 and g and E as float64, when hi < 2^62 and g lies
+    farther than E + 2^-52 from an integer: then F = floor(P) and F + g is
+    within E + 2^-52 of P.  Every other element, perfect powers included,
+    is left to the caller's exact stage (Ziv, ACM TOMS 17(3), 1991).
 
-def _newton_margin(hi: np.ndarray, c: RationalExponent) -> np.ndarray:
-    """B, the bound on |hi + lo - n^c| and the floor step (floor_pow_batch)."""
-    return hi * _step_err(c.den, c.num / c.den) + 2.0 ** -52
+    One step from the double word y = yh + yl: A and Y = y^q are formed by
+    square-and-multiply in double words (Dekker's two-product with a
+    Veltkamp split; each product is scaled back to [1/2, 1) by an exact
+    power of two, so nothing overflows), and
+    (hi, lo) = two_sum(yh, yl + yh (A - Y) / (q Y)).
 
+    Error argument, with y = P, w = (e + e2) / q, ε0 = 2^-39, u = 2^-53,
+    u' = 2^-52 and m = 2^-100.  The first step's bound is
 
-def _newton_floors(ns: np.ndarray, y0: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.ndarray]:
-    """(floors, ok): the double-word stage's int64 floors of ns**c, from the
-    float guesses y0, and which of them it certifies."""
-    floors = np.zeros(ns.size, dtype=np.int64)
-    ok = np.zeros(ns.size, dtype=bool)
-    for i in range(0, ns.size, _DW_CHUNK):
-        part = slice(i, i + _DW_CHUNK)
-        yh = y0[part]
-        hi, lo = _newton(_dw_power(ns[part], c.num), yh, np.zeros_like(yh), c.den)
+      e1 = q ε0^2 / 2 + 6 u ε0 + (w + 2) m / 4,
+
+    and the second step's is q e1^2 / 2 + 8 u e1 + (w + 2) m / 4 + u^2.
+
+    * The guess.  y0 = y (1 + δ) with |δ| <= ε0: floor_pow_batch's stage 1
+      argument with Y = ln(y) < ln(2^62) < 43 gives (44 k + 43) u' <=
+      6643 u' < 2^-39 for k <= 150 (b >= 2^53 rounded to a float adds
+      w u' / 2 more, within the slack).  A second base's term and the sum
+      add (k + 1) u' Y, and (43 (k + 2) + k) u' <= 6686 u' < 2^-39.
+    * Newton's quadratic term.  The exact step from y (1 + ε) gives
+      y (1 + f(ε)) with 0 <= f(ε) <= (q - 1) ε^2 / 2 (1 - |ε|)^-(q + 1),
+      below q ε^2 / 2: the first term, with ε = δ for the first step and
+      |ε| <= e1 for the second.
+    * The chains.  Each double-word product (Dekker, Numer. Math. 18, 1971)
+      is off by a relative 8 u^2 (1 + 4 u) < m / 8: two rounded cross terms
+      (u^2 each), their rounded sum (2 u^2), the dropped lo * lo (u^2) and
+      the rounded sum with the exact two-product error (3 u^2) (cf. the FMA
+      variants in Joldes, Muller and Popescu, ACM TOMS 44(2), 2017).
+      Square-and-multiply raises the error of a product that reaches
+      exponent k to the power e / k, and the partial exponents at least
+      double per bit, so x^e is off by below 2 e m / 8: A by below
+      (2 e + 2 e2 + 1) m / 8 (one product more for the second base) and Y
+      by below 2 q m / 8.  They move the step by their difference over q,
+      below (2 w + 3) m / 8 of y: the (w + 2) m / 4 term, whose rounded-up
+      constant also holds rounding al - bl (below 2.1 u^2 y / q).
+    * The correction, below 1.01 ε0 y, takes five roundings: the sum of the
+      differences (ah - bh is exact by Sterbenz), the division by Y's high
+      part (dropping its low part), the product with yh and the division
+      by q; a relative 5.01 u, the 6 u ε0 term.  The second step's
+      correction, below 1.01 e1 y, takes the same roundings, with the
+      product taken with hi1 in place of hi1 + lo1, and adding lo1 rounds
+      by below u (u y + 1.01 e1 y): together below 8 u e1 y + u^2 y.
+    * two_sum is exact, and y < hi (1 + 2^-30) after one step (2^-52 after
+      two), which q / 2 over (q - 1) / 2 and the rounded-up constants absorb.
+    * The floor.  f is lo itself when hi is an integer and otherwise rounds
+      by at most 2^-53 inside (0, 1).  g = f - floor(f) is exact, the
+      distance is min(g, 1 - g), and 1 - g rounds by at most 2^-53 more:
+      the 2^-52.
+    """
+    rel = _root_rel_err(q, (e + e2) / q, steps)
+    for i in range(0, bs.size, _DW_CHUNK):
+        b = bs[i : i + _DW_CHUNK]
+        y = y0[i : i + _DW_CHUNK]
+        sel = np.flatnonzero((b > 1) & (y < _TWO62))
+        hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y[sel], q, steps)
         fh = np.floor(hi)
-        f = (hi - fh) + lo  # lo itself when hi is an integer, else in (0, 1)
+        f = (hi - fh) + lo
         fl = np.floor(f)
         g = f - fl
-        ok[part] = (np.minimum(g, 1.0 - g) > _newton_margin(hi, c)) & (hi < _TWO62)
-        floors[part] = fh.astype(np.int64) + fl.astype(np.int64)
-    return floors, ok
+        err = hi * rel
+        ok = (hi < _TWO62) & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
+        yield i + sel[ok], fh[ok].astype(np.int64) + fl[ok].astype(np.int64), g[ok], err[ok]
 
 
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
@@ -522,15 +582,10 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
        finite and lies farther than v * 1e-12 from an integer.
     2. Double word, for den <= 64: an element the float stage leaves, with
        n > 1 and v < 2^62, takes one Newton step on y^den = n^num from
-       y0 = v.  A = n^num and Y = y0^den are formed by square-and-multiply
-       in double words (Dekker's two-product with a Veltkamp split; each
-       product is scaled back to [1/2, 1) by an exact power of two, so
-       nothing overflows), and (hi, lo) = two_sum(y0, y0 (A - Y) / (den Y)).
+       y0 = v to hi + lo (_dw_floors, whose docstring holds the argument).
        Its floor stands when hi < 2^62 and hi + lo lies farther than
-
-         B = hi (den e^2 / 2 + 6 u e + (c + 2) m / 4) + 2^-52
-
-       from an integer, with e = 2^-39, u = 2^-53 and m = 2^-100.
+       B = hi * _root_rel_err(den, c, 1) + 2^-52, about den 2^-79 v, from
+       an integer.
     3. Exact: every other element is recomputed by floor_pow.
 
     Stage 1 error argument.  From v ~ 5e11 on the margin exceeds 1/2, so an
@@ -548,41 +603,10 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     float whose distance to the nearest integer exceeds the error has the
     true floor.
 
-    Stage 2 error argument, with y = n^c and y0 = y (1 + e0):
-
-    * |e0| <= e: the same argument with Y < ln(2^62) < 43 gives
-      (44 k + 43) u' <= 6643 u' < 2^-39 for k <= 150 (n >= 2^53 rounded to
-      a float adds c u'/2 more, within the slack).
-    * Newton's quadratic term.  The exact step gives y (1 + f(e0)) with
-      0 <= f(e0) <= (den - 1) e0^2 / 2 (1 - e)^-(den + 1), the first term.
-    * Each double-word product (Dekker, Numer. Math. 18, 1971) is off by a
-      relative 8 u^2 (1 + 4 u) < m / 8: two rounded cross terms (u^2 each),
-      their rounded sum (2 u^2), the dropped lo * lo (u^2) and the rounded
-      sum with the exact two-product error (3 u^2) (cf. the FMA variants in
-      Joldes, Muller and Popescu, ACM TOMS 44(2), 2017).  Square-and-multiply
-      raises the error of a product that reaches exponent k to the power
-      e / k, and the partial exponents at least double per bit, so x^e is
-      off by below 2 e m / 8: A by below 2 num m / 8 and Y by below
-      2 den m / 8.  They move the step by their difference over den, below
-      (2 c + 2) m / 8 of y; the third term, whose rounded-up constant also
-      holds the error of al - bl.
-    * The correction, below 1.01 e y, takes five roundings: the sum of the
-      differences (ah - bh is exact by Sterbenz), the division by Y's high
-      part (dropping its low part), the product with y0 and the division
-      by den; a relative 5.01 u, the second term.  Rounding al - bl adds
-      below 2.1 u^2 y / den, inside the third (its slack is 8 u^2 y).
-    * two_sum is exact.  The floor is floor(hi) + floor(f) for
-      f = (hi - floor(hi)) + lo, which is lo itself when hi is an integer
-      and otherwise rounds by at most 2^-53 inside (0, 1).  With
-      g = f - floor(f) (exact) the distance is min(g, 1 - g), and 1 - g
-      rounds by at most 2^-53 more: the 2^-52.
-    * y < hi (1 + 2^-30), which den / 2 over (den - 1) / 2 and the rounded
-      up constants absorb.
-
-    An element within B of an integer escalates to stage 3 (Ziv, ACM TOMS
-    17(3), 1991), so _floor_root stays the one certifier.  n = 1 is a
-    perfect power, left to stage 3.  Raises Overflow when a floor reaches
-    2^63, decided on the recomputed exact floors.
+    An element within the bound of an integer escalates to stage 3, so
+    _floor_root stays the one certifier.  n = 1 is a perfect power, left to
+    stage 3.  Raises Overflow when a floor reaches 2^63, decided on the
+    recomputed exact floors.
     """
     c = as_exponent(c)
     ns = np.asarray(ns, dtype=np.int64)
@@ -591,11 +615,12 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     if int(ns.min()) < 1:
         raise OutOfRange("floor_pow_batch needs n >= 1")
     out, bad, v = _float_floors(ns, c)
-    if c.den <= _EXACT_ROOT_MAX_DEN:
-        idx = np.flatnonzero(bad & (v < _TWO62) & (ns > 1))
-        floors, ok = _newton_floors(ns[idx], v[idx], c)
-        out[idx[ok]] = floors[ok]
-        bad[idx[ok]] = False
+    if c.den <= _EXACT_ROOT_MAX_DEN and c.num < 62 * c.den:
+        flagged = np.flatnonzero(bad)
+        for idx, floors, _, _ in _dw_floors(ns[flagged], v[flagged], c.num, c.den, 1):
+            idx = flagged[idx]
+            out[idx] = floors
+            bad[idx] = False
     del v
     idx = np.flatnonzero(bad)
     exact = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
@@ -612,31 +637,26 @@ def _certified_frac_batch(
     for each b of the int64 array bs, P = (b^e * b2^e2)^(1/q) as in
     _certified_frac, with every bound <= tol.
 
-    In chunks of _DW_CHUNK, for h >= 1, d < 2^31, h < 2^53, b2 < 2^62 and
-    q < _DW_MAX_DEN; stages 1 and 2 and the floor of stage 3 do not depend
-    on (h, d), so they run once (_dw_phase_roots), for the first pair that
-    takes them, and every later pair reuses them.  h = 0 gives zeros.
+    For h >= 1, d < 2^31, h < 2^53, b2 < 2^62, e + e2 < 62 q and
+    q < _DW_MAX_DEN; stages 1 and 2 do not depend on (h, d), so they run
+    once, for the first pair that takes them, and every later pair reuses
+    them.  h = 0 gives zeros.
 
-    1. Float: y0 = exp((e/q) log b + (e2/q) log b2), for b > 1 and y0 < 2^62.
-    2. Double word: two Newton steps on y^q = A from y0 (_dw_root), with
-       A = b^e * b2^e2 formed once (_dw_power); the second starts from the
-       first's (hi, lo).  With w = (e + e2) / q and
-       e1 = q e^2 / 2 + 6 u e + (w + 2) m / 4, the bound floor_pow_batch's
-       stage 2 proves for one step (_step_err), hi + lo lies within
+    1. Float: y0 = exp((e/q) log b + (e2/q) log b2) (_float_pow).
+    2. Double word: two Newton steps from y0 in _dw_floors, which certifies
+       F = floor(P) and F + g within E + 2^-52 of P, g in [0, 1), for the
+       elements with b > 1 and hi < 2^62 whose g lies farther than
+       E + 2^-52 from an integer (which sends every perfect power on), with
 
-         E = hi (q e1^2 / 2 + 8 u e1 + (w + 2) m / 4 + u^2)
+         E = hi * _root_rel_err(q, (e + e2) / q, 2),
 
-       of P (_root_rel_err), with e = 2^-39, u = 2^-53 and m = 2^-100 as
-       there.
-    3. Phase: F = floor(hi) + floor(f) and g = f - floor(f) for
-       f = (hi - floor(hi)) + lo, as in floor_pow_batch; r = (h mod d)
-       (F mod d) mod d in int64; t = (r + h g) / d and phase = t - floor(t).
-       Its bound is
+       about ((e + e2) / q + 2) 2^-102 P; its docstring holds the argument.
+    3. Phase: r = (h mod d) (F mod d) mod d in int64; t = (r + h g) / d and
+       phase = t - floor(t).  Its bound is
 
          B = (h / d) (E + 2^-50) + 2^-51.
 
-    An element stands when hi < 2^62, g lies farther than E + 2^-52 from an
-    integer (which sends every perfect power on), B <= tol, and
+    An element stands when stage 2 certifies it, B <= tol, and
     B < phase < 1 - B, so the enclosure excludes every integer.  Every other
     element, n = 1 and P >= 2^62 included, is recomputed by _certified_frac
     (Ziv, ACM TOMS 17(3), 1991), which stays the one certifier.  While more
@@ -647,31 +667,12 @@ def _certified_frac_batch(
     P >= 2^62 and every P with q >= _DW_MAX_DEN does, has its root computed
     once, not once per pair.
 
-    Stage 2 error argument, with y = P and y1 = hi1 + lo1 = y (1 + ε):
-
-    * y0 is within e = 2^-39 of y: floor_pow_batch's stage 2 argument, where
-      the second base's term and the sum add (k + 1) u' Y, and
-      (43 (k + 2) + k) u' <= 6686 u' < 2^-39 for k <= 150.
-    * |ε| <= e1, floor_pow_batch's bound for the first step.
-    * The exact second step gives y (1 + f(ε)) with
-      0 <= f(ε) <= (q - 1) ε^2 / 2 (1 - e1)^-(q + 1) < q e1^2 / 2.
-    * A and Y are off by relative α and β, below (2 e + 2 e2 + 1) m / 8 and
-      2 q m / 8 (floor_pow_batch's chain argument, and one product more for
-      the second base), and the step moves to y (1 + (α - β) / q) up to
-      second-order terms: below (w + 2) m / 4 of y, which also holds
-      rounding al - bl (below 2.1 u^2 y / q).
-    * The correction, below 1.01 e1 y, takes the five roundings of the first
-      step plus the product with hi1 in place of y1; adding lo1 rounds by
-      below u (u y + 1.01 e1 y): together below 8 u e1 y + u^2 y.
-    * two_sum is exact, and y < hi (1 + 2^-52) is absorbed by rounding the
-      constants up.
-
-    Stage 3 error argument: F + g is within E + 2^-52 of y (floor_pow_batch's
-    floor step), and h F = r mod d exactly, so T = (r + h (y - F)) / d has
-    {T} = {h y / d}.  h g rounds by u h (h < 2^53 is exact in a float), the
-    sum by u (d + h), the division by u (d + h) / d, and t - floor(t) is
-    exact for t >= 0, so |t - T| <= (h / d) (E + 2^-52 + 3.01 u) + 2.01 u,
-    below B.  When [phase - B, phase + B] holds no integer, neither does
+    Stage 3 error argument: F + g is within E + 2^-52 of y = P, and
+    h F = r mod d exactly, so T = (r + h (y - F)) / d has {T} = {h y / d}.
+    h g rounds by u h (u = 2^-53; h < 2^53 is exact in a float), the sum by
+    u (d + h), the division by u (d + h) / d, and t - floor(t) is exact for
+    t >= 0, so |t - T| <= (h / d) (E + 2^-52 + 3.01 u) + 2.01 u, below B.
+    When [phase - B, phase + B] holds no integer, neither does
     [t - B, t + B], so floor(t) = floor(T) and the phase is within B of
     {h y / d}.  phase + B < 1 is tested as a rounded sum, which rounds to 1
     whenever the exact sum reaches it.
@@ -690,17 +691,16 @@ def _certified_frac_batch(
         values = np.zeros(n)
         bounds = np.zeros(n)
         good = np.zeros(n, dtype=bool)
-        if q < _DW_MAX_DEN and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
+        if q < _DW_MAX_DEN and e + e2 < 62 * q and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
             if stage is None:
-                stage = _dw_phase_roots(bs, e, q, b2, e2)
-            for i in range(0, n, _DW_CHUNK):
-                ok, floors, g, err = (a[i : i + _DW_CHUNK] for a in stage)
+                stage = list(_dw_floors(bs, _float_pow(bs, e, q, b2, e2), e, q, 2, b2, e2))
+            for idx, floors, g, err in stage:
                 r = h % d * (floors % d) % d
                 t = (r + h * g) / d
                 phase = t - np.floor(t)
                 bound = h / d * (err + 2.0 ** -50) + 2.0 ** -51
-                sel = ok & (bound <= tol) & (bound < phase) & (phase + bound < 1.0)
-                idx = i + np.flatnonzero(sel)
+                sel = (bound <= tol) & (bound < phase) & (phase + bound < 1.0)
+                idx = idx[sel]
                 values[idx] = phase[sel]
                 bounds[idx] = bound[sel]
                 good[idx] = True
@@ -726,41 +726,14 @@ def _certified_frac_batch(
         yield values, bounds
 
 
-def _dw_phase_roots(
-    bs: np.ndarray, e: int, q: int, b2: int, e2: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ok, floors, g, err): _certified_frac_batch's stages 1 and 2 and the
-    floor of stage 3 for each b of bs, F = floors and g as int64 and float64
-    arrays, and E = err; ok marks where hi < 2^62 and g lies farther than
-    E + 2^-52 from an integer (0 and False for b = 1 and y0 >= 2^62)."""
-    ok = np.zeros(bs.size, dtype=bool)
-    floors = np.zeros(bs.size, dtype=np.int64)
-    gs = np.zeros(bs.size)
-    errs = np.zeros(bs.size)
-    rel = _root_rel_err(q, (e + e2) / q)
-    for i in range(0, bs.size, _DW_CHUNK):
-        b = bs[i : i + _DW_CHUNK]
-        y0 = _float_pow(b, e, q, b2, e2)
-        sel = np.flatnonzero((b > 1) & (y0 < _TWO62))
-        hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y0[sel], q)
-        fh = np.floor(hi)
-        f = (hi - fh) + lo
-        fl = np.floor(f)
-        g = f - fl
-        err = hi * rel
-        idx = i + sel
-        ok[idx] = (hi < _TWO62) & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
-        floors[idx] = fh.astype(np.int64) + fl.astype(np.int64)
-        gs[idx] = g
-        errs[idx] = err
-    return ok, floors, gs, errs
-
-
 def _check_frac_args(n_min: int, h: int, d: int, tol: float) -> None:
     if n_min < 1 or h < 0 or d < 1:
         raise OutOfRange("frac_scaled_pow needs n >= 1, h >= 0, d >= 1")
     if not 2.0 ** -52 < tol < math.inf:
         raise OutOfRange("tol must be finite and above 2^-52")
+    # _certified_frac takes twice its first modulus d 2^s to a float
+    if d.bit_length() + _frac_bits(h, tol) > 1023:
+        raise OutOfRange("h or d too large: the phase modulus d * 2^s passes the float range")
 
 
 def frac_scaled_pow(

@@ -293,6 +293,7 @@ def test_scientific_notation_exact():
 
 
 HUGE_DEN_THETA = "1.0000000000000000000000000000001"
+BIG = str(10**400 + 1)  # past the float range
 
 # argv ("{file}" names a file holding file_text), file_text, environment
 BAD_INPUTS = {
@@ -341,6 +342,24 @@ BAD_INPUTS = {
     "weyl huge-den Theta past the cap": (
         ["expsum", "weyl", "-c", "5/2", "--Theta", HUGE_DEN_THETA, "--Delta", "1", "--N", "134217727"], None, {}
     ),
+    "floor c past the float range": (["floor", "-n", "3", "-c", f"{BIG}/3"], None, {}),
+    "census c past the float range": (["census", "--x", "100", "-c", f"{BIG}/3", "-R", "2"], None, {}),
+    "discrepancy c past the float range": (["discrepancy", "--x", "100", "-c", f"{BIG}/3", "--h", "1", "--d", "3"],
+                                           None, {}),
+    "weyl Delta 1e300": (["expsum", "weyl", "-c", "5/2", "--Theta", "1/2", "--Delta", "1e300", "--N", "100"], None, {}),
+    "weyl Delta past the float range": (
+        ["expsum", "weyl", "-c", "5/2", "--Theta", "1/2", "--Delta", "1e400", "--N", "100"], None, {}
+    ),
+    "prime h past the float range": (["expsum", "prime", "--x", "100", "-c", "3/2", "--h", "1e400", "--d", "7"],
+                                     None, {}),
+    "prime d past the float range": (["expsum", "prime", "--x", "100", "-c", "3/2", "--h", "1", "--d", "1e400"],
+                                     None, {}),
+    "discrepancy d past the float range": (
+        ["discrepancy", "--x", "100", "-c", "3/2", "--h", "3", "--d", "1e400"], None, {}
+    ),
+    "trilinear h past the float range": (
+        ["expsum", "trilinear", "--D", "2", "--M", "2", "--L", "2", "--h", "1e400", "-c", "3/2"], None, {}
+    ),
 }
 
 # cases that end on a resource cap, exit 3; every other case exits 1
@@ -351,6 +370,11 @@ BAD_INPUT_CODES = {
     "leveldist D squared past the table cap": 3,
     "weyl N^Theta with 12 million bits": 3,
     "weyl huge-den Theta past the cap": 3,
+    "floor c past the float range": 3,
+    "census c past the float range": 3,
+    "discrepancy c past the float range": 3,
+    "weyl Delta 1e300": 3,
+    "weyl Delta past the float range": 3,
 }
 
 # the whole stderr line of the cases whose message is pinned

@@ -459,3 +459,18 @@ def test_expsum_has_one_phase_path():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "frac_scaled_pow_batch" in names
     assert not names & {"scaled_floor_table", "frac_from_fixed", "frac_scaled_pow"}
+
+
+def test_exactpow_has_one_double_word_stage():
+    # floor_pow_batch and the phase batches share one double-word stage,
+    # _dw_floors: _newton is used only by _dw_root, and _dw_root only by it
+    tree = ast.parse(Path(cn.__file__).with_name("exactpow.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    users: dict[str, set[str]] = {}
+    for name, fn in defs.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                users.setdefault(node.id, set()).add(name)
+    assert users["_newton"] == {"_dw_root"}
+    assert users["_dw_root"] == {"_dw_floors"}
+    assert not defs.keys() & {"_newton_floors", "_dw_phase_roots", "_newton_margin"}

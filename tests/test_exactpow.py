@@ -245,25 +245,6 @@ def test_floor_pow_batch_sample_is_exact(cc):
     assert all(is_exact_floor(n, c, r) for n, r in zip(ns.tolist(), out.tolist()))
 
 
-@pytest.mark.parametrize("cc", ["5/2", "11/5", "127/64", "255/64", "65/64"])
-def test_newton_margin_covers_the_worst_float_guess(cc):
-    # the float stage allows y0 = y (1 +- 2^-39); the written bound must cover
-    # the Newton step from the worst such guess, where its quadratic term
-    # reaches (den - 1) / den of the bound
-    c = ep.as_exponent(cc)
-    top = math.log2(bisect_root(2 ** (62 * c.den) - 1, c.num))  # n^c < 2^62
-    rng = random.Random(f"margin {cc}")
-    ns = np.array([round(2 ** rng.uniform(1, top)) for _ in range(100)], dtype=np.int64)
-    with mpmath.workdps(60):
-        ys = [mpmath.root(mpmath.mpf(n) ** c.num, c.den) for n in ns.tolist()]
-        for side in (1, -1):
-            y0 = np.array([float(y * (1 + side * 0.999 * 2.0**-39)) for y in ys])
-            hi, lo = ep._newton(ep._dw_power(ns, c.num), y0, np.zeros_like(y0), c.den)
-            margin = ep._newton_margin(hi, c)
-            worst = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - y) / b for h, l, y, b in zip(hi, lo, ys, margin))
-            assert 0.4 < worst <= 1
-
-
 # ---------------------------------------------------------------- fractional parts
 
 def test_frac_scaled_pow_exact_integer_case():
@@ -486,20 +467,33 @@ def test_frac_phase_batch_two_bases(escalated):
     phase_ratios(values, bounds, 1, 1, [2, 3], 3, 2, 2, 1)
 
 
-@pytest.mark.parametrize("cc", ["5/2", "11/5", "127/64", "255/64", "10521/10000"])
-def test_root_rel_err_covers_the_worst_float_guess(cc):
-    # from y0 = y (1 +- 0.999 2^-39) the first step leaves Newton's quadratic
-    # term and the second the double-word products, whose worst case E takes
-    # (the worst errors measured are 1/90 to 1/33 of it)
+def root_err_case(steps, cc, floor):
     c = ep.as_exponent(cc)
-    rng = random.Random(f"root {cc}")
-    ns = np.array([round(2 ** rng.uniform(1, 61.9 / float(c))) for _ in range(100)], dtype=np.int64)
-    rel = ep._root_rel_err(c.den, float(c))
-    a = ep._dw_power(ns, c.num)
+    return pytest.param(steps, c.num, c.den, 1, 0, floor, id=cc if steps == 2 else f"one step {cc}")
+
+
+# From y0 = y (1 +- 0.999 2^-39) one step leaves Newton's quadratic term,
+# which reaches (q - 1) / q of the bound; the second leaves the double-word
+# products, whose worst case the bound takes (the worst errors measured are
+# 1/90 to 1/33 of it).  The last case is the Weyl phase z^(5/2) 40000^(3/10).
+ROOT_ERR_CASES = [
+    *(root_err_case(1, cc, 0.4) for cc in ["5/2", "11/5", "127/64", "255/64", "65/64"]),
+    *(root_err_case(2, cc, 2.0**-8) for cc in ["5/2", "11/5", "127/64", "255/64", "10521/10000"]),
+    pytest.param(2, 25, 10, 40000, 3, 2.0**-8, id="weyl 5/2 3/10"),
+]
+
+
+@pytest.mark.parametrize("steps, e, q, b2, e2, floor", ROOT_ERR_CASES)
+def test_root_rel_err_covers_the_worst_float_guess(steps, e, q, b2, e2, floor):
+    rng = random.Random(f"root {steps} {e}/{q} {b2}^{e2}")
+    top = (61.9 - e2 * math.log2(b2) / q) * q / e  # P < 2^61.9
+    ns = np.array([round(2 ** rng.uniform(1, top)) for _ in range(100)], dtype=np.int64)
+    rel = ep._root_rel_err(q, (e + e2) / q, steps)
+    a = ep._dw_power(ns, e, b2, e2)
     with mpmath.workdps(60):
-        ys = [mpmath.root(mpmath.mpf(n) ** c.num, c.den) for n in ns.tolist()]
+        ys = [mpmath.root(mpmath.mpf(n) ** e * mpmath.mpf(b2) ** e2, q) for n in ns.tolist()]
         for side in (1, -1):
             y0 = np.array([float(y * (1 + side * 0.999 * 2.0**-39)) for y in ys])
-            hi, lo = ep._dw_root(a, y0, c.den)
+            hi, lo = ep._dw_root(a, y0, q, steps)
             worst = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - y) / (h * rel) for h, l, y in zip(hi, lo, ys))
-            assert 2.0**-8 < worst <= 1
+            assert floor < worst <= 1
