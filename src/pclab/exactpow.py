@@ -255,11 +255,13 @@ def _integer_root(b: int, e: int, q: int, b2: int, e2: int) -> int | None:
 
 
 def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2: int) -> int:
-    # P >= 2^low, decided in integers before e log2(b) may pass the float range
+    # P >= 2^low, decided in integers: e and q may pass the float range
     low = (e * (b.bit_length() - 1) + e2 * (b2.bit_length() - 1)) // q
     if low + s + 16 + 64 > caps.prec_cap_bits:
         raise Overflow(f"result needs over {caps.prec_cap_bits - 64} bits, beyond the precision cap")
-    est_bits = max(0, int((e * math.log2(b) + e2 * math.log2(b2)) / q)) + s + 16
+    # below the cap, k / q is at most the cap for every base above 1
+    log2_p = sum(k / q * math.log2(base) for base, k in ((b, e), (b2, e2)) if base > 1)
+    est_bits = max(0, int(log2_p)) + s + 16
     if est_bits + 64 > caps.prec_cap_bits:
         raise Overflow(
             f"result needs ~{est_bits} bits, beyond the precision cap"

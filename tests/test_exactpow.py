@@ -96,6 +96,15 @@ def test_floor_pow_huge_denominator():
     assert got**10000 <= n**10521 < (got + 1) ** 10000
 
 
+def test_floor_pow_exponent_terms_past_the_float_range():
+    # num and den past 1e308 are not floats, but c and the result are small;
+    # a huge c past the precision cap is Overflow, decided in integers
+    assert ep.floor_pow(3, F(10**401 + 1, 10**400)) == 3**10
+    assert ep.floor_pow(1, F(10**400 + 1, 3)) == 1
+    with pytest.raises(Overflow):
+        ep.floor_pow(3, F(10**400 + 1, 3))
+
+
 @given(st.integers(2, 10**5), st.integers(2, 16) | st.sampled_from((63, 64, 65)), st.integers(0, 10**6))
 @example(99991, 63, 0)
 @example(99991, 64, 0)
