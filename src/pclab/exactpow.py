@@ -495,9 +495,10 @@ def _dw_root(a, y0: np.ndarray, q: int, steps: int) -> tuple[np.ndarray, np.ndar
 
 
 def _dw_floors(bs: np.ndarray, y0: np.ndarray, e: int, q: int, steps: int, b2: int = 1, e2: int = 0):
-    """Yield (idx, floors, g, err) for each chunk of _DW_CHUNK elements of the
-    int64 array bs: the one double-word stage, of floor_pow_batch (steps=1)
-    and _certified_frac_batch (steps=2), for P = (b^e * b2^e2)^(1/q).
+    """Yield (idx, floors, g, err) for each chunk of _DW_CHUNK elements it
+    takes from the int64 array bs: the one double-word stage, of
+    floor_pow_batch (steps=1) and _certified_frac_batch (steps=2), for
+    P = (b^e * b2^e2)^(1/q).
 
     An element takes part when b > 1 and its float guess y0 = _float_pow(b)
     is below 2^62; needs e + e2 < 62 q, q < _DW_MAX_DEN and b2 < 2^62.
@@ -514,11 +515,8 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray, e: int, q: int, steps: int, b2: i
     within E + 2^-52 of P.  Every other element, perfect powers included,
     is left to the caller's exact stage (Ziv, ACM TOMS 17(3), 1991).
 
-    One step from the double word y = yh + yl: A and Y = y^q are formed by
-    square-and-multiply in double words (Dekker's two-product with a
-    Veltkamp split; each product is scaled back to [1/2, 1) by an exact
-    power of two, so nothing overflows), and
-    (hi, lo) = two_sum(yh, yl + yh (A - Y) / (q Y)).
+    A step from y = yh + yl is (hi, lo) = two_sum(yh, yl + yh (A - Y) / (q Y))
+    for Y = y^q, both powers by square-and-multiply in double words (_dw_pow).
 
     Error argument, with y = P, w = (e + e2) / q, ε0 = 2^-39, u = 2^-53,
     u' = 2^-52 and m = 2^-100.  The first step's bound is
@@ -563,18 +561,17 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray, e: int, q: int, steps: int, b2: i
       the 2^-52.
     """
     rel = _root_rel_err(q, (e + e2) / q, steps)
-    for i in range(0, bs.size, _DW_CHUNK):
-        b = bs[i : i + _DW_CHUNK]
-        y = y0[i : i + _DW_CHUNK]
-        sel = np.flatnonzero((b > 1) & (y < _TWO62))
-        hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y[sel], q, steps)
+    sel = np.flatnonzero((bs > 1) & (y0 < _TWO62))
+    for i in range(0, sel.size, _DW_CHUNK):
+        idx = sel[i : i + _DW_CHUNK]
+        hi, lo = _dw_root(_dw_power(bs[idx], e, b2, e2), y0[idx], q, steps)
         fh = np.floor(hi)
         f = (hi - fh) + lo
         fl = np.floor(f)
         g = f - fl
         err = hi * rel
         ok = (hi < _TWO62) & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
-        yield i + sel[ok], fh[ok].astype(np.int64) + fl[ok].astype(np.int64), g[ok], err[ok]
+        yield idx[ok], fh[ok].astype(np.int64) + fl[ok].astype(np.int64), g[ok], err[ok]
 
 
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
@@ -618,9 +615,8 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
         raise OutOfRange("floor_pow_batch needs n >= 1")
     out, bad, v = _float_floors(ns, c)
     if c.den <= _EXACT_ROOT_MAX_DEN and c.num < 62 * c.den:
-        flagged = np.flatnonzero(bad)
-        for idx, floors, _, _ in _dw_floors(ns[flagged], v[flagged], c.num, c.den, 1):
-            idx = flagged[idx]
+        # the elements the float stage decided take no step: their guess is inf
+        for idx, floors, _, _ in _dw_floors(ns, np.where(bad, v, np.inf), c.num, c.den, 1):
             out[idx] = floors
             bad[idx] = False
     del v
