@@ -494,14 +494,14 @@ def _dw_root(a, y0: np.ndarray, q: int, steps: int) -> tuple[np.ndarray, np.ndar
     return hi, lo
 
 
-def _dw_floors(bs: np.ndarray, y0: np.ndarray, e: int, q: int, steps: int, b2: int = 1, e2: int = 0):
-    """Yield (idx, floors, g, err) for each chunk of _DW_CHUNK elements it
-    takes from the int64 array bs: the one double-word stage, of
-    floor_pow_batch (steps=1) and _certified_frac_batch (steps=2), for
-    P = (b^e * b2^e2)^(1/q).
+def _dw_floors(bs: np.ndarray, y0: np.ndarray | None, e: int, q: int, steps: int, b2: int = 1, e2: int = 0):
+    """Yield (idx, floors, g, err) for each chunk of _DW_CHUNK elements of the
+    int64 array bs: the one double-word stage, of floor_pow_batch (steps=1)
+    and _certified_frac_batch (steps=2), for P = (b^e * b2^e2)^(1/q).
 
-    An element takes part when b > 1 and its float guess y0 = _float_pow(b)
-    is below 2^62; needs e + e2 < 62 q, q < _DW_MAX_DEN and b2 < 2^62.
+    y0 holds the float guesses _float_pow(b), or is None to have them
+    computed chunk by chunk.  An element takes part when b > 1 and y0 is
+    below 2^62; needs e + e2 < 62 q, q < _DW_MAX_DEN and b2 < 2^62.
     A = b^e * b2^e2 is formed once (_dw_power), and steps Newton steps on
     y^q = A from y0 (_dw_root, each step _newton) give the double word
     hi + lo, within
@@ -561,17 +561,18 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray, e: int, q: int, steps: int, b2: i
       the 2^-52.
     """
     rel = _root_rel_err(q, (e + e2) / q, steps)
-    sel = np.flatnonzero((bs > 1) & (y0 < _TWO62))
-    for i in range(0, sel.size, _DW_CHUNK):
-        idx = sel[i : i + _DW_CHUNK]
-        hi, lo = _dw_root(_dw_power(bs[idx], e, b2, e2), y0[idx], q, steps)
+    for i in range(0, bs.size, _DW_CHUNK):
+        b = bs[i : i + _DW_CHUNK]
+        y = _float_pow(b, e, q, b2, e2) if y0 is None else y0[i : i + _DW_CHUNK]
+        sel = np.flatnonzero((b > 1) & (y < _TWO62))
+        hi, lo = _dw_root(_dw_power(b[sel], e, b2, e2), y[sel], q, steps)
         fh = np.floor(hi)
         f = (hi - fh) + lo
         fl = np.floor(f)
         g = f - fl
         err = hi * rel
         ok = (hi < _TWO62) & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
-        yield idx[ok], fh[ok].astype(np.int64) + fl[ok].astype(np.int64), g[ok], err[ok]
+        yield i + sel[ok], fh[ok].astype(np.int64) + fl[ok].astype(np.int64), g[ok], err[ok]
 
 
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
@@ -691,7 +692,7 @@ def _certified_frac_batch(
         good = np.zeros(n, dtype=bool)
         if q < _DW_MAX_DEN and e + e2 < 62 * q and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
             if stage is None:
-                stage = list(_dw_floors(bs, _float_pow(bs, e, q, b2, e2), e, q, 2, b2, e2))
+                stage = list(_dw_floors(bs, None, e, q, 2, b2, e2))
             for idx, floors, g, err in stage:
                 r = h % d * (floors % d) % d
                 t = (r + h * g) / d
