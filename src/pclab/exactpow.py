@@ -730,9 +730,11 @@ def _check_frac_args(n_min: int, h: int, d: int, tol: float) -> None:
         raise OutOfRange("frac_scaled_pow needs n >= 1, h >= 0, d >= 1")
     if not 2.0 ** -52 < tol < math.inf:
         raise OutOfRange("tol must be finite and above 2^-52")
-    # _certified_frac takes twice its first modulus d 2^s to a float
-    if d.bit_length() + _frac_bits(h, tol) > 1023:
-        raise OutOfRange("h or d too large: the phase modulus d * 2^s passes the float range")
+    # _certified_frac takes its first modulus d 2^s to a float
+    try:
+        float(d << _frac_bits(h, tol))
+    except OverflowError:
+        raise OutOfRange("h or d too large: the phase modulus d * 2^s passes the float range") from None
 
 
 def frac_scaled_pow(

@@ -261,6 +261,15 @@ def test_frac_scaled_pow_exact_integer_case():
     assert r.value == 0.0 and r.error_bound == 0.0
 
 
+def test_frac_scaled_pow_modulus_past_the_float_range():
+    # tol 1e-12 and h = 1 start at s = 64; d 2^64 = the largest float is kept
+    top = ((1 << 1024) - (1 << 971)) >> 64
+    assert ep.frac_scaled_pow(2, "3/2", 1, top).error_bound <= 1e-12
+    for h, d in ((1, (1 << 960) - 1), (10**400, 7), (1, 10**400)):
+        with pytest.raises(OutOfRange):
+            ep.frac_scaled_pow_batch([2, 3], "3/2", h, d)
+
+
 def test_frac_scaled_pow_values():
     with mpmath.workdps(40):
         want1 = float(mpmath.mpf(2) ** mpmath.mpf("1.5") - 2)
