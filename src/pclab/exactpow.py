@@ -260,7 +260,7 @@ def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2
     if low + s + 16 + 64 > caps.prec_cap_bits:
         raise Overflow(f"result needs over {caps.prec_cap_bits - 64} bits, beyond the precision cap")
     # below the cap, k / q is at most the cap for every base above 1
-    log2_p = sum(k / q * math.log2(base) for base, k in ((b, e), (b2, e2)) if base > 1)
+    log2_p = (e / q * math.log2(b) if b > 1 else 0.0) + (e2 / q * math.log2(b2) if b2 > 1 else 0.0)
     est_bits = max(0, int(log2_p)) + s + 16
     if est_bits + 64 > caps.prec_cap_bits:
         raise Overflow(
@@ -495,9 +495,9 @@ def _dw_root(a, y0: np.ndarray, q: int, steps: int) -> tuple[np.ndarray, np.ndar
 
 
 def _dw_floors(bs: np.ndarray, y0: np.ndarray | None, e: int, q: int, steps: int, b2: int = 1, e2: int = 0):
-    """Yield (idx, floors, g, err) for each chunk of _DW_CHUNK elements of the
-    int64 array bs: the one double-word stage, of floor_pow_batch (steps=1)
-    and _certified_frac_batch (steps=2), for P = (b^e * b2^e2)^(1/q).
+    """Yield (idx, floors, g, err, ok) for each chunk of _DW_CHUNK elements of
+    the int64 array bs: the one double-word stage, of floor_pow_batch
+    (steps=1) and _certified_frac_batch (steps=2), for P = (b^e * b2^e2)^(1/q).
 
     y0 holds the float guesses _float_pow(b), or is None to have them
     computed chunk by chunk.  An element takes part when b > 1 and y0 is
@@ -509,11 +509,12 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray | None, e: int, q: int, steps: int
       E = hi * _root_rel_err(q, (e + e2) / q, steps)
 
     of P.  F = floor(hi) + floor(f) and g = f - floor(f) for
-    f = (hi - floor(hi)) + lo.  An element is yielded, with its index idx
-    into bs, F as int64 and g and E as float64, when hi < 2^62 and g lies
-    farther than E + 2^-52 from an integer: then F = floor(P) and F + g is
-    within E + 2^-52 of P.  Every other element, perfect powers included,
-    is left to the caller's exact stage (Ziv, ACM TOMS 17(3), 1991).
+    f = (hi - floor(hi)) + lo.  Each element that takes part is yielded,
+    with its index idx into bs, F as int64 and g and E as float64; ok marks
+    where hi < 2^62 and g lies farther than E + 2^-52 from an integer, and
+    there F = floor(P) and F + g is within E + 2^-52 of P.  Every other
+    element, perfect powers included, is left to the caller's exact stage
+    (Ziv, ACM TOMS 17(3), 1991).
 
     A step from y = yh + yl is (hi, lo) = two_sum(yh, yl + yh (A - Y) / (q Y))
     for Y = y^q, both powers by square-and-multiply in double words (_dw_pow).
@@ -572,7 +573,7 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray | None, e: int, q: int, steps: int
         g = f - fl
         err = hi * rel
         ok = (hi < _TWO62) & (np.minimum(g, 1.0 - g) > err + 2.0 ** -52)
-        yield i + sel[ok], fh[ok].astype(np.int64) + fl[ok].astype(np.int64), g[ok], err[ok]
+        yield i + sel, fh.astype(np.int64) + fl.astype(np.int64), g, err, ok
 
 
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
@@ -616,9 +617,10 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
         raise OutOfRange("floor_pow_batch needs n >= 1")
     out, bad, v = _float_floors(ns, c)
     if c.den <= _EXACT_ROOT_MAX_DEN and c.num < 62 * c.den:
-        # the elements the float stage decided take no step: their guess is inf
-        for idx, floors, _, _ in _dw_floors(ns, np.where(bad, v, np.inf), c.num, c.den, 1):
-            out[idx] = floors
+        flagged = np.flatnonzero(bad)
+        for idx, floors, _, _, ok in _dw_floors(ns[flagged], v[flagged], c.num, c.den, 1):
+            idx = flagged[idx[ok]]
+            out[idx] = floors[ok]
             bad[idx] = False
     del v
     idx = np.flatnonzero(bad)
@@ -693,12 +695,12 @@ def _certified_frac_batch(
         if q < _DW_MAX_DEN and e + e2 < 62 * q and d < 1 << 31 and h < 1 << 53 and b2 < 1 << 62:
             if stage is None:
                 stage = list(_dw_floors(bs, None, e, q, 2, b2, e2))
-            for idx, floors, g, err in stage:
+            for idx, floors, g, err, ok in stage:
                 r = h % d * (floors % d) % d
                 t = (r + h * g) / d
                 phase = t - np.floor(t)
                 bound = h / d * (err + 2.0 ** -50) + 2.0 ** -51
-                sel = (bound <= tol) & (bound < phase) & (phase + bound < 1.0)
+                sel = ok & (bound <= tol) & (bound < phase) & (phase + bound < 1.0)
                 idx = idx[sel]
                 values[idx] = phase[sel]
                 bounds[idx] = bound[sel]
