@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cache
 from math import gcd
 
 from .errors import FactorizationTimeout
-from .primes import _simple_sieve
+from .primes import primes_in
 from .prng import splitmix64
 
 TWO64 = 1 << 64
@@ -141,11 +142,6 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def is_prime(n: int) -> bool:
-    """Primality test: deterministic below 2^64, else MR + strong Lucas."""
-    return primality(n)[0]
-
-
 def primality(n: int) -> tuple[bool, bool]:
     """(is_prime, deterministic).  Deterministic verdicts below 2^64."""
     if n < 2:
@@ -219,16 +215,10 @@ def brent_rho(n: int, budget: list[int]) -> int | None:
     return None
 
 
-_SMALL_PRIME_LIMIT = 10**5
-_small_primes_cache: list[int] | None = None
-
-
+@cache
 def small_primes() -> list[int]:
     """Primes up to 10^5, cached (trial-division table)."""
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        _small_primes_cache = _simple_sieve(_SMALL_PRIME_LIMIT).tolist()
-    return _small_primes_cache
+    return primes_in(0, 10**5).tolist()
 
 
 # Trial blocks: runs of consecutive primes from 7 to 10^5, each run's primes

@@ -4,14 +4,15 @@
 below 2^62 (``factor.TWO62``) they come from ``floor_pow_batch`` as one int64
 array, above it from ``floor_pow`` one by one as Python ints.
 
-Census counts are exact.  Every census decides int64 members all at once,
-through array kernels.  The squarefree and almost-prime censuses use
-``factor.signature_arrays``: trial division to the cube root of the largest
-member leaves a cofactor with at most two prime factors, so squarefreeness
-follows from a perfect-square test, and Omega <= R needs
+Census counts are exact.  ``_count`` decides both layouts for every census,
+given the census's array test and member test.  It decides int64 members all
+at once, through the array test.  The squarefree and almost-prime censuses
+use ``factor.signature_arrays`` there: trial division to the cube root of
+the largest member leaves a cofactor with at most two prime factors, so
+squarefreeness follows from a perfect-square test, and Omega <= R needs
 ``factor.is_prime_array`` only on the cofactors whose primality decides it.
 ``ps_prime_count`` decides its members with ``is_prime_array`` itself.
-Object members (2^62 and above) are decided one by one by ``_count``, in
+Object members (2^62 and above) go one by one through the member test, in
 chunks of the member list; with ``jobs > 1`` the chunks run in a process
 pool, and their counts are combined in fixed chunk order, so worker count
 never changes a result.
@@ -137,9 +138,15 @@ def _count_chunk(test, member_list) -> int:
     return sum(1 for m in member_list if test(m))
 
 
-def _count(test, vals: np.ndarray, jobs: int) -> int:
-    """Members m with test(m), decided one by one; test must pickle."""
-    return sum(_map_ordered(partial(_count_chunk, test), _chunks(vals.tolist()), jobs))
+def _count(vals: np.ndarray, jobs: int, array_test, member_test) -> int:
+    """Members that pass a census test, in either layout.
+
+    An int64 array is decided at once by array_test, which returns a boolean
+    mask; object members one by one by member_test, which must pickle.
+    """
+    if vals.dtype == np.int64:
+        return int(np.count_nonzero(array_test(vals)))
+    return sum(_map_ordered(partial(_count_chunk, member_test), _chunks(vals.tolist()), jobs))
 
 
 def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
@@ -163,10 +170,7 @@ def almost_prime_census(x: int, c, R: int, *, jobs: int = 1, caps: Caps = DEFAUL
         raise OutOfRange("need R >= 1")
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    if vals.dtype == np.int64:
-        count = int(np.count_nonzero(_omega_within(vals, R)))
-    else:
-        count = _count(partial(_omega_at_most, R), vals, jobs)
+    count = _count(vals, jobs, partial(_omega_within, R=R), partial(_omega_at_most, R))
     eta_hat = count * math.log(x) ** 2 / x
     return CensusReport(x, c, R, count, int(ps.size), eta_hat)
 
@@ -177,10 +181,7 @@ SQUAREFREE_DENSITY = 6.0 / math.pi ** 2
 def squarefree_census(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> SquarefreeReport:
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    if vals.dtype == np.int64:
-        count = int(np.count_nonzero(signature_arrays(vals)[1]))
-    else:
-        count = _count(_squarefree, vals, jobs)
+    count = _count(vals, jobs, lambda v: signature_arrays(v)[1], _squarefree)
     ratio = count / ps.size
     return SquarefreeReport(x, c, count, int(ps.size), ratio, abs(ratio - SQUAREFREE_DENSITY))
 
@@ -189,10 +190,7 @@ def ps_prime_count(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> Ps
     """Pi_c(x) = |{p <= x : floor(p^c) prime}|, with Balog's normalization."""
     c = as_exponent(c)
     ps, vals = members(x, c, caps=caps)
-    if vals.dtype == np.int64:
-        count = int(np.count_nonzero(is_prime_array(vals)))
-    else:
-        count = _count(is_prime, vals, jobs)
+    count = _count(vals, jobs, is_prime_array, is_prime)
     balog_ref = x / (float(c) * math.log(x) ** 2)
     return PsPrimeReport(x, c, count, int(ps.size), balog_ref)
 

@@ -1,5 +1,7 @@
 """Exact multiplicative structure of integers up to 2^127.
 
+``is_prime`` is the package's one primality entry: the verdict of
+``_intmath.primality``, which also reports whether it is deterministic.
 Primality is deterministic below 2^64 (strong test to bases chosen by the
 size of n, _intmath._MR_TIERS); above that a 64-round seeded random-base
 test plus a strong Lucas check is used and the result is flagged
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import _intmath
 from .errors import OutOfRange
-from .primes import _simple_sieve
+from .primes import primes_in
 
 TWO62 = 1 << 62
 TWO127 = 1 << 127
@@ -59,7 +61,7 @@ class FactorSignature(_SignatureFields):
 
 def is_prime(n: int) -> bool:
     """Primality verdict; deterministic for n < 2^64."""
-    return _intmath.is_prime(n)
+    return _intmath.primality(n)[0]
 
 
 def factor_signature(n: int, rho_budget: int = 1 << 24) -> FactorSignature:
@@ -101,7 +103,7 @@ def signature_arrays(vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     omega_small = np.zeros(vals.shape, dtype=np.int64)
     squarefree = np.ones(vals.shape, dtype=bool)
     top = int(vals.max()) if vals.size else 1
-    for p in _simple_sieve(_intmath.iroot(top, 3)).tolist():
+    for p in primes_in(0, _intmath.iroot(top, 3)).tolist():
         hit = np.flatnonzero(cofactor % p == 0)
         while hit.size:
             cofactor[hit] //= p

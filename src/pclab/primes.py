@@ -1,7 +1,8 @@
 """Segmented prime generation, prime counting, and von Mangoldt weights.
 
-Segments are sieved independently (numpy boolean blocks) and concatenated
-in segment order.
+``primes_in`` is the package's one sieve.  Segments are sieved independently
+(numpy boolean blocks) and concatenated in segment order; the base primes up
+to isqrt(hi) come from ``primes_in`` itself.
 """
 from __future__ import annotations
 
@@ -13,17 +14,6 @@ import numpy as np
 from .errors import DEFAULT_CAPS, Caps, RangeTooLarge
 
 SEGMENT_WIDTH = 1 << 18
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.flatnonzero(is_p).astype(np.int64)
 
 
 def _sieve_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
@@ -47,7 +37,7 @@ def primes_in(lo: int, hi: int, *, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
         raise RangeTooLarge(f"hi={hi} exceeds the sieve cap {caps.primes_hi}")
     if hi <= lo or hi < 2:
         return np.zeros(0, dtype=np.int64)
-    base = _simple_sieve(math.isqrt(hi) + 1)
+    base = primes_in(0, math.isqrt(hi), caps=caps)  # none below hi = 4
     parts = []
     start = max(lo, 0) + 1
     while start <= hi:

@@ -474,3 +474,24 @@ def test_exactpow_has_one_double_word_stage():
     assert users["_newton"] == {"_dw_root"}
     assert users["_dw_root"] == {"_dw_floors"}
     assert not defs.keys() & {"_newton_floors", "_dw_phase_roots", "_newton_margin"}
+
+
+def test_census_pipeline_has_one_sieve_and_one_layout_switch():
+    # primes_in is the one sieve and factor.is_prime the one primality entry;
+    # the censuses reach the member layout only through experiments._count
+    src = Path(cn.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    for stem, tree in trees.items():
+        defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_simple_sieve" not in defs, stem
+        assert stem != "_intmath" or "is_prime" not in defs
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("primes", "pclab.primes"):
+                assert not [a.name for a in node.names if a.name.startswith("_")], stem
+    defs = {node.name: node for node in trees["experiments"].body if isinstance(node, ast.FunctionDef)}
+    for name in ("almost_prime_census", "squarefree_census", "ps_prime_count"):
+        names = {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+        names |= {node.arg for node in ast.walk(defs[name]) if isinstance(node, ast.keyword)}
+        assert "dtype" not in names, name
+        assert "_count" in names, name

@@ -10,7 +10,7 @@ from pclab import experiments as ex, factor
 from pclab.acceptance import _omega_oracle
 from pclab.errors import Caps, OutOfRange, RangeTooLarge
 from pclab.exactpow import floor_pow
-from pclab.factor import factor_signature, is_prime, signature_arrays
+from pclab.factor import factor_signature, signature_arrays
 
 # members of floor(p^1.5) for p <= 20: {2, 5, 11, 18, 36, 46, 70, 82}
 
@@ -193,13 +193,30 @@ def test_int64_censuses_make_no_signature_calls(monkeypatch):
     assert prime_calls == [] and array_sizes == [906]
 
 
-def test_ps_prime_count_matches_the_scalar_count():
-    # members of 29/10 at 2e4 reach 2^42; those of 31/10 at 2^20 run to just
-    # below 2^62, so the ones from 2^50 on take is_prime_array's fallback
-    for x, c, bits in ((2 * 10**4, "29/10", 42), (2**20, "31/10", 62)):
-        _, vals = ex.members(x, c)
+def test_both_member_layouts_count_alike(monkeypatch):
+    # int64 members go through the array tests, object members one by one
+    # through the member tests.  Members of 29/10 at 1e4 stay below 2^39;
+    # those of 31/10 at 2^20 run to just below 2^62, so the ones from 2^50 on
+    # take is_prime_array's fallback.
+    members = ex.members
+    cases = ((10**4, "29/10", 39), (2**20, "31/10", 62))
+    int64 = []
+    for x, c, bits in cases:
+        _, vals = members(x, c)
         assert vals.dtype == np.int64 and int(vals.max()).bit_length() == bits
-        assert ex.ps_prime_count(x, c).count == ex._count(is_prime, vals, 1), c
+        int64.append(ex.ps_prime_count(x, c))
+    x, c, _ = cases[0]
+    censuses = [lambda R=R: ex.almost_prime_census(x, c, R) for R in range(1, 7)]
+    censuses.append(lambda: ex.squarefree_census(x, c))
+    int64_censuses = [census() for census in censuses]
+
+    def object_members(*args, **kwargs):
+        ps, vals = members(*args, **kwargs)
+        return ps, vals.astype(object)
+
+    monkeypatch.setattr(ex, "members", object_members)
+    assert [ex.ps_prime_count(x, c) for x, c, _ in cases] == int64
+    assert [census() for census in censuses] == int64_censuses
 
 
 def test_star_discrepancy_point_formula():

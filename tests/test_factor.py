@@ -15,7 +15,7 @@ import pclab
 from pclab import _intmath, factor
 from pclab.acceptance import _omega_oracle
 from pclab.errors import FactorizationTimeout, OutOfRange
-from pclab.primes import _simple_sieve
+from pclab.primes import primes_in
 
 
 def trial_signature(n):
@@ -79,7 +79,7 @@ def test_mr_tier_bounds_are_pseudoprimes_of_their_tier():
 
 def test_is_prime_array_agrees_with_the_sieve():
     got = factor.is_prime_array(np.arange(1, 10**6 + 1, dtype=np.int64))
-    assert (np.flatnonzero(got) + 1).tolist() == _simple_sieve(10**6).tolist()
+    assert (np.flatnonzero(got) + 1).tolist() == primes_in(0, 10**6).tolist()
 
 
 def test_is_prime_array_rejects_each_tier_bound_below_2_50():
@@ -139,7 +139,7 @@ def test_factorize_when_the_last_trial_prime_divides_out_the_rest():
 
 
 def test_is_prime_agrees_with_the_sieve():
-    sieve = set(_simple_sieve(10**6).tolist())
+    sieve = set(primes_in(0, 10**6).tolist())
     assert [n for n in range(1, 10**6 + 1) if factor.is_prime(n)] == sorted(sieve)
 
 
