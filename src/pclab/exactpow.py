@@ -587,7 +587,9 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
        Its floor stands when hi < 2^62 and hi + lo lies farther than
        B = hi * _root_rel_err(den, c, 1) + 2^-52, about den 2^-79 v, from
        an integer.
-    3. Exact: every other element is recomputed by floor_pow.
+    3. Exact: every other element is recomputed by floor_pow.  From c >= 62
+       on, where stage 1 could overflow and stage 2 never applies, every
+       element takes this stage.
 
     Stage 1 error argument.  From v ~ 5e11 on the margin exceeds 1/2, so an
     accepted v is below 5e11 < 2^39.  The margin bounds the float error
@@ -615,14 +617,17 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if int(ns.min()) < 1:
         raise OutOfRange("floor_pow_batch needs n >= 1")
-    out, bad, v = _float_floors(ns, c)
-    if c.den <= _EXACT_ROOT_MAX_DEN and c.num < 62 * c.den:
-        flagged = np.flatnonzero(bad)
-        for idx, floors, _, _, ok in _dw_floors(ns[flagged], v[flagged], c.num, c.den, 1):
-            idx = flagged[idx[ok]]
-            out[idx] = floors[ok]
-            bad[idx] = False
-    del v
+    if c.num >= 62 * c.den:  # n^c >= 2^62 for every n > 1: stage 3 decides all
+        out, bad = np.zeros(ns.shape, dtype=np.int64), np.ones(ns.shape, dtype=bool)
+    else:
+        out, bad, v = _float_floors(ns, c)
+        if c.den <= _EXACT_ROOT_MAX_DEN:
+            flagged = np.flatnonzero(bad)
+            for idx, floors, _, _, ok in _dw_floors(ns[flagged], v[flagged], c.num, c.den, 1):
+                idx = flagged[idx[ok]]
+                out[idx] = floors[ok]
+                bad[idx] = False
+        del v
     idx = np.flatnonzero(bad)
     exact = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
     if exact and max(exact) >= 1 << 63:

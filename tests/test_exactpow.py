@@ -205,6 +205,18 @@ def test_floor_pow_batch_overflow_is_decided_exactly():
             ep.floor_pow_batch(ns, cc)
 
 
+@pytest.mark.filterwarnings("error")
+def test_floor_pow_batch_past_the_float_range():
+    # from c >= 62 on, every n > 1 has n^c >= 2^62 and the exact stage decides
+    # all, so c's num past 1e308 never reaches a float
+    big = F(10**400 + 1, 3)
+    assert ep.floor_pow_batch([1], big).tolist() == [1]
+    with pytest.raises(Overflow):
+        ep.floor_pow_batch([2], big)
+    # 2^62.5 is below 2^63, so it fits
+    assert ep.floor_pow_batch([1, 2], "125/2").tolist() == [1, 6521908912666391106]
+
+
 def is_exact_floor(n: int, c, r: int) -> bool:
     return r**c.den <= n**c.num < (r + 1) ** c.den
 
