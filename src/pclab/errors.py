@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 
 
 class PCLabError(Exception):
@@ -77,10 +78,16 @@ _COUNT_CAPS = (
 
 
 def _cap_value(text: str) -> int:
+    """A cap value, read exactly as a decimal or fraction ("1e6", "2e5"),
+    as exactpow.as_ratio reads text (importing it here would make a cycle);
+    it must be a non-negative integer."""
     try:
-        return int(float(text))
-    except (ValueError, OverflowError):
-        raise OutOfRange(f"malformed cap value in PSC_LAB_CAP: {text.strip()!r}") from None
+        value = Fraction(text.strip())
+        if value.denominator == 1 and value >= 0:
+            return int(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise OutOfRange(f"cap value in PSC_LAB_CAP is not a non-negative integer: {text.strip()!r}")
 
 
 def caps_from_env(env: str | None = None) -> Caps:
@@ -88,8 +95,8 @@ def caps_from_env(env: str | None = None) -> Caps:
 
     A bare integer replaces every count-like cap; ``name=value`` pairs
     (comma separated) override individual fields, e.g.
-    ``PSC_LAB_CAP=weyl_terms=1e9,prec_cap_bits=2e5``.  A malformed value
-    raises OutOfRange.
+    ``PSC_LAB_CAP=weyl_terms=1e9,prec_cap_bits=2e5``.  Each value must be
+    an exact non-negative integer; any other raises OutOfRange.
     """
     raw = os.environ.get("PSC_LAB_CAP") if env is None else env
     caps = Caps()

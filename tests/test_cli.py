@@ -303,6 +303,9 @@ BAD_INPUTS = {
     "bad config value": (["--config", "{file}", "constants", "table"], "jobs=abc\n", {}),
     "bad config format": (["--config", "{file}", "constants", "table"], "format=xml\n", {}),
     "bad PSC_LAB_CAP": (["constants", "table"], None, {"PSC_LAB_CAP": "abc"}),
+    "fractional PSC_LAB_CAP": (["constants", "table"], None, {"PSC_LAB_CAP": "2.5"}),
+    "negative PSC_LAB_CAP": (["constants", "table"], None, {"PSC_LAB_CAP": "-5"}),
+    "fractional named cap": (["constants", "table"], None, {"PSC_LAB_CAP": "weyl_terms=2.9"}),
     "non-JSON fixtures line": (["verify", "--fixtures", "{file}"], "not json\n", {}),
     "NaN tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "nan"], None, {}),
     "tol below 2^-52": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "1e-20"], None, {}),

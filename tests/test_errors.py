@@ -23,6 +23,12 @@ def test_env_key_value_pairs():
     assert caps.primes_hi == 10**10
 
 
+def test_env_values_are_exact_integers():
+    # read as exact decimals, never through a float
+    assert errors.caps_from_env("1e30").primes_hi == 10**30
+    assert errors.caps_from_env("mangoldt_x=1e400").mangoldt_x == 10**400
+
+
 def test_env_rejects_unknown_cap():
     with pytest.raises(errors.OutOfRange):
         errors.caps_from_env("nope=3")
