@@ -200,23 +200,22 @@ def test_both_member_layouts_count_alike(monkeypatch):
     # take is_prime_array's fallback.
     members = ex.members
     cases = ((10**4, "29/10", 39), (2**20, "31/10", 62))
-    int64 = []
     for x, c, bits in cases:
         _, vals = members(x, c)
         assert vals.dtype == np.int64 and int(vals.max()).bit_length() == bits
-        int64.append(ex.ps_prime_count(x, c))
-    x, c, _ = cases[0]
-    censuses = [lambda R=R: ex.almost_prime_census(x, c, R) for R in range(1, 7)]
-    censuses.append(lambda: ex.squarefree_census(x, c))
-    int64_censuses = [census() for census in censuses]
+
+    def reports():
+        x, c, _ = cases[0]
+        return ([ex.almost_prime_census(x, c, R) for R in range(1, 7)], ex.squarefree_census(x, c),
+                [ex.ps_prime_count(x, c) for x, c, _ in cases])
 
     def object_members(*args, **kwargs):
         ps, vals = members(*args, **kwargs)
         return ps, vals.astype(object)
 
+    int64 = reports()
     monkeypatch.setattr(ex, "members", object_members)
-    assert [ex.ps_prime_count(x, c) for x, c, _ in cases] == int64
-    assert [census() for census in censuses] == int64_censuses
+    assert reports() == int64
 
 
 def test_star_discrepancy_point_formula():
