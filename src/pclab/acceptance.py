@@ -178,7 +178,7 @@ def _omega_oracle(limit: int):
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    for p in np.flatnonzero(sieve).tolist():
+    for p in np.flatnonzero(sieve):
         pk = p
         while pk <= limit:
             omega[pk::pk] += 1
@@ -189,13 +189,14 @@ def _omega_oracle(limit: int):
 
 
 def _compare_chunk(args):
-    lo, hi, om_bytes, sf_bytes = args
-    om = np.frombuffer(om_bytes, dtype=np.int16)
-    sf = np.frombuffer(sf_bytes, dtype=bool)
+    """Mismatches between factor_signature(n) and the oracle's (om, sf)
+    slices for lo <= n < hi; the slices become lists once, so each n is
+    compared in Python ints and bools."""
+    lo, hi, om, sf = args
     bad = 0
-    for i, n in enumerate(range(lo, hi)):
+    for n, o, q in zip(range(lo, hi), om.tolist(), sf.tolist()):
         s = factor_signature(n)
-        if s.omega_big != om[i] or s.squarefree != sf[i]:
+        if s.omega_big != o or s.squarefree != q:
             bad += 1
     return bad
 
@@ -207,7 +208,7 @@ def criterion_7(ctx: LabContext):
     chunks = []
     for lo in range(1, limit + 1, step):
         hi = min(lo + step, limit + 1)
-        chunks.append((lo, hi, om[lo:hi].tobytes(), sf[lo:hi].tobytes()))
+        chunks.append((lo, hi, om[lo:hi], sf[lo:hi]))
     bad = int(sum(ex._map_ordered(_compare_chunk, chunks, ctx.jobs)))
     return bad == 0, {"limit": limit, "mismatches": bad}
 
@@ -395,16 +396,17 @@ def criterion_13(ctx: LabContext):
             "minorant2_ok": m.minorant2_ok,
         }
         ok = ok and m.ok
-    grid_n = 1000
+    grid = [F(i, 1000) for i in range(1001)]
     f1_ok = True
     for cc in ("1.6", "2.2", "3", "10"):
+        rc = cn.regime_constants(as_ratio(cc))
         for eps in (F(0), F(1, 100)):
-            vals = [cn.weyl_margin_minorants(F(i, grid_n), as_ratio(cc), eps)[0] for i in range(grid_n + 1)]
-            inc = all(vals[i] < vals[i + 1] for i in range(grid_n))
-            f1_ok = f1_ok and inc
+            vals = [cn._minorants(t, rc, eps)[0] for t in grid]
+            f1_ok = f1_ok and all(a < b for a, b in zip(vals, vals[1:]))
     f2_ok = True
     for cc in ("2.2", "2.5", "3"):
-        vals = [cn.weyl_margin_minorants(F(i, grid_n), as_ratio(cc), F(1, 100))[1] for i in range(grid_n + 1)]
+        rc = cn.regime_constants(as_ratio(cc))
+        vals = [cn._minorants(t, rc, F(1, 100))[1] for t in grid]
         f2_ok = f2_ok and _local_max_count(vals) == 1
     out["f1_grid_increasing"] = f1_ok
     out["f2_grid_unimodal"] = f2_ok

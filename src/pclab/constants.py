@@ -391,23 +391,36 @@ def vinogradov_saving(k: int, epsilon=0) -> Fraction:
 
 
 def _minorants(t: Fraction, rc: RegimeConstants, eps) -> tuple[Fraction, Fraction]:
-    """(m1(t), m2(t)) for the constants rc; see weyl_margin_minorants."""
-    c1, c2 = rc.c1, rc.c2
-    m1 = (c1 * t**3 - (1 + eps) * t**4) / ((c1 + t) * (c1 + 2 * t) * (2 * c1 + t))
-    m2 = ((c2 + 2 * eps) * t**3 - (1 + eps) * t**4) / (
-        (c2 + 2 * t + 2 * eps) * (c2 + 3 * t + 2 * eps) * (2 * c2 + 3 * t + 4 * eps)
-    )
-    return m1, m2
-
-
-def weyl_margin_minorants(t, c, epsilon) -> tuple[Fraction, Fraction]:
-    """(m1(t), m2(t)): the two window minorants at t, exactly.
+    """(m1(t), m2(t)): the two window minorants at t for the constants rc,
+    exactly.
 
     m1(t) = (c1 t^3 - (1+eps) t^4) / ((c1+t)(c1+2t)(2c1+t)),
     m2(t) = ((c2+2eps) t^3 - (1+eps) t^4)
             / ((c2+2t+2eps)(c2+3t+2eps)(2c2+3t+4eps)),
     with c1 = c + sigma and c2 = c - 1 + 3 sigma.
+
+    Both are t^3 (u - (1+eps) t) / ((u + k1 t)(u + k2 t)(2u + k3 t)), with
+    (u, k1, k2, k3) = (c1, 1, 2, 1) and (c2 + 2eps, 2, 3, 3).  For t = a/b,
+    u = p/q and 1 + eps = r/s that is the one fraction
+    (psb - rqa) a^3 q^2 / (sb (pb + k1 aq)(pb + k2 aq)(2pb + k3 aq)),
+    built from integers and normalized once.
     """
+    a, b = t.numerator, t.denominator
+    one = 1 + eps
+    r, s = one.numerator, one.denominator
+    a3 = a**3
+
+    def minorant(u, k1, k2, k3):
+        p, q = u.numerator, u.denominator
+        pb, aq = p * b, a * q
+        return F((pb * s - r * aq) * a3 * q * q, s * b * (pb + k1 * aq) * (pb + k2 * aq) * (2 * pb + k3 * aq))
+
+    return minorant(rc.c1, 1, 2, 1), minorant(rc.c2 + 2 * eps, 2, 3, 3)
+
+
+def weyl_margin_minorants(t, c, epsilon) -> tuple[Fraction, Fraction]:
+    """(m1(t), m2(t)) of _minorants at t in [0, 1] for the regime constants
+    of c."""
     t = _frac(t)
     eps = _frac(epsilon)
     if not 0 <= t <= 1:

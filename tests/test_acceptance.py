@@ -6,6 +6,7 @@ implemented faithfully and left to fail rather than loosened.
 """
 import json
 
+import numpy as np
 import pytest
 
 from pclab import acceptance as ac
@@ -72,3 +73,47 @@ def test_budget_fails_the_criterion_but_not_determinism():
     assert ac.payload_text([fast]) == ac.payload_text([slow])
     assert fast.report() == {"pass": True, "v": 1}
     assert slow.report() == {"pass": False, "v": 1, "runtime_budget_exceeded": True, "budget_s": 1.0}
+
+
+def test_compare_chunk_counts_each_planted_mismatch():
+    om, sf = ac._omega_oracle(1000)
+    lo, hi = 100, 230
+
+    def chunk():
+        return lo, hi, om[lo:hi].copy(), sf[lo:hi].copy()
+
+    assert ac._compare_chunk(chunk()) == 0
+    # plant one change at the chunk's first n and one at its last
+    args = chunk()
+    args[2][0] += 1
+    args[3][-1] = not args[3][-1]
+    assert ac._compare_chunk(args) == 2
+
+
+# criteria 3 and 13 as recorded before their minorants were built from
+# integer numerators; both are red (see the tests above), so their values,
+# not their verdicts, carry the check
+_PINNED_PAYLOADS = {
+    3: '[{"criterion":3,"title":"inequality thresholds 2.081 / 2.198","values":{'
+       '"max_33_34":2.1973484848484848,"ok_32":false,"ok_33_34":true,"threshold_32":null,'
+       '"threshold_32_actual":1.4194444444444445,"threshold_32_note":"3.2 already holds on [1.5, 2.2]",'
+       '"threshold_33":2.1640151515151516,"threshold_34":2.1973484848484848},"verdict":false}]',
+    13: '[{"criterion":13,"title":"window margin argument and minorant grids","values":{'
+        '"2.2":{"minorant1_ok":false,"minorant2_ok":false,"ok":true,'
+        '"type1_worst":0.00033923915329999663,"type2_worst":0.0038511650498562157},'
+        '"2.5":{"minorant1_ok":false,"minorant2_ok":false,"ok":true,'
+        '"type1_worst":1.5388412041307624e-05,"type2_worst":0.0028630078413348376},'
+        '"3":{"minorant1_ok":false,"minorant2_ok":false,"ok":false,'
+        '"type1_worst":-0.0003568285861213244,"type2_worst":-0.0005016324443455054},'
+        '"5":{"minorant1_ok":false,"minorant2_ok":false,"ok":false,'
+        '"type1_worst":-0.0006449222246330383,"type2_worst":-0.001678518067189767},'
+        '"f1_grid_increasing":true,"f2_grid_unimodal":true},"verdict":false}]',
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_PINNED_PAYLOADS))
+def test_red_criteria_payloads_are_pinned(cid):
+    _, title, fn, _ = ac._CRITERIA[cid - 1]
+    verdict, values = fn(ac.LabContext())
+    got = ac.payload_text([ac.CriterionResult(cid, title, bool(verdict), values)])
+    assert got == _PINNED_PAYLOADS[cid]

@@ -235,23 +235,49 @@ def test_beta_cap_threshold():
     assert 2.19 <= t.value <= 2.20
 
 
+def textbook_minorants(t, c, eps):
+    """(m1(t), m2(t)) as displayed, one Fraction operation at a time."""
+    rc = cn.regime_constants(c)
+    c1, c2 = rc.c1, rc.c2
+    m1 = (c1 * t**3 - (1 + eps) * t**4) / ((c1 + t) * (c1 + 2 * t) * (2 * c1 + t))
+    m2 = ((c2 + 2 * eps) * t**3 - (1 + eps) * t**4) / (
+        (c2 + 2 * t + 2 * eps) * (c2 + 3 * t + 2 * eps) * (2 * c2 + 3 * t + 4 * eps)
+    )
+    return m1, m2
+
+
+def test_minorants_match_the_textbook_formula():
+    # both sides of the coeff switch at c = 3, and eps as an int, a Fraction 0
+    # and two positive values
+    for c in (F(8, 5), F(11, 5), F(5, 2), F(3), F(7, 2), F(10), F(10521, 10000)):
+        rc = cn.regime_constants(c)
+        b = rc.beta
+        ts = [F(i, 1000) for i in range(1001)] + [F(1, 2) - b, F(2, 3), 1 - 2 * b]
+        for eps in (0, F(0), F(1, 1000), F(1, 100)):
+            for t in ts:
+                assert cn._minorants(t, rc, eps) == textbook_minorants(t, c, eps), (c, eps, t)
+        assert cn.weyl_margin_minorants("1/3", c, "1/100") == textbook_minorants(F(1, 3), c, F(1, 100))
+
+
 def test_minorants_vanish_at_zero():
-    m1, m2 = cn.weyl_margin_minorants(0, F(5, 2), F(1, 100))
+    m1, m2 = cn._minorants(F(0), cn.regime_constants(F(5, 2)), F(1, 100))
     assert m1 == 0 and m2 == 0
 
 
 def test_minorant_f1_increasing_grids():
     n = 1000
     for cc in (F(8, 5), F(11, 5), F(3), F(10)):
+        rc = cn.regime_constants(cc)
         for eps in (F(0), F(1, 100)):
-            vals = [cn.weyl_margin_minorants(F(i, n), cc, eps)[0] for i in range(0, n + 1, 10)]
+            vals = [cn._minorants(F(i, n), rc, eps)[0] for i in range(0, n + 1, 10)]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_minorant_f2_unimodal_grids():
     n = 1000
     for cc in (F(11, 5), F(5, 2), F(3)):
-        vals = [cn.weyl_margin_minorants(F(i, n), cc, F(1, 100))[1] for i in range(0, n + 1, 10)]
+        rc = cn.regime_constants(cc)
+        vals = [cn._minorants(F(i, n), rc, F(1, 100))[1] for i in range(0, n + 1, 10)]
         rising = True
         drops = 0
         for a, b in zip(vals, vals[1:]):
