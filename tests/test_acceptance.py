@@ -6,7 +6,6 @@ implemented faithfully and left to fail rather than loosened.
 """
 import json
 
-import numpy as np
 import pytest
 
 from pclab import acceptance as ac
