@@ -264,9 +264,9 @@ def _oracle_weyl(c, theta, delta, n_scale):
         re, im = mp.mpf(0), mp.mpf(0)
         for z in range(2 * m, m, -1):  # reversed order
             t = mp.mpf(z) ** cexp * scale
-            fr = t - mp.floor(t)
-            re += mp.cos(2 * mp.pi * fr)
-            im += mp.sin(2 * mp.pi * fr)
+            e = mp.expjpi(2 * (t - mp.floor(t)))
+            re += e.real
+            im += e.imag
         return complex(float(re), float(im))
 
 
@@ -282,9 +282,9 @@ def _oracle_prime(x, c, h, d):
         re, im = mp.mpf(0), mp.mpf(0)
         for p in ps.tolist():
             t = mp.mpf(p) ** cexp * h / d
-            fr = t - mp.floor(t)
-            re += mp.cos(2 * mp.pi * fr)
-            im += mp.sin(2 * mp.pi * fr)
+            e = mp.expjpi(2 * (t - mp.floor(t)))
+            re += e.real
+            im += e.imag
         return complex(float(re), float(im))
 
 
@@ -298,18 +298,19 @@ def _oracle_trilinear(d_scale, m_scale, l_scale, h, c, seed):
     bl = stream[d_scale + m_scale :]
     with mp.workdps(60):
         cexp = mp.mpf(ce.num) / ce.den
+        # (l m)^c, shared by every d
+        pw = [[mp.mpf((l_scale + 1 + li) * (m_scale + 1 + mi)) ** cexp for li in range(l_scale)]
+              for mi in range(m_scale)]
         re, im = mp.mpf(0), mp.mpf(0)
         for di in range(d_scale - 1, -1, -1):
             dd = d_scale + 1 + di
             for mi in range(m_scale - 1, -1, -1):
-                mm = m_scale + 1 + mi
                 for li in range(l_scale - 1, -1, -1):
-                    ll = l_scale + 1 + li
                     w = cd[di] * am[mi] * bl[li]
-                    t = mp.mpf(ll * mm) ** cexp * h / dd
-                    fr = t - mp.floor(t)
-                    re += w * mp.cos(2 * mp.pi * fr)
-                    im += w * mp.sin(2 * mp.pi * fr)
+                    t = pw[mi][li] * h / dd
+                    e = mp.expjpi(2 * (t - mp.floor(t)))
+                    re += w * e.real
+                    im += w * e.imag
         return complex(float(re), float(im))
 
 
@@ -329,10 +330,10 @@ def _oracle_triple(x, d_scale, h_count, c):
                 re, im = mp.mpf(0), mp.mpf(0)
                 for n_val, p in zip(reversed(ns), reversed(ps)):
                     t = mp.mpf(n_val) ** cexp * h / dd
-                    fr = t - mp.floor(t)
                     w = mp.log(p)
-                    re += w * mp.cos(2 * mp.pi * fr)
-                    im += w * mp.sin(2 * mp.pi * fr)
+                    e = mp.expjpi(2 * (t - mp.floor(t)))
+                    re += w * e.real
+                    im += w * e.imag
                 total += mp.sqrt(re * re + im * im)
         return float(total)
 

@@ -13,8 +13,6 @@ error, 2 verification failure, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import os
 import sys
@@ -22,7 +20,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from . import acceptance as ac
 from . import constants as cn
 from . import experiments as ex
 from . import expsum as es
@@ -255,6 +252,8 @@ class Emitter:
             return record
         flat = _flatten("", record, {})
         if self._writer is None:
+            import csv  # loaded only for --format csv
+
             self._writer = csv.DictWriter(self.stream, fieldnames=list(flat.keys()))
             self._writer.writeheader()
         self._writer.writerow(flat)
@@ -262,6 +261,8 @@ class Emitter:
 
 
 def _params_key(command: str, params: dict) -> str:
+    import hashlib  # loads OpenSSL; only fixture keys need it
+
     canon = json.dumps({"command": command, "params": jsonable(params)}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -330,6 +331,8 @@ def _verify(args, caps, emit: Emitter) -> int:
                 fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
         emit.emit("verify", {"record": True}, {"fixtures": len(_FIXTURE_RUNS), "path": args.fixtures}, 0)
         return 0
+
+    from . import acceptance as ac  # the suite loads only for verify
 
     runs = _load_fixtures(args.fixtures)
     jobs = args.jobs

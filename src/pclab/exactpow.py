@@ -15,7 +15,10 @@ fixed-point bits.
   of mpmath's libmp primitives, starting at 128 bits and doubling until the
   floor is decided.  Every transcendental step is widened by a fixed ulp
   pad, so the enclosure is conservative even if an underlying primitive
-  misses correct rounding by a few ulps.
+  misses correct rounding by a few ulps.  The kernel lives in _intervals,
+  which _floor_via_intervals imports on first use: libmp (and so mpmath)
+  loads with the first floor that takes this path, and a run that never
+  does is spared its import time and memory.
 
 One rule picks the path for every floor and fractional part: the exact root
 when the common denominator of the exponents is at most 64 and the radicand
@@ -53,21 +56,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_exp,
-    mpf_log,
-    mpf_mul_int,
-    mpf_shift,
-    mpf_sub,
-    round_ceiling,
-    round_floor,
-    to_int,
-)
 
 from ._intmath import factorize, iroot, perfect_root
 from .errors import (
@@ -82,9 +70,6 @@ from .errors import (
 
 DEFAULT_FRAC_TOL = 1e-12
 PHASE_TOL = 2.0 ** -48
-
-# ulps of outward widening applied after every log/exp call
-_ULP_PAD = 8
 
 # fast float path: escalate whenever the fractional part is within this
 # relative distance of an integer (error argument in floor_pow_batch)
@@ -188,51 +173,10 @@ def _exact_frac(q: Fraction) -> CertifiedReal:
     return CertifiedReal(value, math.ulp(value))
 
 
-# ----------------------------------------------------------------------
-# interval kernel on libmp (directed rounding + ulp padding)
-# ----------------------------------------------------------------------
-
-def _pad_down(x, prec):
-    if x == fzero:
-        return x
-    return mpf_sub(x, from_man_exp(_ULP_PAD, x[2]), prec, round_floor)
-
-
-def _pad_up(x, prec):
-    if x == fzero:
-        return x
-    return mpf_add(x, from_man_exp(_ULP_PAD, x[2]), prec, round_ceiling)
-
-
-def _log_iv(b: int, prec):
-    lo = _pad_down(mpf_log(from_int(b), prec, round_floor), prec)
-    hi = _pad_up(mpf_log(from_int(b), prec, round_ceiling), prec)
-    return lo, hi
-
-
-def _exp_iv(lo, hi, prec):
-    return (
-        _pad_down(mpf_exp(lo, prec, round_floor), prec),
-        _pad_up(mpf_exp(hi, prec, round_ceiling), prec),
-    )
-
-
-# The kernel's value is P = (b**e * b2**e2)**(1/q) for ints b, b2 >= 1 and
-# e, e2 >= 0: n**c is (n, num, den) with b2 = 1, e2 = 0, and a Weyl phase
-# z**c * N**delta brings both exponents to their common denominator q.
-
-def _root_interval(b: int, e: int, q: int, b2: int, e2: int, prec):
-    """Enclosure of P."""
-    lo = hi = fzero
-    for base, k in ((b, e), (b2, e2)):
-        llo, lhi = _log_iv(base, prec)
-        lo = mpf_add(lo, mpf_mul_int(llo, k, prec, round_floor), prec, round_floor)
-        hi = mpf_add(hi, mpf_mul_int(lhi, k, prec, round_ceiling), prec, round_ceiling)
-    if q != 1:
-        lo = mpf_div(lo, from_int(q), prec, round_floor)
-        hi = mpf_div(hi, from_int(q), prec, round_ceiling)
-    return _exp_iv(lo, hi, prec)
-
+# The value of the floor kernels is P = (b**e * b2**e2)**(1/q) for ints
+# b, b2 >= 1 and e, e2 >= 0: n**c is (n, num, den) with b2 = 1, e2 = 0, and a
+# Weyl phase z**c * N**delta brings both exponents to their common
+# denominator q.
 
 def _integer_root(b: int, e: int, q: int, b2: int, e2: int) -> int | None:
     """P if it is an integer, else None.
@@ -266,11 +210,12 @@ def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2
         raise Overflow(
             f"result needs ~{est_bits} bits, beyond the precision cap"
         )
+    from ._intervals import floor_bounds  # mpmath loads here, on the interval path's first use
+
     prec = max(128, est_bits + 32)
     while prec <= caps.prec_cap_bits:
-        lo, hi = _root_interval(b, e, q, b2, e2, prec)
-        flo = to_int(mpf_shift(lo, s), round_floor)
-        if flo == to_int(mpf_shift(hi, s), round_floor):
+        flo, fhi = floor_bounds(b, e, q, b2, e2, s, prec)
+        if flo == fhi:
             return flo
         # no enclosure of an integer decides its floor
         v = _integer_root(b, e, q, b2, e2)

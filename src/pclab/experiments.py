@@ -20,7 +20,6 @@ never changes a result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -122,6 +121,8 @@ def _chunks(seq):
 def _map_ordered(func, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [func(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(func, items))
 

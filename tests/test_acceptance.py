@@ -116,3 +116,58 @@ def test_red_criteria_payloads_are_pinned(cid):
     verdict, values = fn(ac.LabContext())
     got = ac.payload_text([ac.CriterionResult(cid, title, bool(verdict), values)])
     assert got == _PINNED_PAYLOADS[cid]
+
+
+def _cos_sin_sum(terms):
+    """sum w e(t) over (w, t) in order, from separate cos and sin at 60 digits."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        re, im = mp.mpf(0), mp.mpf(0)
+        for w, t in terms:
+            fr = t - mp.floor(t)
+            re += w * mp.cos(2 * mp.pi * fr)
+            im += w * mp.sin(2 * mp.pi * fr)
+        return re, im
+
+
+def test_oracles_match_a_cos_sin_evaluation():
+    import mpmath as mp
+
+    from pclab.primes import mangoldt_table, primes_in
+    from pclab.prng import pm1_weights
+
+    with mp.workdps(60):
+        c = mp.mpf(11) / 5
+        re, im = _cos_sin_sum((1, mp.mpf(p) ** c * 3 / 7) for p in reversed(primes_in(0, 2000).tolist()))
+        want_prime = complex(float(re), float(im))
+
+        c = mp.mpf(10521) / 10000
+        w = pm1_weights(42, 2 + 8 + 5)
+        cd, am, bl = w[:2], w[2:10], w[10:]
+        re, im = _cos_sin_sum(
+            (cd[di] * am[mi] * bl[li], mp.mpf((6 + li) * (9 + mi)) ** c / (3 + di))
+            for di in range(1, -1, -1) for mi in range(7, -1, -1) for li in range(4, -1, -1)
+        )
+        want_trilinear = complex(float(re), float(im))
+
+        c, scale = mp.mpf(5) / 2, mp.mpf(100) ** (mp.mpf(3) / 10)
+        re, im = _cos_sin_sum((1, mp.mpf(z) ** c * scale) for z in range(200, 100, -1))
+        want_weyl = complex(float(re), float(im))
+
+        c = mp.mpf(3) / 2
+        table = mangoldt_table(200)
+        sel = (table.ns > 100) & (table.ns <= 200)
+        pairs = list(zip(table.ns[sel].tolist(), table.ps[sel].tolist()))[::-1]
+        total = mp.mpf(0)
+        for h in (2, 1):
+            for dd in (4, 3):
+                re, im = _cos_sin_sum((mp.log(p), mp.mpf(n) ** c * h / dd) for n, p in pairs)
+                total += mp.sqrt(re * re + im * im)
+        want_triple = float(total)
+
+    # the oracles return doubles, so 1e-40 asks for the same double
+    assert abs(ac._oracle_prime(2000, "11/5", 3, 7) - want_prime) <= 1e-40
+    assert abs(ac._oracle_trilinear(2, 8, 5, 1, "10521/10000", 42) - want_trilinear) <= 1e-40
+    assert abs(ac._oracle_weyl("5/2", ac.F(1), ac.F(3, 10), 100) - want_weyl) <= 1e-40
+    assert abs(ac._oracle_triple(100, 2, 2, "3/2") - want_triple) <= 1e-40

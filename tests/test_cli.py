@@ -419,6 +419,34 @@ def test_weyl_with_a_huge_theta_denominator_ends():
     assert json.loads(proc.stdout)["result"]["params"]["terms"] == 100
 
 
+# what `import pclab.cli` must not load: each is imported on the one path that uses it
+_DEFERRED = ("mpmath", "concurrent.futures.process", "multiprocessing", "hashlib", "csv", "pclab.acceptance")
+
+_IMPORT_PROBE = """
+import json, sys
+import pclab.cli
+before = [m for m in {deferred!r} if m in sys.modules]
+from pclab.exactpow import floor_pow
+# a denominator above 64 sends the floor to the interval path
+r = floor_pow({n}, "{num}/{den}")
+print(json.dumps({{"before": before, "r": r, "mpmath_after": "mpmath" in sys.modules}}))
+"""
+
+
+def test_cli_import_defers_unused_dependencies():
+    n, num, den = 10**9 + 7, 10521, 10000
+    src = str(Path(pclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = _IMPORT_PROBE.format(deferred=_DEFERRED, n=n, num=num, den=den)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["before"] == []
+    r = got["r"]
+    assert r**den <= n**num < (r + 1) ** den
+    assert got["mpmath_after"]
+
+
 def test_verify_record_reproduces_fixtures(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     code, _ = run_cli(["verify", "--record", "--fixtures", str(path)])

@@ -1,6 +1,6 @@
+import concurrent.futures
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -100,13 +100,14 @@ def test_parallel_runs_equal_sequential(monkeypatch):
     assert ex.members(300, "77/10")[1].dtype == object
     pools = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(ex, "_CHUNK", 16)
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    # _map_ordered imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     a = ex.almost_prime_census(300, "77/10", 3, jobs=1)
     b = ex.almost_prime_census(300, "77/10", 3, jobs=3)
     assert a == b
