@@ -198,6 +198,10 @@ def _integer_root(b: int, e: int, q: int, b2: int, e2: int) -> int | None:
     return math.prod(p ** (v // q) for p, v in vals.items())
 
 
+# _intervals.floor_bounds once the interval path has run
+_floor_bounds = None
+
+
 def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2: int) -> int:
     # P >= 2^low, decided in integers: e and q may pass the float range
     low = (e * (b.bit_length() - 1) + e2 * (b2.bit_length() - 1)) // q
@@ -210,11 +214,15 @@ def _floor_via_intervals(b: int, e: int, q: int, s: int, caps: Caps, b2: int, e2
         raise Overflow(
             f"result needs ~{est_bits} bits, beyond the precision cap"
         )
-    from ._intervals import floor_bounds  # mpmath loads here, on the interval path's first use
+    global _floor_bounds
+    if _floor_bounds is None:
+        # mpmath loads here, on the interval path's first use; binding the
+        # function once spares every later call an import statement
+        from ._intervals import floor_bounds as _floor_bounds
 
     prec = max(128, est_bits + 32)
     while prec <= caps.prec_cap_bits:
-        flo, fhi = floor_bounds(b, e, q, b2, e2, s, prec)
+        flo, fhi = _floor_bounds(b, e, q, b2, e2, s, prec)
         if flo == fhi:
             return flo
         # no enclosure of an integer decides its floor

@@ -420,29 +420,28 @@ def test_weyl_with_a_huge_theta_denominator_ends():
 
 
 # what `import pclab.cli` must not load: each is imported on the one path that uses it
-_DEFERRED = ("mpmath", "concurrent.futures.process", "multiprocessing", "hashlib", "csv", "pclab.acceptance")
-
+# a fresh interpreter imports pclab.cli, lists which of the modules that load
+# on first use are already there, then takes one floor on the interval path
+# (a denominator above 64 sends it there)
 _IMPORT_PROBE = """
 import json, sys
 import pclab.cli
-before = [m for m in {deferred!r} if m in sys.modules]
+deferred = ("mpmath", "concurrent.futures.process", "multiprocessing", "hashlib", "csv", "pclab.acceptance")
+loaded = [m for m in deferred if m in sys.modules]
 from pclab.exactpow import floor_pow
-# a denominator above 64 sends the floor to the interval path
-r = floor_pow({n}, "{num}/{den}")
-print(json.dumps({{"before": before, "r": r, "mpmath_after": "mpmath" in sys.modules}}))
+r = floor_pow(10**9 + 7, "10521/10000")
+print(json.dumps({"loaded": loaded, "r": r, "mpmath_after": "mpmath" in sys.modules}))
 """
 
 
 def test_cli_import_defers_unused_dependencies():
-    n, num, den = 10**9 + 7, 10521, 10000
     src = str(Path(pclab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = _IMPORT_PROBE.format(deferred=_DEFERRED, n=n, num=num, den=den)
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["before"] == []
-    r = got["r"]
+    assert got["loaded"] == []
+    n, num, den, r = 10**9 + 7, 10521, 10000, got["r"]
     assert r**den <= n**num < (r + 1) ** den
     assert got["mpmath_after"]
 
