@@ -419,7 +419,6 @@ def test_weyl_with_a_huge_theta_denominator_ends():
     assert json.loads(proc.stdout)["result"]["params"]["terms"] == 100
 
 
-# what `import pclab.cli` must not load: each is imported on the one path that uses it
 # a fresh interpreter imports pclab.cli, lists which of the modules that load
 # on first use are already there, then takes one floor on the interval path
 # (a denominator above 64 sends it there)
