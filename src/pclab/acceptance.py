@@ -21,7 +21,7 @@ from . import experiments as ex
 from . import expsum as es
 from .errors import DEFAULT_CAPS, NoCrossing
 from .exactpow import as_exponent, as_ratio, floor_pow
-from .factor import factor_signature
+from .factor import factor_signature, iroot
 from .primes import mangoldt_table
 from .prng import pm1_weights
 
@@ -251,8 +251,6 @@ def criterion_11(ctx: LabContext):
 
 def _oracle_weyl(c, theta, delta, n_scale):
     import mpmath as mp
-
-    from ._intmath import iroot
 
     ce = as_exponent(c)
     th = F(theta)

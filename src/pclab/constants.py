@@ -112,9 +112,13 @@ class InequalityReport(Report):
     holds: bool       # slack > strictness margin, decided exactly
 
 
+def _holds(lhs: Fraction, rhs: Fraction) -> bool:
+    """lhs < rhs by more than STRICTNESS, the verdict of every inequality."""
+    return rhs - lhs > STRICTNESS
+
+
 def _report(ineq_id: str, lhs: Fraction, rhs: Fraction) -> InequalityReport:
-    slack = rhs - lhs
-    return InequalityReport(ineq_id, float_mirror(lhs), float_mirror(rhs), float_mirror(slack), slack > STRICTNESS)
+    return InequalityReport(ineq_id, float_mirror(lhs), float_mirror(rhs), float_mirror(rhs - lhs), _holds(lhs, rhs))
 
 
 @dataclass(frozen=True)
@@ -231,13 +235,18 @@ def max_c_feasible(
         raise NoCrossing(f"no feasible c just above 1 for R={R}")
     if ok(hi):
         raise NoCrossing("feasible at the upper end of the bisection range")
+    return float_mirror(_bisect(ok, lo, hi, tol))
+
+
+def _bisect(ok, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
+    """Halve [lo, hi], keeping ok(lo) and not ok(hi), to width tol; its midpoint."""
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if ok(mid):
             lo = mid
         else:
             hi = mid
-    return float_mirror((lo + hi) / 2)
+    return (lo + hi) / 2
 
 
 @dataclass(frozen=True)
@@ -349,7 +358,7 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
         raise OutOfRange("tol must be positive")
 
     def holds(c: Fraction) -> bool:
-        return _report(ineq_id, *_large_regime_lhs(ineq_id, regime_constants(c))).holds
+        return _holds(*_large_regime_lhs(ineq_id, regime_constants(c)))
 
     xs = [lo + (hi - lo) * i / (_THRESHOLD_SCAN - 1) for i in range(_THRESHOLD_SCAN)]
     vals = [holds(x) for x in xs]
@@ -359,14 +368,8 @@ def threshold(ineq_id: str, lo, hi, tol: float = 1e-3) -> ThresholdResult:
         state = "already holds" if vals[0] else "never holds"
         raise NoCrossing(f"{ineq_id} {state} on [{float_mirror(lo)}, {float_mirror(hi)}]")
     i = upward[0]
-    a, b = xs[i - 1], xs[i]
-    while b - a > tol:
-        mid = (a + b) / 2
-        if holds(mid):
-            b = mid
-        else:
-            a = mid
-    return ThresholdResult(float_mirror((a + b) / 2), len(transitions) > 1)
+    c = _bisect(lambda c: not holds(c), xs[i - 1], xs[i], tol)
+    return ThresholdResult(float_mirror(c), len(transitions) > 1)
 
 
 def vinogradov_degree(c, theta, delta) -> int:

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._intmath import factorize, iroot, perfect_root
+from .factor import _factorize, iroot, perfect_root
 from .errors import (
     DEFAULT_CAPS,
     Caps,
@@ -191,7 +191,7 @@ def _integer_root(b: int, e: int, q: int, b2: int, e2: int) -> int | None:
         return None if r is None else r ** (e // g)
     vals: dict[int, int] = {}
     for base, k in ((b, e), (b2, e2)):
-        for p, v in factorize(base)[0].items():
+        for p, v in _factorize(base)[0].items():
             vals[p] = vals.get(p, 0) + v * k
     if any(v % q for v in vals.values()):
         return None

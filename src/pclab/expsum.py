@@ -249,8 +249,8 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     D * x / log^3 x.
     """
     c = as_exponent(c)
-    if x < 2 or d_scale < 1:
-        raise OutOfRange("triple_sum needs x >= 2 and D >= 1")
+    if x < 2 or d_scale < 1 or (h_count is not None and h_count < 0):
+        raise OutOfRange("triple_sum needs x >= 2, D >= 1 and H >= 0")
     if h_count is None:
         h_count = d_scale * math.ceil(math.log(x) ** 3)
     evals = h_count * d_scale * x

@@ -309,6 +309,7 @@ BAD_INPUTS = {
     "non-JSON fixtures line": (["verify", "--fixtures", "{file}"], "not json\n", {}),
     "NaN tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "nan"], None, {}),
     "tol below 2^-52": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "1e-20"], None, {}),
+    "negative H": (["expsum", "triple", "--x", "100", "--D", "2", "--H", "-1", "-c", "3/2"], None, {}),
     "zero scale": (["expsum", "trilinear", "--D", "0", "--M", "2", "--L", "2", "--h", "1", "-c", "3/2"], None, {}),
     "zero maxc tol": (["constants", "maxc", "-R", "8", "--tol", "0"], None, {}),
     "zero threshold tol": (["constants", "threshold", "--ineq", "3.3", "--lo", "9/5", "--hi", "12/5", "--tol", "0"],

@@ -503,17 +503,27 @@ def test_exactpow_has_one_double_word_stage():
 
 
 def test_census_pipeline_has_one_sieve_and_one_layout_switch():
-    # primes_in is the one sieve and factor.is_prime the one primality entry;
-    # the censuses reach the member layout only through experiments._count
+    # primes_in is the one sieve and factor the one integer-arithmetic module:
+    # it alone defines primality, is_prime and iroot, and it reads no private
+    # name of another pclab module; the censuses reach the member layout only
+    # through experiments._count
     src = Path(cn.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    assert "_intmath" not in trees
     for stem, tree in trees.items():
         defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert "_simple_sieve" not in defs, stem
-        assert stem != "_intmath" or "is_prime" not in defs
+        assert stem == "factor" or not defs & {"primality", "is_prime", "iroot"}, stem
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module in ("primes", "pclab.primes"):
                 assert not [a.name for a in node.names if a.name.startswith("_")], stem
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any("_intmath" in name for name in names), stem
+    for node in ast.walk(trees["factor"]):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pclab")):
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+            assert node.module, "factor reaches other pclab modules only by name imports"
     defs = {node.name: node for node in trees["experiments"].body if isinstance(node, ast.FunctionDef)}
     for name in ("almost_prime_census", "squarefree_census", "ps_prime_count"):
         names = {node.attr for node in ast.walk(defs[name]) if isinstance(node, ast.Attribute)}

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pclab import _intmath
 from pclab import exactpow as ep
+from pclab import factor
 from pclab.errors import DEFAULT_CAPS, IntegerExponent, NotAFraction, OutOfRange, Overflow
 from pclab.primes import primes_in
 
@@ -123,12 +123,12 @@ def test_large_denominator_floor_takes_no_large_root(monkeypatch):
     # the den-10^4 floor is decided by intervals, with no 10000th root
     ks = []
 
-    def counting_iroot(x, k, _iroot=_intmath.iroot):
+    def counting_iroot(x, k, _iroot=factor.iroot):
         ks.append(k)
         return _iroot(x, k)
 
     monkeypatch.setattr(ep, "iroot", counting_iroot)
-    monkeypatch.setattr(_intmath, "iroot", counting_iroot)
+    monkeypatch.setattr(factor, "iroot", counting_iroot)
     n = 3626033
     got = ep.floor_pow(n, "10521/10000")
     assert all(k <= 64 for k in ks)
@@ -144,7 +144,7 @@ def test_iroot_brackets_the_root():
         k = rng.choice((3, 4, 5, 7, 11, 64, rng.randint(2, 300)))
         r = 1 + rng.getrandbits(rng.choice((4, 30, 53, 200, 999, 1000, 1100)) if k <= 5 else rng.randint(1, 64))
         x = (r**k, r**k - 1, r**k + rng.randrange((r + 1) ** k - r**k), rng.getrandbits(r.bit_length() * k))[i % 4]
-        got = _intmath.iroot(x, k)
+        got = factor.iroot(x, k)
         assert got**k <= x < (got + 1) ** k, (x, k)
 
 
@@ -416,7 +416,7 @@ def test_frac_scaled_pow_batch_sample_within_bounds(cc, escalated):
         assert ((0 <= values) & (values < 1) & (bounds <= ep.DEFAULT_FRAC_TOL)).all()
         ratios = phase_ratios(values, bounds, h, d, ns, c.num, c.den)
         for n in escalated:
-            assert n**c.num >= 2 ** (50 * c.den) or _intmath.perfect_root(n, c.den) is not None
+            assert n**c.num >= 2 ** (50 * c.den) or factor.perfect_root(n, c.den) is not None
         assert len(escalated) < len(ns) // 4
         if (h, d) == (3, 7):
             accepted = [r for n, r in zip(ns.tolist(), ratios) if n not in escalated]

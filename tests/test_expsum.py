@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pclab import exactpow, expsum as es
-from pclab._intmath import iroot
+from pclab.factor import iroot
 from pclab import experiments as ex
-from pclab.errors import Caps, NonPositiveRho, RangeTooLarge
+from pclab.errors import Caps, NonPositiveRho, OutOfRange, RangeTooLarge
 from pclab.exactpow import frac_phase, frac_scaled_pow
 
 
@@ -162,6 +162,9 @@ def test_triple_sum_bounds():
     assert es.triple_sum(100, 1, 1, "3/2", caps=caps).params["prime_powers"] > 0
     with pytest.raises(RangeTooLarge, match="von Mangoldt"):
         es.triple_sum(101, 1, 1, "3/2", caps=caps)
+    # H = 0 is the empty sum, but a negative H would give a negative trivial bound
+    with pytest.raises(OutOfRange, match="H >= 0"):
+        es.triple_sum(100, 2, -1, "3/2")
 
 
 def test_triple_sum_loop_order_invariance():

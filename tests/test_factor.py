@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pclab
-from pclab import _intmath, factor
+from pclab import factor
 from pclab.acceptance import _omega_oracle
 from pclab.errors import FactorizationTimeout, OutOfRange
 from pclab.primes import primes_in
@@ -62,18 +62,18 @@ TIER_PSEUDOPRIMES = (
 
 
 def test_mr_tier_bounds_are_pseudoprimes_of_their_tier():
-    tiers = dict(_intmath._MR_TIERS)
+    tiers = dict(factor._MR_TIERS)
     assert list(tiers) == [n for n, _ in TIER_PSEUDOPRIMES] + [2**64]
-    assert tiers[2**64] == _intmath.MR_BASES_64
+    assert tiers[2**64] == factor.MR_BASES_64
     for n, prime_factors in TIER_PSEUDOPRIMES:
         assert math.prod(prime_factors) == n and all(map(factor.is_prime, prime_factors))
         d, s = n - 1, 0
         while d % 2 == 0:
             d, s = d // 2, s + 1
         # n passes every base of its own tier, and only a later tier rejects it
-        assert not any(_intmath._mr_composite_witness(n, a, d, s) for a in tiers[n]), n
+        assert not any(factor._mr_composite_witness(n, a, d, s) for a in tiers[n]), n
         assert not factor.is_prime(n), n
-        assert _intmath.primality(n) == (False, True)
+        assert factor.primality(n) == (False, True)
     assert factor.is_prime(2**64 - 59)  # the largest prime below 2^64
 
 
@@ -132,7 +132,7 @@ def test_is_prime_array_small_values():
 def test_factorize_when_the_last_trial_prime_divides_out_the_rest():
     # 99991 is the largest prime in small_primes(): dividing it out can leave
     # m == 1 after the trial loop, which must not reach the rho stage
-    assert _intmath.small_primes()[-1] == 99991
+    assert factor.small_primes()[-1] == 99991
     assert factor.factorize(99991**2) == {99991: 2}
     assert factor.factorize(2 * 99991**3) == {2: 1, 99991: 3}
     assert factor.factor_signature(2 * 99991**3).omega_big == 4
@@ -152,9 +152,9 @@ def test_primality_work_is_pinned_as_counts(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(_intmath, "_mr_composite_witness", counting("witness", _intmath._mr_composite_witness))
-    monkeypatch.setattr(_intmath, "primality", counting("primality", _intmath.primality))
-    monkeypatch.setattr(_intmath, "gcd", counting("gcd", _intmath.gcd))
+    monkeypatch.setattr(factor, "_mr_composite_witness", counting("witness", factor._mr_composite_witness))
+    monkeypatch.setattr(factor, "primality", counting("primality", factor.primality))
+    monkeypatch.setattr(factor, "gcd", counting("gcd", factor.gcd))
     # below 1,373,653 the strong test takes bases 2 and 3 only
     assert sum(map(factor.is_prime, range(10**6, 10**6 + 10**4))) == 753
     assert calls["witness"] == 2239
@@ -267,7 +267,7 @@ def per_prime_factorize(n, rho_budget=1 << 24):
             factors[p] = factors.get(p, 0) + 1
             m //= p
     limit = math.isqrt(m)
-    for p in itertools.islice(_intmath.small_primes(), 3, None):
+    for p in itertools.islice(factor.small_primes(), 3, None):
         if p > limit:
             if m > 1:
                 factors[m] = factors.get(m, 0) + 1
@@ -278,7 +278,7 @@ def per_prime_factorize(n, rho_budget=1 << 24):
                 m //= p
             limit = math.isqrt(m)
             if p <= limit:
-                verdict, det = _intmath.primality(m)
+                verdict, det = factor.primality(m)
                 probabilistic |= not det
                 if verdict:
                     factors[m] = factors.get(m, 0) + 1
@@ -287,16 +287,16 @@ def per_prime_factorize(n, rho_budget=1 << 24):
     budget = [rho_budget]
     while pending:
         m = pending.pop()
-        verdict, det = _intmath.primality(m)
+        verdict, det = factor.primality(m)
         probabilistic |= not det
         if verdict:
             factors[m] = factors.get(m, 0) + 1
             continue
-        r = _intmath.perfect_root(m, 2)
+        r = factor.perfect_root(m, 2)
         if r is not None:
             pending.extend((r, r))
             continue
-        d = _intmath.brent_rho(m, budget)
+        d = factor.brent_rho(m, budget)
         if d is None or d == m:
             raise FactorizationTimeout("budget", partial=(dict(factors), m))
         pending.extend((d, m // d))
@@ -315,23 +315,23 @@ def factorize_outcome(fn, n, rho_budget):
 
 def assert_factorize_unchanged(ns, rho_budget=1 << 24):
     for n in ns:
-        assert factorize_outcome(_intmath.factorize, n, rho_budget) == \
+        assert factorize_outcome(factor._factorize, n, rho_budget) == \
             factorize_outcome(per_prime_factorize, n, rho_budget), n
 
 
 def trial_blocks():
-    while _intmath._add_trial_block():
+    while factor._add_trial_block():
         pass
-    return _intmath._trial_blocks
+    return factor._trial_blocks
 
 
 def test_trial_blocks_cover_the_primes_to_1e5_in_order():
     blocks = trial_blocks()
-    assert [p for block in blocks for p in block[3]] == _intmath.small_primes()[3:]
+    assert [p for block in blocks for p in block[3]] == factor.small_primes()[3:]
     for q2, last, product, primes in blocks:
         assert q2 == primes[0] ** 2 and last == primes[-1] and product == math.prod(primes)
         # two primes of a block multiply past its last prime
-        assert last < q2 and product.bit_length() <= _intmath._BLOCK_BITS
+        assert last < q2 and product.bit_length() <= factor._BLOCK_BITS
 
 
 def test_factorize_unchanged_at_the_block_edges():
@@ -349,7 +349,7 @@ def test_factorize_unchanged_near_2_62_and_2_64():
     rng = random.Random(6264)
     ns = [c + rng.randrange(-2**40, 2**40) for c in (2**62, 2**64) for _ in range(60)]
     # and multiples of trial primes on each side, some of them repeated
-    ps = _intmath.small_primes()
+    ps = factor.small_primes()
     for c in (2**62, 2**64):
         for _ in range(40):
             head = rng.choice(ps) * rng.choice(ps[:100]) ** rng.randint(1, 3)
@@ -361,22 +361,22 @@ def test_factorize_unchanged_on_probable_primes_and_timeouts():
     m89 = 2**89 - 1  # a Mersenne prime: its verdict is probabilistic
     ns = [m89 * p for p in (1, 2, 3, 7, 31, 37, 97, 101, 997, 99991)]
     ns += [m89 * 7 * 7, m89 * 101 * 99991, m89**2, 3 * 2**64 + 3 * 13]
-    assert _intmath.factorize(m89 * 7) == ({7: 1, m89: 1}, True)
+    assert factor._factorize(m89 * 7) == ({7: 1, m89: 1}, True)
     assert_factorize_unchanged(ns)
     # composite cofactors past trial division that a tiny rho budget cannot split
     semiprime = 1000003 * 1000033
     ns = [semiprime, 7 * semiprime, 2 * 101 * 101 * semiprime, 99991 * semiprime * 1000037, m89 * semiprime]
     for n in ns:
-        assert factorize_outcome(_intmath.factorize, n, 4)[0] == "timeout", n
+        assert factorize_outcome(factor._factorize, n, 4)[0] == "timeout", n
     assert_factorize_unchanged(ns, 4)
 
 
 def test_import_and_small_factorizations_build_only_small_blocks():
     src = str(Path(pclab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import pclab.cli; from pclab import _intmath, factor; n0 = len(_intmath._trial_blocks); "
+    code = ("import pclab.cli; from pclab import factor; n0 = len(factor._trial_blocks); "
             "factor.factor_signature(2 * 3 * 5 * 7 * 11 * 13 * 101 * 103); "
-            "print(n0, len(_intmath._trial_blocks), _intmath._trial_blocks[-1][1])")
+            "print(n0, len(factor._trial_blocks), factor._trial_blocks[-1][1])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     n0, n1, last = map(int, out.stdout.split())
     assert n0 == 0 and n1 <= 3 and last < 2000
@@ -397,7 +397,7 @@ def check_signature_arrays(vals):
     """signature_arrays against per-integer factorize and factor_signature."""
     vals = np.asarray(vals, dtype=np.int64)
     omega_small, squarefree, cofactor = factor.signature_arrays(vals)
-    P = _intmath.iroot(int(vals.max()), 3)
+    P = factor.iroot(int(vals.max()), 3)
     for v, om, sf, cof in zip(vals.tolist(), omega_small.tolist(), squarefree.tolist(), cofactor.tolist()):
         small = {p: e for p, e in factor.factorize(v).items() if p <= P}
         assert om == sum(small.values()), v
