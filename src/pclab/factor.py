@@ -15,8 +15,12 @@ constant sequence, so repeated runs agree bit for bit.
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and
 ``is_prime_array`` decides primality for a whole int64 array: one numpy
-strong test to the bases of ``_MR_TIERS``'s tier for its largest element
-below 2^50, with ``is_prime`` one by one from 2^50 on.
+strong test, left to right, to the bases of ``_MR_TIERS``'s tier for its
+largest element below 2^50, with ``is_prime`` one by one from 2^50 on.
+Neither array kernel takes a remainder by a prime: its trial division and
+its base screen test divisibility exactly by one multiply by the prime's
+inverse mod 2^64 and one compare (``_divisibility_screen``), and divide
+only the hits.
 """
 from __future__ import annotations
 
@@ -367,6 +371,9 @@ class _SignatureFields(NamedTuple):
     probabilistic: bool = False
 
 
+_tuple_new = tuple.__new__  # bound once, as collections.namedtuple does
+
+
 class FactorSignature(_SignatureFields):
     """Immutable, compared and hashed by value; inconsistent fields raise
     OutOfRange, also through ``_make`` and ``_replace``."""
@@ -376,7 +383,7 @@ class FactorSignature(_SignatureFields):
     def __new__(cls, n, omega_big, squarefree, prime, probabilistic=False):
         if (omega_big == 0) != (n == 1) or (prime and omega_big != 1):
             raise OutOfRange(f"inconsistent factor signature for n={n}")
-        return tuple.__new__(cls, (n, omega_big, squarefree, prime, probabilistic))
+        return _tuple_new(cls, (n, omega_big, squarefree, prime, probabilistic))
 
     @classmethod
     def _make(cls, iterable):
@@ -409,8 +416,26 @@ def factorize(n: int, rho_budget: int = 1 << 24) -> dict[int, int]:
     return _factorize(n, rho_budget)[0]
 
 
+def _divisibility_screen(p: int) -> tuple[np.uint64, np.uint64]:
+    """(w, L) such that a prime p divides a uint64 v exactly when v*w mod 2^64 <= L.
+
+    For odd p, w = p^-1 mod 2^64 and L = floor((2^64 - 1)/p) (Granlund &
+    Montgomery, PLDI '94; Lemire, Kaser & Kurz, Softw. Pract. Exp. 49(6),
+    2019).  Exactness: p is odd, so multiplication by w permutes the residues
+    mod 2^64.  The multiples of p below 2^64 are k*p for 0 <= k <= L, and
+    k*p*w = k mod 2^64, so the permutation maps them onto 0, ..., L.  Every
+    other v therefore lands above L.  For p = 2, w = 2^63 maps every even v
+    to 0 and every odd v to 2^63, and L = 2^63 - 1 lies between.  The
+    wrapping multiply is one numpy uint64 product, which wraps without a
+    warning on arrays.
+    """
+    if p == 2:
+        return np.uint64(1 << 63), np.uint64((1 << 63) - 1)
+    return np.uint64(pow(p, -1, TWO64)), np.uint64((TWO64 - 1) // p)
+
+
 def signature_arrays(vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_small, squarefree, cofactor) for an int64 array of 1 <= v < 2^62.
+    """(omega_small, squarefree, cofactor) for a 1-D int64 array of 1 <= v < 2^62.
 
     With P = iroot(max(vals), 3), every v is divided by all primes p <= P:
     omega_small counts those factors with multiplicity and cofactor is what
@@ -419,20 +444,24 @@ def signature_arrays(vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Omega(v) = omega_small + [cofactor > 1] + [cofactor composite], and
     squarefree is final: no small exponent exceeds 1 and the cofactor is not
     a perfect square above 1.  Only Omega may still need a primality test.
+    Each prime screens the cofactors with ``_divisibility_screen``'s
+    multiply and compare, which is exact, and divides only the hits.
     """
     vals = np.asarray(vals)
-    if vals.dtype != np.int64 or (vals.size and (int(vals.min()) < 1 or int(vals.max()) >= TWO62)):
-        raise OutOfRange("signature_arrays needs an int64 array with 1 <= v < 2^62")
+    if vals.dtype != np.int64 or vals.ndim != 1 or (vals.size and (int(vals.min()) < 1 or int(vals.max()) >= TWO62)):
+        raise OutOfRange("signature_arrays needs a 1-D int64 array with 1 <= v < 2^62")
     cofactor = vals.copy()
     omega_small = np.zeros(vals.shape, dtype=np.int64)
     squarefree = np.ones(vals.shape, dtype=bool)
     top = int(vals.max()) if vals.size else 1
+    residues = cofactor.view(np.uint64)  # the cofactors, as the screen reads them
     for p in primes_in(0, iroot(top, 3)).tolist():
-        hit = np.flatnonzero(cofactor % p == 0)
+        w, limit = _divisibility_screen(p)
+        hit = np.flatnonzero(residues * w <= limit)
         while hit.size:
             cofactor[hit] //= p
             omega_small[hit] += 1
-            hit = hit[cofactor[hit] % p == 0]
+            hit = hit[residues[hit] * w <= limit]
             squarefree[hit] = False  # p divides these at least twice
     squarefree &= ~_square_above_one(cofactor)
     return omega_small, squarefree, cofactor
@@ -445,10 +474,11 @@ def is_prime_array(vals) -> np.ndarray:
     """is_prime(v) for each v of an int64 array, deterministic below 2^64.
 
     The screen is primality's: the bases themselves are prime, their
-    multiples composite, and what is left below 37^2 prime.  The rest below
-    2^50 take the strong test together, to the _MR_TIERS bases of the tier
-    of their largest element; each tier is deterministic below its bound,
-    so for every element of the array.  Base by base, an element
+    multiples composite, and what is left below 37^2 prime.  Multiples are
+    found by ``_divisibility_screen``'s exact multiply and compare.  The
+    rest below 2^50 take the strong test together, to the _MR_TIERS bases
+    of the tier of their largest element; each tier is deterministic below
+    its bound, so for every element of the array.  Base by base, an element
     leaves as soon as a base witnesses it composite.  Elements from 2^50 on
     go to is_prime one by one.
     """
@@ -457,8 +487,10 @@ def is_prime_array(vals) -> np.ndarray:
         raise OutOfRange("is_prime_array needs a 1-D int64 array")
     prime = np.isin(vals, MR_BASES_64)
     rest = vals > MR_BASES_64[-1]
+    residues = vals.view(np.uint64)  # negative v are already out of rest
     for p in MR_BASES_64:
-        rest &= vals % p != 0
+        w, limit = _divisibility_screen(p)
+        rest &= residues * w > limit
     prime |= rest & (vals < 37 * 37)
     rest &= vals >= 37 * 37
     big = np.flatnonzero(rest & (vals >= _MULMOD_LIMIT))
@@ -474,10 +506,11 @@ def is_prime_array(vals) -> np.ndarray:
     d = (n - 1) // low
     s = np.frexp(low.astype(np.float64))[1] - 1
     for a in bases:
-        x = _powmod(np.full(n.shape, a, dtype=np.int64), d, n)
+        nf = n.astype(np.float64)
+        x = _powmod(a, d, n, nf)
         passed = (x == 1) | (x == n - 1)
         for i in range(1, int(s.max())):
-            x = _mulmod(x, x, n)
+            x = _mulmod(x, x, n, nf)
             passed |= (x == n - 1) & (i < s)
         idx, n, d, s = idx[passed], n[passed], d[passed], s[passed]
         if not idx.size:
@@ -486,33 +519,47 @@ def is_prime_array(vals) -> np.ndarray:
     return prime
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a*b mod n for int64 arrays with 0 <= a, b < n < 2^50.
+def _mulmod(a: np.ndarray, b, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
+    """a*b mod n for an int64 array 0 <= a < n < 2^50, with nf = n as float64.
+
+    b is an int64 array with 0 <= b < n, or an int with 0 <= b < 2^6, the
+    small base of ``_powmod``.
 
     Error argument (the float quotient of Barrett, CRYPTO '86; Moller &
-    Granlund, IEEE TC 60(2), 2011): a, b and n are exact in float64, and
-    ab/n < n - 1 < 2^50.  Rounding a*b and then the quotient errs by a
-    relative (1 + 2^-53)^2 - 1 = 2^-52 + 2^-106, so the float quotient is
-    within (2^50 - 1)(2^-52 + 2^-106) < 1/4 of ab/n, and q = floor of it is
-    within 1 of floor(ab/n).  Then r = ab - q*n lies in [-n, 2n), so
-    |r| < 2^51: the int64 products wrap modulo 2^64, but their difference is
-    exactly r.  One correction of n either way brings r into [0, n).
+    Granlund, IEEE TC 60(2), 2011): a, b and n are exact in float64.
+    Rounding a*b and then the quotient errs by a relative
+    (1 + 2^-53)^2 - 1 = 2^-52 + 2^-106.  For an array b, ab/n < n - 1 < 2^50,
+    so the float quotient is within (2^50 - 1)(2^-52 + 2^-106) < 1/4 of ab/n.
+    For an int b, a*b < 2^56 and ab/n < b <= 61 (the largest tier base), so
+    the float quotient is within 61 * (2^-52 + 2^-106) < 2^-45 of ab/n.
+    Either way q, the float quotient cast to int64 (its floor, as it is not
+    negative), is within 1 of floor(ab/n).  Then r = ab - q*n lies in
+    [-n, 2n), so |r| < 2^51: the int64 products wrap modulo 2^64, but their
+    difference is exactly r.  One correction of n either way brings r into
+    [0, n).
     """
-    q = np.floor(a.astype(np.float64) * b.astype(np.float64) / n.astype(np.float64)).astype(np.int64)
-    r = a * b - q * n
-    r += n * (r < 0)
-    r -= n * (r >= n)
+    q = a.astype(np.float64)
+    q *= b
+    q /= nf
+    r = a * b
+    r -= q.astype(np.int64) * n
+    np.add(r, n, out=r, where=r < 0)
+    np.subtract(r, n, out=r, where=r >= n)
     return r
 
 
-def _powmod(a: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a^e mod n elementwise, by square-and-multiply; 0 <= a < n < 2^50, e >= 0."""
-    r = np.ones_like(n)
-    for bit in range(int(e.max()).bit_length()):
-        if bit:
-            a = _mulmod(a, a, n)
-        r = np.where((e >> bit) & 1 == 1, _mulmod(r, a, n), r)
-    return r
+def _powmod(a: int, e: np.ndarray, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
+    """a^e mod n elementwise, for an int a < 2^6 and int64 arrays a < n < 2^50, e >= 0.
+
+    Left to right: x = 1, then for each bit of e from the top, square x and
+    multiply it by a where the bit is set.  Leading zero bits keep x = 1, so
+    exponents of different lengths share the loop.  nf is n as float64.
+    """
+    x = np.ones_like(n)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        x = _mulmod(x, x, n, nf)
+        x = np.where((e >> bit) & 1 == 1, _mulmod(x, a, n, nf), x)
+    return x
 
 
 def _square_above_one(m: np.ndarray) -> np.ndarray:

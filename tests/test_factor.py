@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,58 @@ def test_is_prime_array_falls_back_to_is_prime_from_2_50(monkeypatch):
     assert got.tolist() == want
     assert got[2000] and not got[2002]  # 2^61 - 1 is prime; 3825123056546413051 is not
     assert scalar and min(scalar) >= 2**50
+
+
+def test_divisibility_screen_agrees_with_remainder_at_the_wrap():
+    rng = random.Random(21)
+    # the screened primes: the strong-test bases, and a sample up to 2^21,
+    # past P = 1664510 at the top of signature_arrays' range
+    primes = sorted({2, *factor.MR_BASES_64, *rng.sample(primes_in(0, 1 << 21).tolist(), 300)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in primes:
+            vals = {0, 1, p - 1, p, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1}
+            for c in (2**62, 2**63, 2**64):
+                for k in (c // p - 1, c // p, c // p + 1):
+                    vals |= {k * p - 1, k * p, k * p + 1}
+            vals = sorted(v for v in vals if 0 <= v < 2**64)
+            w, limit = factor._divisibility_screen(p)
+            got = np.array(vals, dtype=np.uint64) * w <= limit
+            assert got.tolist() == [v % p == 0 for v in vals], p
+
+
+def test_mulmod_and_powmod_just_below_2_50():
+    rng = np.random.default_rng(50)
+    n = np.concatenate([np.arange(2**50 - 40, 2**50, dtype=np.int64),
+                        rng.integers(2**49, 2**50, size=20000, dtype=np.int64)])
+    nf = n.astype(np.float64)
+    a = np.concatenate([n[:40] - 1, rng.integers(0, n[40:])])  # n - 1 is the largest operand
+    b = np.concatenate([n[:40] - 1 - np.arange(40), rng.integers(0, n[40:])])
+    e = rng.integers(0, 2**50, size=n.size, dtype=np.int64)
+    triples = list(zip(a.tolist(), b.tolist(), n.tolist()))
+    # the float quotient falls below floor(ab/n) for some pairs and above it
+    # for others, so both corrections of _mulmod are taken
+    quotients = [(int(float(x) * float(y) / float(m)), x * y // m) for x, y, m in triples]
+    assert any(q < t for q, t in quotients) and any(q > t for q, t in quotients)
+    want = [(x * y % m, x * 61 % m, pow(61, k, m)) for (x, y, m), k in zip(triples, e.tolist())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = zip(factor._mulmod(a, b, n, nf).tolist(), factor._mulmod(a, 61, n, nf).tolist(),
+                  factor._powmod(61, e, n, nf).tolist())
+        assert list(got) == want
+
+
+def test_census_kernels_raise_no_warning_on_tiny_arrays():
+    # the screens' uint64 products wrap; numpy must not turn that into a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vals in ([], [1], [2], [12], [2**40 + 15], [1125899906842597], [2**61 - 1]):
+            arr = np.array(vals, dtype=np.int64)
+            want = [factor.is_prime(v) for v in vals]
+            assert factor.is_prime_array(arr).tolist() == want, vals
+            if not vals or vals[0] < 2**50:
+                omega_small, _, cofactor = factor.signature_arrays(arr)
+                assert (omega_small.size, cofactor.size) == (len(vals), len(vals))
 
 
 def test_is_prime_array_small_values():
@@ -417,6 +470,16 @@ def test_signature_arrays_edge_cases():
     assert factor.signature_arrays(np.array([1], dtype=np.int64))[2].tolist() == [1]
 
 
+def test_signature_arrays_at_the_top_of_the_range():
+    # the maximum 2^62 - 1 = 3 * 715827883 * (2^31 - 1) gives P = 1664510;
+    # 1664543 and 1664549 are the primes just above P and 1664459, 1664461
+    # and 1664501 the three largest below it
+    q, r = 1664543, 1664549
+    vals = [q * r, q * q, (2**31 - 1) ** 2, 2**61, 3**39, 1664459 * 1664461 * 1664501, 2 * q * r, 2**62 - 1]
+    assert factor.iroot(max(vals), 3) == 1664510
+    check_signature_arrays(vals)
+
+
 @given(st.lists(st.integers(1, 1 << 40), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_signature_arrays_match_factorization(vals):
@@ -430,6 +493,7 @@ def test_square_test_at_the_top_of_the_range():
 
 
 def test_signature_arrays_out_of_range():
-    for bad in ([0, 5], [1 << 62], np.array([6, 10], dtype=object)):
+    for bad in ([0, 5], [1 << 62], np.array([6, 10], dtype=object),
+                np.array([[4, 6], [9, 10]], dtype=np.int64), np.int64(12)):
         with pytest.raises(OutOfRange):
             factor.signature_arrays(bad)
