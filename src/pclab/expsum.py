@@ -15,7 +15,6 @@ which makes the results independent of evaluation order and worker count.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,16 +255,20 @@ def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEF
     evals = h_count * d_scale * x
     if evals > caps.triple_term_evals:
         raise RangeTooLarge(f"H*D*x = {evals} exceeds cap {caps.triple_term_evals}")
+    try:  # reached with H = 0, where the budget does not bound D
+        bound = d_scale * x / math.log(x) ** 3
+    except OverflowError:
+        raise OutOfRange("triple_sum: D * x passes the float range") from None
     table = mangoldt_table(2 * x, caps=caps)  # caps x at mangoldt_x / 2
     sel = (table.ns > x) & (table.ns <= 2 * x)
     ns = table.ns[sel]
     logs = table.logs[sel]
 
-    pairs = itertools.product(range(1, h_count + 1), range(d_scale + 1, 2 * d_scale + 1))
+    # lazy: itertools.product would first store all D values of d, even with H = 0
+    pairs = ((h, d) for h in range(1, h_count + 1) for d in range(d_scale + 1, 2 * d_scale + 1))
     total = math.fsum(abs(_e_sum(fracs, logs)) for fracs, _ in _frac_scaled_pow_pairs(ns, c, pairs, caps=caps))
     value = complex(total, 0.0)
     psi_mass = float(math.fsum(logs.tolist()))
     trivial = h_count * d_scale * psi_mass
-    bound = d_scale * x / math.log(x) ** 3
     params = {"x": x, "D": d_scale, "H": h_count, "c": c, "prime_powers": len(ns)}
     return SumEval("triple", params, value, trivial, bound, total / bound)

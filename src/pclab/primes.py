@@ -1,57 +1,112 @@
 """Segmented prime generation, prime counting, and von Mangoldt weights.
 
-``primes_in`` is the package's one sieve.  Segments are sieved independently
-(numpy boolean blocks) and concatenated in segment order; the base primes up
-to isqrt(hi) come from ``primes_in`` itself.
+``primes_in`` is the package's one sieve.  It covers the odd integers only:
+index i of a segment's mask stands for the odd number start + 2i.  Segments
+are sieved independently and concatenated in segment order (Bays and Hudson,
+BIT 17, 1977); the base primes up to isqrt(hi) come from ``primes_in`` itself,
+and 2 is added apart.
+
+Each mask starts as a copy of one pre-sieve pattern (Pritchard, Acta
+Informatica 17, 1982): entry j of the pattern is true exactly when 2j + 1 is
+prime to W = 3 * 5 * 7 * 11 * 13 = 15015.  For an odd prime q | W,
+2(j + W) + 1 = (2j + 1) + 2W is congruent to 2j + 1 mod q, so the pattern has
+period W in j, and the odd number start + 2i = 2((start - 1) / 2 + i) + 1
+reads entry ((start - 1) / 2 + i) mod W.  So the copy is false exactly on the
+odd multiples of 3, 5, 7, 11 and 13.  Those five primes are set true again;
+1 is set false.  Every odd composite n < stop has a least prime factor q with
+q^2 <= n: either q <= 13 and the pattern removed n, or q >= 17 is a base
+prime and n is an odd multiple of q at least q^2, which the striking loop
+removes.  Striking never touches a prime, so the mask is true exactly on the
+odd primes of the segment.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DEFAULT_CAPS, Caps, RangeTooLarge
 
-SEGMENT_WIDTH = 1 << 18
+SEGMENT_WIDTH = 1 << 18          # odd numbers per segment, so 2^19 integers
+_WHEEL = (3, 5, 7, 11, 13)
+_PERIOD = 3 * 5 * 7 * 11 * 13    # 15015
 
 
-def _sieve_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
-    """Primality mask for [start, stop)."""
-    width = stop - start
-    mask = np.ones(width, dtype=bool)
-    if start < 2:
-        mask[: min(width, 2 - start)] = False
-    for p in base.tolist():
-        p2 = p * p
-        if p2 >= stop:
-            break
-        first = max(p2, ((start + p - 1) // p) * p)
-        mask[first - start :: p] = False
+@functools.cache
+def _pattern() -> np.ndarray:
+    """One period of the wheel pattern, twice over, so that every rotation
+    of it is one slice."""
+    odd = np.arange(1, 2 * _PERIOD, 2, dtype=np.int16)  # 2j + 1 < 2^15
+    period = np.ones(_PERIOD, dtype=bool)
+    for q in _WHEEL:
+        period &= odd % q != 0
+    twice = np.concatenate((period, period))
+    twice.flags.writeable = False  # shared by every call; segments copy it
+    return twice
+
+
+def _pattern_from(offset: int, width: int) -> np.ndarray:
+    """Entries offset .. offset + width - 1 of the periodic pattern, filled
+    by doubling: a copy to a multiple of _PERIOD keeps the period."""
+    mask = np.empty(width, dtype=bool)
+    filled = min(_PERIOD, width)
+    mask[:filled] = _pattern()[offset : offset + filled]
+    while filled < width:
+        n = min(filled, width - filled)
+        mask[filled : filled + n] = mask[:n]
+        filled += n
     return mask
+
+
+def _odd_segments(lo: int, hi: int, caps: Caps) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, mask) per segment over the odd n in (lo, hi]; mask[i] is true
+    exactly when start + 2i is prime."""
+    if hi > caps.primes_hi:
+        raise RangeTooLarge(f"hi={hi} exceeds the sieve cap {caps.primes_hi}")
+    first = max(lo, 0) + 1 | 1
+    if first > hi or hi < 3:  # no odd prime; this also ends the recursion
+        return
+    base = primes_in(0, math.isqrt(hi), caps=caps)
+    base = base[np.searchsorted(base, _WHEEL[-1], side="right"):].tolist()
+    for start in range(first, hi + 1, 2 * SEGMENT_WIDTH):
+        width = min(SEGMENT_WIDTH, (hi - start) // 2 + 1)
+        last = start + 2 * (width - 1)
+        offset = (start - 1) // 2 % _PERIOD
+        mask = _pattern_from(offset, width)
+        for p in base:
+            p2 = p * p
+            if p2 > last:
+                break
+            m = max(p2, -(-start // p) * p)
+            if not m & 1:
+                m += p
+            mask[(m - start) >> 1 :: p] = False
+        if start <= _WHEEL[-1]:
+            for q in _WHEEL:
+                if start <= q <= last:
+                    mask[(q - start) >> 1] = True
+            if start == 1:
+                mask[0] = False
+        yield start, mask
 
 
 def primes_in(lo: int, hi: int, *, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """The primes in the half-open range (lo, hi], ascending, as int64."""
-    if hi > caps.primes_hi:
-        raise RangeTooLarge(f"hi={hi} exceeds the sieve cap {caps.primes_hi}")
-    if hi <= lo or hi < 2:
-        return np.zeros(0, dtype=np.int64)
-    base = primes_in(0, math.isqrt(hi), caps=caps)  # none below hi = 4
-    parts = []
-    start = max(lo, 0) + 1
-    while start <= hi:
-        stop = min(start + SEGMENT_WIDTH, hi + 1)
-        parts.append(start + np.flatnonzero(_sieve_block(start, stop, base)).astype(np.int64))
-        start = stop
-    return np.concatenate(parts)
+    parts = [np.array([2], dtype=np.int64)] if lo < 2 <= hi else []
+    for start, mask in _odd_segments(lo, hi, caps):
+        found = np.flatnonzero(mask).astype(np.int64, copy=False)
+        found <<= 1
+        found += start
+        parts.append(found)
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def prime_count(x: int, *, caps: Caps = DEFAULT_CAPS) -> int:
-    """pi(x), the number of primes not exceeding x."""
-    if x < 2:
-        return 0
-    return int(primes_in(0, x, caps=caps).size)
+    """pi(x), the number of primes not exceeding x, counted segment by segment."""
+    return int(x >= 2) + sum(int(np.count_nonzero(mask)) for _, mask in _odd_segments(0, x, caps))
 
 
 @dataclass(frozen=True)
@@ -69,15 +124,17 @@ class MangoldtTable:
 def mangoldt_table(x: int, *, caps: Caps = DEFAULT_CAPS) -> MangoldtTable:
     if x > caps.mangoldt_x:
         raise RangeTooLarge(f"x={x} exceeds the von Mangoldt cap {caps.mangoldt_x}")
-    ns: list[int] = []
-    ps: list[int] = []
-    for p in primes_in(0, x, caps=caps).tolist():
-        n = p
-        while n <= x:
-            ns.append(n)
-            ps.append(p)
-            n *= p
-    order = np.argsort(np.array(ns, dtype=np.int64), kind="stable")
-    ns_a = np.array(ns, dtype=np.int64)[order]
-    ps_a = np.array(ps, dtype=np.int64)[order]
+    primes = primes_in(0, x, caps=caps)
+    ns, ps = [primes], [primes]
+    # the higher powers p^k <= x; p^(k-1) <= x // p keeps every product <= x
+    base = primes[: np.searchsorted(primes, math.isqrt(max(x, 0)), side="right")]
+    power = base
+    while base.size:
+        keep = power <= x // base
+        base, power = base[keep], power[keep] * base[keep]
+        ns.append(power)
+        ps.append(base)
+    ns_a, ps_a = np.concatenate(ns), np.concatenate(ps)
+    order = np.argsort(ns_a, kind="stable")
+    ns_a, ps_a = ns_a[order], ps_a[order]
     return MangoldtTable(ns_a, ps_a, np.log(ps_a.astype(np.float64)))

@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pclab
 from pclab import cli
@@ -364,6 +368,9 @@ BAD_INPUTS = {
     "trilinear h past the float range": (
         ["expsum", "trilinear", "--D", "2", "--M", "2", "--L", "2", "--h", "1e400", "-c", "3/2"], None, {}
     ),
+    "triple D past the float range with H = 0": (
+        ["expsum", "triple", "--x", "100", "--D", "1e400", "--H", "0", "-c", "3/2"], None, {}
+    ),
 }
 
 # cases that end on a resource cap, exit 3; every other case exits 1
@@ -407,6 +414,56 @@ def test_bad_input_is_one_line_exit_1(case, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("pclab: ")
     assert lines[0] == BAD_INPUT_MESSAGES.get(case, lines[0])
     assert proc.stdout == ""
+
+
+# the fuzzer's values: signs, zero and empty text, 1/0, non-finite and
+# past-float text, a 24-digit integer, long decimals near 1, a den-10^8
+# exponent, integer and <= 1 exponents
+_ADVERSARIAL = (
+    "0", "-1", "", "1/0", "nan", "inf", "1e400", "1e30", "123456789012345678901234",
+    "1.00000000000000000000001", "0.99999999999999999999999", "100000001/100000000", "2", "1", "1/2",
+)
+# verify is left out: one call runs the whole suite
+_FUZZED = sorted(path for path, argv in _LEAF_ARGV.items() if argv and path != ("verify",))
+
+
+class NoExit(Exception):
+    """A fuzzed call still running at the alarm; not an OSError, which run() reports."""
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    def ring(signum, frame):
+        raise NoExit(f"no exit within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_swapped_values_end_with_one_line_and_a_documented_exit(data):
+    path = data.draw(st.sampled_from(_FUZZED))
+    argv = list(_LEAF_ARGV[path])
+    slots = data.draw(st.lists(st.sampled_from(range(1, len(argv), 2)), min_size=1, max_size=2, unique=True))
+    for i in slots:
+        argv[i] = data.draw(st.sampled_from(_ADVERSARIAL))
+    out, err = io.StringIO(), io.StringIO()
+    # a small cap keeps every accepted call short; the alarm catches a hang, not slowness
+    with mock.patch.dict(os.environ, {"PSC_LAB_CAP": "100000"}), _alarm(60):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([*path, *argv])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) <= 1
+    if code:
+        assert lines and lines[0].startswith("pclab: ") and out.getvalue() == ""
 
 
 def test_weyl_with_a_huge_theta_denominator_ends():

@@ -503,7 +503,8 @@ def test_exactpow_has_one_double_word_stage():
 
 
 def test_census_pipeline_has_one_sieve_and_one_layout_switch():
-    # primes_in is the one sieve and factor the one integer-arithmetic module:
+    # primes_in is the one sieve, and primes.py has one block-sieve function;
+    # factor is the one integer-arithmetic module:
     # it alone defines primality, is_prime and iroot, and it reads no private
     # name of another pclab module; the censuses reach the member layout only
     # through experiments._count
@@ -520,6 +521,16 @@ def test_census_pipeline_has_one_sieve_and_one_layout_switch():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                 assert not any("_intmath" in name for name in names), stem
+    # one block sieve: only one function of primes.py strikes mask entries
+    strikers = {
+        fn.name
+        for fn in ast.walk(trees["primes"])
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Subscript)
+        and isinstance(node.value, ast.Constant) and node.value.value is False
+    }
+    assert len(strikers) == 1, strikers
     for node in ast.walk(trees["factor"]):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pclab")):
             assert not [a.name for a in node.names if a.name.startswith("_")]

@@ -165,6 +165,12 @@ def test_triple_sum_bounds():
     # H = 0 is the empty sum, but a negative H would give a negative trivial bound
     with pytest.raises(OutOfRange, match="H >= 0"):
         es.triple_sum(100, 2, -1, "3/2")
+    # with H = 0 the budget does not bound D: the d range is never stored, and
+    # a D whose comparator passes the float range is refused
+    r = es.triple_sum(100, 10**19, 0, "3/2")
+    assert (r.value, r.trivial_bound, r.ratio) == (0, 0, 0)
+    with pytest.raises(OutOfRange, match="float range"):
+        es.triple_sum(100, 10**400, 0, "3/2")
 
 
 def test_triple_sum_loop_order_invariance():
