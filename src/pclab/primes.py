@@ -7,17 +7,18 @@ BIT 17, 1977); the base primes up to isqrt(hi) come from ``primes_in`` itself,
 and 2 is added apart.
 
 Each mask starts as a copy of one pre-sieve pattern (Pritchard, Acta
-Informatica 17, 1982): entry j of the pattern is true exactly when 2j + 1 is
-prime to W = 3 * 5 * 7 * 11 * 13 = 15015.  For an odd prime q | W,
-2(j + W) + 1 = (2j + 1) + 2W is congruent to 2j + 1 mod q, so the pattern has
-period W in j, and the odd number start + 2i = 2((start - 1) / 2 + i) + 1
-reads entry ((start - 1) / 2 + i) mod W.  So the copy is false exactly on the
-odd multiples of 3, 5, 7, 11 and 13.  Those five primes are set true again;
-1 is set false.  Every odd composite n < stop has a least prime factor q with
-q^2 <= n: either q <= 13 and the pattern removed n, or q >= 17 is a base
-prime and n is an odd multiple of q at least q^2, which the striking loop
-removes.  Striking never touches a prime, so the mask is true exactly on the
-odd primes of the segment.
+Informatica 17, 1982), filled from two stored periods by doubling.  Entry j
+of the pattern is true exactly when 2j + 1 is prime to
+W = 3 * 5 * 7 * 11 * 13 = 15015.  For an odd prime q | W,
+2(j + W) + 1 = (2j + 1) + 2W is congruent to 2j + 1 mod q, so the pattern
+has period W in j, and the odd number start + 2i = 2((start - 1) / 2 + i) + 1
+reads entry ((start - 1) / 2 + i) mod W.  So the copy is false exactly on
+the odd multiples of 3, 5, 7, 11 and 13.  Those five primes are set true
+again; 1 is set false.  Every odd composite n of the segment has a least
+prime factor q with q^2 <= n: either q <= 13 and the pattern removed n, or
+q >= 17 is a base prime and n is an odd multiple of q at least q^2, which
+the striking loop removes.  Striking never touches a prime, so the mask is
+true exactly on the odd primes of the segment.
 """
 from __future__ import annotations
 
@@ -126,7 +127,7 @@ def mangoldt_table(x: int, *, caps: Caps = DEFAULT_CAPS) -> MangoldtTable:
         raise RangeTooLarge(f"x={x} exceeds the von Mangoldt cap {caps.mangoldt_x}")
     primes = primes_in(0, x, caps=caps)
     ns, ps = [primes], [primes]
-    # the higher powers p^k <= x; p^(k-1) <= x // p keeps every product <= x
+    # the higher powers: power * p <= x exactly when power <= x // p, so no product passes x
     base = primes[: np.searchsorted(primes, math.isqrt(max(x, 0)), side="right")]
     power = base
     while base.size:
