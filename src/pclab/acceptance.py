@@ -445,8 +445,8 @@ def payload_text(results: list[CriterionResult]) -> str:
     return json.dumps([r.payload() for r in results], sort_keys=True, separators=(",", ":"))
 
 
-def determinism_check(caps=DEFAULT_CAPS, jobs_pair=(1, 4)) -> tuple[bool, list[CriterionResult], list[CriterionResult]]:
-    """Criterion 14: byte-identical criterion payloads across worker counts."""
+def determinism_check(caps, jobs_pair) -> tuple[bool, list[CriterionResult]]:
+    """Criterion 14: byte-identical payloads at both worker counts, and the first count's results."""
     a = run_criteria(jobs=jobs_pair[0], caps=caps)
     b = run_criteria(jobs=jobs_pair[1], caps=caps)
-    return payload_text(a) == payload_text(b), a, b
+    return payload_text(a) == payload_text(b), a

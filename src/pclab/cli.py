@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("-c", type=str, required=True)
     p.add_argument("--D", type=_int_arg, required=True)
-    p.add_argument("--f-model", default="unit")
     p.add_argument("--all-residues", action="store_true")
 
     p = new(sub, "discrepancy", "tol", help="star discrepancy of {h p^c / d}")
@@ -233,13 +232,15 @@ def _flatten(prefix: str, obj, out: dict):
 
 
 class Emitter:
-    def __init__(self, fmt: str, timing: bool, stream=None):
+    """One JSON line per record, or, for csv, one table written at close: one
+    header, the union of the records' columns (verify's differ) in first-seen order."""
+
+    def __init__(self, fmt: str, timing: bool):
         self.fmt = fmt
         self.timing = timing
-        self.stream = stream or sys.stdout
-        self._writer = None
+        self._rows = []
 
-    def emit(self, command: str, params: dict, result, elapsed_ms: int):
+    def emit(self, command: str, params: dict, result, elapsed_ms: int) -> None:
         record = {
             "command": command,
             "params": jsonable(params),
@@ -248,16 +249,17 @@ class Emitter:
             "elapsed_ms": elapsed_ms if self.timing else 0,
         }
         if self.fmt == "jsonl":
-            self.stream.write(json.dumps(record, separators=(",", ":")) + "\n")
-            return record
-        flat = _flatten("", record, {})
-        if self._writer is None:
+            sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+        else:
+            self._rows.append(_flatten("", record, {}))
+
+    def close(self) -> None:
+        if self._rows:
             import csv  # loaded only for --format csv
 
-            self._writer = csv.DictWriter(self.stream, fieldnames=list(flat.keys()))
-            self._writer.writeheader()
-        self._writer.writerow(flat)
-        return record
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(dict.fromkeys(k for r in self._rows for k in r)))
+            writer.writeheader()
+            writer.writerows(self._rows)
 
 
 def _params_key(command: str, params: dict) -> str:
@@ -337,7 +339,7 @@ def _verify(args, caps, emit: Emitter) -> int:
     runs = _load_fixtures(args.fixtures)
     jobs = args.jobs
     other = 4 if jobs == 1 else 1
-    det_ok, results, _ = ac.determinism_check(caps, (jobs, other))
+    det_ok, results = ac.determinism_check(caps, (jobs, other))
     failed = 0
     for r in results:
         emit.emit("verify", {"criterion": r.cid, "title": r.title}, r.report(), int(r.elapsed_s * 1000))
@@ -397,8 +399,8 @@ _COMMANDS = {
     "psprimes": lambda a, caps: ({"x": a.x, "c": a.c}, ex.ps_prime_count(a.x, a.c, jobs=a.jobs, caps=caps)),
     "histogram": lambda a, caps: ({"x": a.x, "c": a.c, "d": a.d}, ex.residue_histogram(a.x, a.c, a.d, caps=caps)),
     "leveldist": lambda a, caps: (
-        {"x": a.x, "c": a.c, "D": a.D, "f_model": a.f_model},
-        ex.level_error(a.x, a.c, a.D, a.f_model, all_residues=a.all_residues, caps=caps),
+        {"x": a.x, "c": a.c, "D": a.D, "f_model": "unit"},
+        ex.level_error(a.x, a.c, a.D, all_residues=a.all_residues, caps=caps),
     ),
     "discrepancy": lambda a, caps: (
         {"x": a.x, "c": a.c, "h": a.h, "d": a.d},
@@ -457,7 +459,11 @@ def run(argv: list[str]) -> int:
         args = ap.parse_args(argv)
         if args.jobs < 1:
             raise OutOfRange(f"--jobs must be at least 1, got {args.jobs}")
-        return _dispatch(args, caps_from_env(), Emitter(args.format, args.timing))
+        emit = Emitter(args.format, args.timing)
+        try:
+            return _dispatch(args, caps_from_env(), emit)
+        finally:
+            emit.close()
     except SystemExit as e:
         # argparse exits 0 after --help
         return 0 if e.code == 0 else 1

@@ -167,7 +167,7 @@ def feasibility_check(params: FeasibilityParams) -> list[InequalityReport]:
 
 def feasible_theta_interval(
     c,
-    R: int | None = None,
+    R: int,
     kappa=F(1, 10**9),
     greaves_degree: bool = False,
 ) -> tuple[Fraction, Fraction] | None:
@@ -186,14 +186,11 @@ def feasible_theta_interval(
     c, kappa = _frac(c), _frac(kappa)
     if kappa <= 0:
         raise OutOfRange("need kappa > 0")
-    lo, caps = F(0), []
-    if R is not None:
-        if not 2 <= R:
-            raise InvalidR(f"need R >= 2, got {R}")
-        if greaves_degree:
-            lo = c / (R - greaves_delta_frac(R))
-        else:
-            caps.append(F(1, R))
+    if not 2 <= R:
+        raise InvalidR(f"need R >= 2, got {R}")
+    lo, caps = F(0), [F(1, R)]
+    if greaves_degree:
+        lo, caps = c / (R - greaves_delta_frac(R)), []
     split = F(1, 20) - kappa
     # (alpha at theta = 0, alpha at theta = 1, lower bounds, upper bounds)
     for a0, a1, lows, highs in ((F(1, 20), F(1, 20), [lo], caps + [split]), (kappa, 1 + kappa, [lo, split], caps)):

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 
 class PCLabError(Exception):
@@ -78,14 +77,14 @@ _COUNT_CAPS = (
 
 
 def _cap_value(text: str) -> int:
-    """A cap value, read exactly as a decimal or fraction ("1e6", "2e5"),
-    as exactpow.as_ratio reads text (importing it here would make a cycle);
-    it must be a non-negative integer."""
+    """A cap value: exact text as exactpow.as_ratio reads it, a non-negative integer."""
+    from .exactpow import as_ratio  # exactpow imports this module
+
     try:
-        value = Fraction(text.strip())
+        value = as_ratio(text)
         if value.denominator == 1 and value >= 0:
-            return int(value)
-    except (ValueError, ZeroDivisionError):
+            return value.numerator
+    except NotAFraction:
         pass
     raise OutOfRange(f"cap value in PSC_LAB_CAP is not a non-negative integer: {text.strip()!r}")
 

@@ -20,7 +20,7 @@ never changes a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -80,7 +80,7 @@ class LevelReport(Report):
     x: int
     c: RationalExponent
     D: int
-    f_model: str
+    f_model: str = field(default="unit", init=False)  # f = 1: members equidistributed mod d
     E: float
     normalized: float  # E * log^2 N / N with N = pi(x)
     all_residues: bool = False
@@ -220,7 +220,6 @@ def level_error(
     x: int,
     c,
     D: int,
-    f_model: str = "unit",
     *,
     all_residues: bool = False,
     caps: Caps = DEFAULT_CAPS,
@@ -229,15 +228,13 @@ def level_error(
 
     For each modulus d the deviation |count(s, d) - f(d) N / d| is maximized
     over s coprime to d (over all s with all_residues=True); f is the
-    expected multiplicative model, identically 1 by default.  The tables for
+    expected multiplicative model, identically 1.  The tables for
     d <= D hold D (D + 1) / 2 entries in all, capped like one von Mangoldt
     table.
     """
     _check_modulus("D", D, caps)
     if D * (D + 1) // 2 > caps.mangoldt_x:
         raise RangeTooLarge(f"D={D} needs D(D+1)/2 table entries, beyond the cap {caps.mangoldt_x}")
-    if f_model != "unit":
-        raise OutOfRange(f"unknown f model {f_model!r}")
     c = as_exponent(c)
     _, vals = members(x, c, caps=caps)
     n = len(vals)
@@ -253,7 +250,7 @@ def level_error(
         per_d.append(float(np.max(np.abs(sel - expected))) if sel.size else 0.0)
     e_val = math.fsum(per_d)
     normalized = e_val * math.log(n) ** 2 / n if n > 1 else 0.0
-    return LevelReport(x, c, D, f_model, e_val, normalized, all_residues)
+    return LevelReport(x, c, D, e_val, normalized, all_residues)
 
 
 def star_discrepancy_points(points) -> float:

@@ -395,25 +395,25 @@ def is_prime(n: int) -> bool:
     return primality(n)[0]
 
 
-def factor_signature(n: int, rho_budget: int = 1 << 24) -> FactorSignature:
+def factor_signature(n: int) -> FactorSignature:
     """Omega, squarefree and primality flags from a complete factorization.
 
     Raises FactorizationTimeout (with the partial factorization attached)
-    if the rho budget runs out.
+    if Brent rho runs past its 2^24 iterations.
     """
     if n < 1 or n >= TWO127:
         raise OutOfRange("factor_signature needs 1 <= n < 2^127")
-    factors, probabilistic = _factorize(n, rho_budget)
+    factors, probabilistic = _factorize(n)
     omega = sum(factors.values())
     # every exponent is at least 1, so omega == len(factors) only if all are 1
     return FactorSignature(n, omega, omega == len(factors), omega == 1 and n in factors, probabilistic)
 
 
-def factorize(n: int, rho_budget: int = 1 << 24) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Complete factorization {prime: exponent} of n >= 1."""
     if n < 1 or n >= TWO127:
         raise OutOfRange("factorize needs 1 <= n < 2^127")
-    return _factorize(n, rho_budget)[0]
+    return _factorize(n)[0]
 
 
 def _divisibility_screen(p: int) -> tuple[np.uint64, np.uint64]:

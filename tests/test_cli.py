@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -182,6 +183,30 @@ def test_csv_quoting():
     assert '"[6, 5, 10, 4]"' in row
 
 
+# two criteria whose results have different fields, as verify's records do
+_TWO_CRITERIA = [({"mismatches": 0}, True), ({"value": 1.5, "points": [1, 2]}, False)]
+
+
+@pytest.mark.parametrize("fixture_line,code,rows", [(None, 2, 4), ('{"command":"nope","params":{},"result":{},"key":"k"}', 1, 3)],
+                         ids=["whole run", "error after some records"])
+def test_verify_csv_is_one_table(monkeypatch, tmp_path, capsys, fixture_line, code, rows):
+    from pclab import acceptance as ac
+
+    results = [ac.CriterionResult(cid, f"c{cid}", ok, values) for cid, (values, ok) in enumerate(_TWO_CRITERIA, 1)]
+    monkeypatch.setattr(ac, "run_criteria", lambda jobs, caps: results)
+    fixtures = tmp_path / "fixtures.jsonl"
+    if fixture_line is not None:
+        fixtures.write_text(fixture_line + "\n")
+    got, out = run_cli(["verify", "--jobs", "1", "--fixtures", str(fixtures), "--format", "csv"])
+    assert got == code
+    assert len(capsys.readouterr().err.splitlines()) == (code == 1)  # a usage error's one line
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert len(table) == rows and all(None not in row and None not in row.values() for row in table)
+    assert [row["params.criterion"] for row in table[:3]] == ["1", "2", "14"]
+    assert (table[0]["result.mismatches"], table[1]["result.mismatches"]) == ("0", "")
+    assert (table[0]["result.value"], table[1]["result.value"]) == ("", "1.5")
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("format=csv\njobs=2\n")
@@ -334,6 +359,7 @@ BAD_INPUTS = {
                                    None, {}),
     "removed member_bits cap": (["constants", "table"], None, {"PSC_LAB_CAP": "member_bits=200"}),
     "removed triple_x cap": (["constants", "table"], None, {"PSC_LAB_CAP": "triple_x=5"}),
+    "removed f-model flag": (["leveldist", "--x", "100", "-c", "3/2", "--D", "3", "--f-model", "unit"], None, {}),
     "huge sigma c": (["constants", "sigma", "-c", "1e400"], None, {}),
     "huge rbound c": (["constants", "rbound", "-c", "1e400"], None, {}),
     "huge margins c": (["constants", "margins", "-c", "1e400"], None, {}),

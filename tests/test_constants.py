@@ -88,16 +88,14 @@ def test_feasible_interval_is_tight():
     # every inequality holds at the midpoint
     seen = 0
     for c in [F(1) + F(i, 60) for i in range(1, 21)] + [p.c_R_exact for p in cn.admissible_pairs()]:
-        for R in (None, 3, 8, 12, 19):
+        for R in (3, 8, 12, 19):
             for kappa in (F(1, 10**9), F(1, 10**4), F(1, 50)):
-                for greaves in (False, True) if R else (False,):
+                for greaves in (False, True):
                     iv = cn.feasible_theta_interval(c, R, kappa, greaves)
                     if iv is None:
                         continue
                     seen += 1
-                    named = {F(0), F(1, 20) - kappa}
-                    if R:
-                        named |= {F(1, R), c / (R - cn.greaves_delta_frac(R))}
+                    named = {F(0), F(1, 20) - kappa, F(1, R), c / (R - cn.greaves_delta_frac(R))}
                     for end in set(iv) - named:
                         alpha = cn.FeasibilityParams(c, end, kappa).alpha
                         assert 0 in [r - l for _, l, r in cn._near_one_system(c, end, alpha)]

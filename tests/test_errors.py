@@ -1,6 +1,6 @@
 import pytest
 
-from pclab import errors
+from pclab import cli, errors
 
 
 def test_default_caps():
@@ -27,6 +27,16 @@ def test_env_values_are_exact_integers():
     # read as exact decimals, never through a float
     assert errors.caps_from_env("1e30").primes_hi == 10**30
     assert errors.caps_from_env("mangoldt_x=1e400").mangoldt_x == 10**400
+
+
+@pytest.mark.parametrize("text", ["0", "7", " 7 ", "+4", "1e6", "4/2", "6 / 2", "2.5", "-5", "abc", "1/0", ""])
+def test_cap_values_read_as_the_cli_reads_integers(text):
+    # one ratio reader: a cap value is what --x would read, if a non-negative integer
+    if text in ("2.5", "-5", "abc", "1/0", ""):
+        with pytest.raises(errors.OutOfRange):
+            errors._cap_value(text)
+    else:
+        assert errors._cap_value(text) == cli._int_arg(text)
 
 
 def test_env_rejects_unknown_cap():
