@@ -359,38 +359,115 @@ _TWO62 = 2.0 ** 62
 _DW_MAX_DEN = 1 << 24
 
 
-def _dw_mul(xh, xl, yh, yl):
-    """(h, l, k): x * y = (h + l) * 2^k for double words x and y whose high
-    parts lie in [1/2, 1), with h in [1/2, 1) again.
+def _veltkamp(x):
+    """(hi, lo): x = hi + lo exactly, hi holding the top 26 bits (Veltkamp)."""
+    hi = np.multiply(x, _SPLIT)
+    lo = np.subtract(hi, x)
+    hi -= lo
+    np.subtract(x, hi, out=lo)
+    return hi, lo
+
+
+def _dw_prod(xh, xl, yh, yl):
+    """(h, l): x * y = h + l for double words x and y, unnormalised.
 
     Dekker's two-product (exact, split by Veltkamp) plus the rounded cross
-    terms, summed by Fast2Sum; the scaling by 2^-k is exact.
+    terms, summed by Fast2Sum.  The temporaries are arrays allocated here in
+    the broadcast shape of x and y, written in place.
     """
-    p = xh * yh
-    t = _SPLIT * xh
-    ah = t - (t - xh)
-    al = xh - ah
-    t = _SPLIT * yh
-    bh = t - (t - yh)
-    bl = yh - bh
-    e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (xh * yl + xl * yh)
-    h = p + e
-    m, k = np.frexp(h)
-    return m, np.ldexp(e - (h - p), -k), k
+    ah, al = _veltkamp(xh)
+    bh, bl = _veltkamp(yh)
+    p = np.multiply(xh, yh)
+    t = np.empty(p.shape)
+    e = np.multiply(ah, bh)
+    e -= p
+    e += np.multiply(ah, bl, out=t)
+    e += np.multiply(al, bh, out=t)
+    e += np.multiply(al, bl, out=t)
+    c = np.multiply(xh, yl)
+    c += np.multiply(xl, yh, out=t)
+    e += c
+    h = np.add(p, e, out=t)
+    e -= np.subtract(h, p, out=p)
+    return h, e
+
+
+def _dw_sqr(xh, xl):
+    """(h, l): x^2 = h + l, unnormalised; _dw_prod(xh, xl, xh, xl) with one
+    split, each cross term formed once and added twice in _dw_prod's order."""
+    ah, al = _veltkamp(xh)
+    p = np.multiply(xh, xh)
+    e = np.multiply(ah, ah)
+    e -= p
+    t = np.multiply(ah, al)
+    e += t
+    e += t
+    al *= al
+    e += al
+    np.multiply(xh, xl, out=t)
+    t += t
+    e += t
+    h = np.add(p, e, out=ah)
+    e -= np.subtract(h, p, out=p)
+    return h, e
+
+
+def _dw_norm(h, l):
+    """(m, l', s): h + l = (m + l') * 2^s with m in [1/2, 1); exact while l
+    stays normal."""
+    m, s = np.frexp(h)
+    return m, np.ldexp(l, -s), s
+
+
+def _dw_mul(xh, xl, yh, yl):
+    """(h, l, k): x * y = (h + l) * 2^k for double words x and y whose high
+    parts lie in [1/2, 1), with h in [1/2, 1) again."""
+    return _dw_norm(*_dw_prod(xh, xl, yh, yl))
+
+
+# _dw_pow normalises before a square could take its high part below 2^-_DW_DROP
+_DW_DROP = 512
 
 
 def _dw_pow(h, l, k, e: int):
-    """x^e = (h' + l') * 2^k' for x = (h + l) * 2^k with h in [1/2, 1), by
-    left-to-right square-and-multiply: bit_length(e) + bit_count(e) - 2
-    double-word products."""
+    """x^e = (h' + l') * 2^k' with h' in [1/2, 1), for x = (h + l) * 2^k with
+    h in [1/2, 1) and e >= 1, by left-to-right square-and-multiply:
+    bit_length(e) + bit_count(e) - 2 double-word products.
+
+    The products run unnormalised.  The high part r of the running power
+    stays at or above 2^-d, where d depends only on the bits of e: 1 at the
+    start, doubled by a square and raised by 1 by a multiply (h >= 1/2).
+    When the next square would take d past _DW_DROP = 512, r is normalised
+    (_dw_norm) and d is 1 again; the power is normalised once more at the
+    end.  So every high part stays above 2^-514.
+
+    The result is bit for bit the one of normalising after every product.
+    Scaling by a power of two is exact while every intermediate stays
+    normal, so each product is then the one its normalised operands give,
+    times 2^j.  Every nonzero split half and product of halves lies at or
+    above 2^-107 times the product of the high parts, and each cross term
+    at about 2^-1 times it times a low part's ratio to its high part.  The
+    low parts, rounding errors, would have to fall below 2^-400 of their
+    high parts to bring a term near 2^-1022.
+    """
+    if e < 1:
+        raise ValueError(f"_dw_pow needs e >= 1, not {e}")
     rh, rl, rk = h, l, k
+    d = 1
     for bit in bin(e)[3:]:
-        rh, rl, s = _dw_mul(rh, rl, rh, rl)
-        rk = 2 * rk + s
+        if 2 * d > _DW_DROP:
+            rh, rl, s = _dw_norm(rh, rl)
+            rk = rk + s
+            d = 1
+        rh, rl = _dw_sqr(rh, rl)
+        rk = 2 * rk
+        d *= 2
         if bit == "1":
-            rh, rl, s = _dw_mul(rh, rl, h, l)
-            rk = rk + k + s
-    return rh, rl, rk
+            rh, rl = _dw_prod(rh, rl, h, l)
+            rk = rk + k
+            d += 1
+    rh, rl, s = _dw_norm(rh, rl)
+    return rh, rl, rk + s
 
 
 def _dw_split(ns: np.ndarray):
@@ -500,6 +577,10 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray | None, e: int, q: int, steps: int
       by below 2 q m / 8.  They move the step by their difference over q,
       below (2 w + 3) m / 8 of y: the (w + 2) m / 4 term, whose rounded-up
       constant also holds rounding al - bl (below 2.1 u^2 y / q).
+      _dw_pow normalises only when its high parts could fall below 2^-512,
+      not after every product; every intermediate stays hundreds of binades
+      above 2^-1022, where scaling by 2^j is exact, so each product is the
+      normalised one times 2^j and its rounding errors are the same.
     * The correction, below 1.01 ε0 y, takes five roundings: the sum of the
       differences (ah - bh is exact by Sterbenz), the division by Y's high
       part (dropping its low part), the product with yh and the division

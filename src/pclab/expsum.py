@@ -62,8 +62,8 @@ def _e_sum(fracs, weights=None) -> complex:
             w = np.asarray(weights[start : start + _CHUNK], dtype=np.float64)
             cr = cr * w
             ci = ci * w
-        re_parts.append(math.fsum(cr.tolist()))
-        im_parts.append(math.fsum(ci.tolist()))
+        re_parts.append(math.fsum(memoryview(cr)))
+        im_parts.append(math.fsum(memoryview(ci)))
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
@@ -207,7 +207,7 @@ def trilinear_sum(
 
     # phase {h (l m)^c / d} over the distinct products, in prod_weight's order
     products = np.fromiter(prod_weight, dtype=np.int64, count=len(prod_weight))
-    ws = list(prod_weight.values())
+    ws = np.fromiter(prod_weight.values(), dtype=np.float64, count=len(prod_weight))
     dws = [(w, dd) for w, dd in zip(cd, range(d_scale + 1, 2 * d_scale + 1)) if w]
     phases = _frac_scaled_pow_pairs(products, c, ((h, dd) for _, dd in dws), caps=caps)
     re_parts: list[float] = []

@@ -487,7 +487,9 @@ def test_expsum_has_one_phase_path():
 
 def test_exactpow_has_one_double_word_stage():
     # floor_pow_batch and the phase batches share one double-word stage,
-    # _dw_floors: _newton is used only by _dw_root, and _dw_root only by it
+    # _dw_floors: _newton is used only by _dw_root, and _dw_root only by it;
+    # the squaring kernel serves only _dw_pow, and the unnormalised product
+    # only _dw_pow and the normalised _dw_mul
     tree = ast.parse(Path(cn.__file__).with_name("exactpow.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     users: dict[str, set[str]] = {}
@@ -497,6 +499,8 @@ def test_exactpow_has_one_double_word_stage():
                 users.setdefault(node.id, set()).add(name)
     assert users["_newton"] == {"_dw_root"}
     assert users["_dw_root"] == {"_dw_floors"}
+    assert users["_dw_sqr"] == {"_dw_pow"}
+    assert users["_dw_prod"] == {"_dw_pow", "_dw_mul"}
     assert not defs.keys() & {"_newton_floors", "_dw_phase_roots", "_newton_margin"}
 
 

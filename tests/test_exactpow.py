@@ -527,3 +527,72 @@ def test_root_rel_err_covers_the_worst_float_guess(steps, e, q, b2, e2, floor):
             hi, lo = ep._dw_root(a, y0, q, steps)
             worst = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - y) / (h * rel) for h, l, y in zip(hi, lo, ys))
             assert floor < worst <= 1
+
+
+# ------------------------------------------- double-word products, oracle
+
+def normalising_dw_mul(xh, xl, yh, yl):
+    """The product normalised after every use: h in [1/2, 1) again."""
+    p = xh * yh
+    t = ep._SPLIT * xh
+    ah = t - (t - xh)
+    al = xh - ah
+    t = ep._SPLIT * yh
+    bh = t - (t - yh)
+    bl = yh - bh
+    e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (xh * yl + xl * yh)
+    h = p + e
+    m, k = np.frexp(h)
+    return m, np.ldexp(e - (h - p), -k), k
+
+
+def normalising_dw_pow(h, l, k, e):
+    rh, rl, rk = h, l, k
+    for bit in bin(e)[3:]:
+        rh, rl, s = normalising_dw_mul(rh, rl, rh, rl)
+        rk = 2 * rk + s
+        if bit == "1":
+            rh, rl, s = normalising_dw_mul(rh, rl, h, l)
+            rk = rk + k + s
+    return rh, rl, rk
+
+
+def dw_outputs(bs, e, q, b2, e2):
+    """Every array the double-word stage returns for bs, flattened in order."""
+    arrays = list(ep._dw_power(bs, e, b2, e2))
+    y0 = ep._float_pow(bs, e, q, b2, e2)
+    sel = np.flatnonzero((bs > 1) & (y0 < 2.0**62))
+    for steps in (1, 2):
+        arrays += ep._dw_root(ep._dw_power(bs[sel], e, b2, e2), y0[sel], q, steps)
+        arrays += [a for chunk in ep._dw_floors(bs, None, e, q, steps, b2, e2) for a in chunk]
+    return arrays
+
+
+@pytest.mark.parametrize("size", [0, 1, ep._DW_CHUNK + 1])
+@pytest.mark.parametrize(
+    "e, q, b2, e2", [(11, 5, 1, 0), (11, 2, 1, 0), (25, 10, 40000, 3), (1000, 999, 1, 0), (1000, 10000, 7, 11),
+                     (10521, 10000, 1, 0)],
+)
+def test_dw_stage_is_bit_identical_to_normalising_every_product(e, q, b2, e2, size, monkeypatch):
+    # bases just above a power of two keep the high parts near 1/2, so the
+    # unnormalised powers fall fastest there; the rest take part in the stage
+    rng = np.random.default_rng(e * q + size)
+    top = min(62.0, (61.9 - e2 * math.log2(b2) / q) * q / e)
+    near = (np.int64(1) << rng.integers(1, 62, size)) + rng.integers(0, 4, size)
+    bs = np.where(rng.random(size) < 0.25, near, (2.0 ** rng.uniform(1, top, size)).astype(np.int64))
+    if size > 1:
+        bs[:4] = [1, 2, (1 << 62) - 1, 1 << 62]
+    got = dw_outputs(bs, e, q, b2, e2)
+    monkeypatch.setattr(ep, "_dw_mul", normalising_dw_mul)
+    monkeypatch.setattr(ep, "_dw_pow", normalising_dw_pow)
+    want = dw_outputs(bs, e, q, b2, e2)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), i
+
+
+def test_dw_pow_needs_a_positive_exponent():
+    h, l, k = ep._dw_split(np.array([3], dtype=np.int64))
+    assert ep._dw_pow(h, l, k, 1)[0].tobytes() == h.tobytes()
+    with pytest.raises(ValueError):
+        ep._dw_pow(h, l, k, 0)
