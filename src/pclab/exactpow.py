@@ -446,9 +446,9 @@ def _dw_pow(h, l, k, e: int):
     normal, so each product is then the one its normalised operands give,
     times 2^j.  Every nonzero split half and product of halves lies at or
     above 2^-107 times the product of the high parts, and each cross term
-    at about 2^-1 times it times a low part's ratio to its high part.  The
-    low parts, rounding errors, would have to fall below 2^-400 of their
-    high parts to bring a term near 2^-1022.
+    near that product times a low part's ratio to its high part.  The low
+    parts, rounding errors, would have to fall below 2^-400 of their high
+    parts to bring a term near 2^-1022.
     """
     if e < 1:
         raise ValueError(f"_dw_pow needs e >= 1, not {e}")
