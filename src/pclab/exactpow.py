@@ -31,8 +31,8 @@ could not terminate; they are recognised, and returned exactly.
 
 floor_pow_batch decides an int64 array of floors in three stages, each with
 a written error bound: a float64 log/exp pass, then for den <= 64 one
-double-word Newton step on the elements it leaves, and floor_pow on what
-is still within the bound of an integer.
+double-word Newton step on the elements it leaves, both chunk by chunk, and
+floor_pow on what is still within the bound of an integer.
 
 frac_scaled_pow_batch and frac_phase_batch certify arrays of fractional
 parts with _certified_frac_batch: from the float guess, two double-word
@@ -343,7 +343,8 @@ def _float_floors(ns: np.ndarray, c: RationalExponent) -> tuple[np.ndarray, np.n
 # Veltkamp's splitter 2^27 + 1: a float splits into two 26-bit halves
 _SPLIT = float((1 << 27) + 1)
 
-# elements per double-word pass, which bounds its temporaries
+# elements per pass of the float and double-word stages, which bounds
+# their temporaries
 _DW_CHUNK = 1 << 14
 
 # the double-word stage's error terms (_dw_floors): the float guess's
@@ -613,6 +614,11 @@ def _dw_floors(bs: np.ndarray, y0: np.ndarray | None, e: int, q: int, steps: int
 def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Certified floor(n**c) for an int64 array of n, in three stages.
 
+    Stages 1 and 2 run in one loop over chunks of _DW_CHUNK elements, each
+    writing its floors into the output, so their temporaries are bounded by
+    one chunk whatever the size of ns; stage 3 then takes what every chunk
+    left, in one list.
+
     1. Float: v = exp(c * log(n)) in float64.  Its floor stands when v is
        finite and lies farther than v * 1e-12 from an integer.
     2. Double word, for den <= 64: an element the float stage leaves, with
@@ -652,17 +658,21 @@ def floor_pow_batch(ns, c, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     if int(ns.min()) < 1:
         raise OutOfRange("floor_pow_batch needs n >= 1")
     if c.num >= 62 * c.den:  # n^c >= 2^62 for every n > 1: stage 3 decides all
-        out, bad = np.zeros(ns.shape, dtype=np.int64), np.ones(ns.shape, dtype=bool)
+        out, escalate = np.zeros(ns.shape, dtype=np.int64), [np.arange(ns.size)]
     else:
-        out, bad, v = _float_floors(ns, c)
-        if c.den <= _EXACT_ROOT_MAX_DEN:
-            flagged = np.flatnonzero(bad)
-            for idx, floors, _, _, ok in _dw_floors(ns[flagged], v[flagged], c.num, c.den, 1):
-                idx = flagged[idx[ok]]
-                out[idx] = floors[ok]
-                bad[idx] = False
-        del v
-    idx = np.flatnonzero(bad)
+        out, escalate = np.empty(ns.shape, dtype=np.int64), []
+        for i in range(0, ns.size, _DW_CHUNK):
+            n, o = ns[i : i + _DW_CHUNK], out[i : i + _DW_CHUNK]
+            fl, bad, v = _float_floors(n, c)
+            o[:] = fl
+            if c.den <= _EXACT_ROOT_MAX_DEN and bad.any():
+                flagged = np.flatnonzero(bad)
+                for idx, floors, _, _, ok in _dw_floors(n[flagged], v[flagged], c.num, c.den, 1):
+                    idx = flagged[idx[ok]]
+                    o[idx] = floors[ok]
+                    bad[idx] = False
+            escalate.append(i + np.flatnonzero(bad))
+    idx = np.concatenate(escalate)
     exact = [floor_pow(n, c, caps) for n in ns[idx].tolist()]
     if exact and max(exact) >= 1 << 63:
         raise Overflow(f"floor(n^{c}) reaches 2^63, beyond int64")

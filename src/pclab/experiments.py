@@ -1,21 +1,31 @@
 """Empirical censuses and distribution measurements over floor(p^c), p <= x.
 
-``members`` picks the members' layout once, from its exact largest floor:
-below 2^62 (``factor.TWO62``) they come from ``floor_pow_batch`` as one int64
-array, above it from ``floor_pow`` one by one as Python ints.
+Every census counts block by block.  A block is ``_BLOCK`` consecutive
+primes, filled from the sieve's segments (``primes.prime_blocks``); the last
+one may be shorter.  Each block is laid out by its own exact largest floor:
+below 2^62 (``factor.TWO62``) its members come from ``floor_pow_batch`` as
+one int64 array, above it from ``floor_pow`` one by one as Python ints.  So
+a census holds one block of members, not all of them, and the early blocks
+of a run whose last members pass 2^62 stay int64.  The 2^127 ``Overflow``
+is decided from the largest prime <= x before any block is.  ``members``
+returns the blocks' floors one after another, with one layout for all
+(int64 when the largest floor is below 2^62, Python ints otherwise).
 
-Census counts are exact.  ``_count`` decides both layouts for every census,
-given the census's array test and member test.  It decides int64 members all
-at once, through the array test.  The squarefree and almost-prime censuses
-use ``factor.signature_arrays`` there: trial division to the cube root of
-the largest member leaves a cofactor with at most two prime factors, so
-squarefreeness follows from a perfect-square test, and Omega <= R needs
-``factor.is_prime_array`` only on the cofactors whose primality decides it.
-``ps_prime_count`` decides its members with ``is_prime_array`` itself.
-Object members (2^62 and above) go one by one through the member test, in
-chunks of the member list; with ``jobs > 1`` the chunks run in a process
-pool, and their counts are combined in fixed chunk order, so worker count
-never changes a result.
+Census counts are exact, and they are integer sums over the blocks, so the
+block size never changes a result.  ``_count`` decides both layouts for
+every census, given the census's array test and member test.  It decides
+an int64 block all at once, through the array test.  The squarefree and
+almost-prime censuses use ``factor.signature_arrays`` there: trial division
+to the cube root of the block's largest member leaves a cofactor with at
+most two prime factors, so squarefreeness follows from a perfect-square
+test, and Omega <= R needs ``factor.is_prime_array`` only on the cofactors
+whose primality decides it.  ``ps_prime_count`` decides its members with
+``is_prime_array`` itself.  Object members (2^62 and above) go one by one
+through the member test, in chunks of the block's members; with
+``jobs > 1`` the chunks of each block run in a process pool of their own,
+and their counts are combined in fixed chunk order, so worker count never
+changes a result.  ``residue_histogram`` and ``level_error`` add up their
+residue tables block by block.
 """
 from __future__ import annotations
 
@@ -29,9 +39,11 @@ from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow, RangeTooLarge
 from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow_batch
 from .factor import TWO62, TWO127, factor_signature, is_prime, is_prime_array, signature_arrays
-from .primes import primes_in
+from .primes import prime_blocks, primes_in
 
 _CHUNK = 1 << 13
+# consecutive primes per block: a census holds one block of members at a time
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -101,17 +113,61 @@ def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.nda
 
     The floors are int64 when the largest is below 2^62, Python ints in an
     object array otherwise; Overflow from 2^127 on, where factor stops.
+    They are the census blocks' floors, one block after another.
     """
     c = as_exponent(c)
     if x < 2:
         raise OutOfRange("need x >= 2")
     ps = primes_in(0, x, caps=caps)
-    top = floor_pow(int(ps[-1]), c, caps)  # floors rise with p
-    if top >= TWO127:
-        raise Overflow(f"floor(p^c) reaches 2^127 at p={int(ps[-1])}")
-    if top < TWO62:
+    if _top_floor(int(ps[-1]), c, caps) < TWO62:  # so is every block's: their floors are one batch
         return ps, floor_pow_batch(ps, c, caps)
-    return ps, np.array([floor_pow(p, c, caps) for p in ps.tolist()], dtype=object)
+    return ps, np.concatenate([vals.astype(object, copy=False) for vals in _member_blocks(x, c, caps)])
+
+
+def _top_floor(p: int, c: RationalExponent, caps: Caps) -> int:
+    """floor(p^c) for the largest prime p <= x; Overflow from 2^127 on."""
+    top = floor_pow(p, c, caps)
+    if top >= TWO127:
+        raise Overflow(f"floor(p^c) reaches 2^127 at p={p}")
+    return top
+
+
+def _block_floors(ps: np.ndarray, c: RationalExponent, caps: Caps, top: int) -> np.ndarray:
+    """floor(p^c) for a block of primes whose largest floor is top, laid out
+    by that floor: int64 below 2^62, Python ints in an object array above."""
+    if top < TWO62:
+        return floor_pow_batch(ps, c, caps)
+    return np.array([floor_pow(p, c, caps) for p in ps.tolist()], dtype=object)
+
+
+def _last_prime(x: int, caps: Caps) -> int:
+    """The largest prime <= x, for x >= 2, from windows below x that double
+    until one holds a prime."""
+    width = 64
+    while (found := primes_in(x - width, x, caps=caps)).size == 0:
+        width *= 2
+    return int(found[-1])
+
+
+def _member_blocks(x: int, c: RationalExponent, caps: Caps):
+    """floor(p^c) for each block of _BLOCK consecutive primes p <= x (the last
+    one shorter), laid out by the block's largest floor.
+
+    members' checks come first: Overflow is raised before any block is
+    decided.  The sieve moves on to the next block before a block's floors
+    are handed out, so it holds none of the primes counted.
+    """
+    if x < 2:
+        raise OutOfRange("need x >= 2")
+    p_top = _last_prime(x, caps)
+    top = _top_floor(p_top, c, caps)
+    blocks = prime_blocks(0, x, _BLOCK, caps=caps)
+    ps = next(blocks)
+    while ps is not None:
+        p = int(ps[-1])
+        vals = _block_floors(ps, c, caps, top if p == p_top else floor_pow(p, c, caps))
+        ps = next(blocks, None)
+        yield vals
 
 
 def _chunks(seq):
@@ -139,15 +195,22 @@ def _count_chunk(test, member_list) -> int:
     return sum(1 for m in member_list if test(m))
 
 
-def _count(vals: np.ndarray, jobs: int, array_test, member_test) -> int:
-    """Members that pass a census test, in either layout.
+def _count(blocks, jobs: int, array_test, member_test) -> tuple[int, int]:
+    """(passed, members): the members that pass a census test and all
+    members, summed over blocks of members in either layout.
 
-    An int64 array is decided at once by array_test, which returns a boolean
-    mask; object members one by one by member_test, which must pickle.
+    An int64 block is decided at once by array_test, which returns a
+    boolean mask; object members one by one by member_test, which must
+    pickle.
     """
-    if vals.dtype == np.int64:
-        return int(np.count_nonzero(array_test(vals)))
-    return sum(_map_ordered(partial(_count_chunk, member_test), _chunks(vals.tolist()), jobs))
+    passed = total = 0
+    for vals in blocks:
+        if vals.dtype == np.int64:
+            passed += int(np.count_nonzero(array_test(vals)))
+        else:
+            passed += sum(_map_ordered(partial(_count_chunk, member_test), _chunks(vals.tolist()), jobs))
+        total += vals.size
+    return passed, total
 
 
 def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
@@ -170,10 +233,9 @@ def almost_prime_census(x: int, c, R: int, *, jobs: int = 1, caps: Caps = DEFAUL
     if R < 1:
         raise OutOfRange("need R >= 1")
     c = as_exponent(c)
-    ps, vals = members(x, c, caps=caps)
-    count = _count(vals, jobs, partial(_omega_within, R=R), partial(_omega_at_most, R))
+    count, pi_x = _count(_member_blocks(x, c, caps), jobs, partial(_omega_within, R=R), partial(_omega_at_most, R))
     eta_hat = count * math.log(x) ** 2 / x
-    return CensusReport(x, c, R, count, int(ps.size), eta_hat)
+    return CensusReport(x, c, R, count, pi_x, eta_hat)
 
 
 SQUAREFREE_DENSITY = 6.0 / math.pi ** 2
@@ -181,19 +243,17 @@ SQUAREFREE_DENSITY = 6.0 / math.pi ** 2
 
 def squarefree_census(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> SquarefreeReport:
     c = as_exponent(c)
-    ps, vals = members(x, c, caps=caps)
-    count = _count(vals, jobs, lambda v: signature_arrays(v)[1], _squarefree)
-    ratio = count / ps.size
-    return SquarefreeReport(x, c, count, int(ps.size), ratio, abs(ratio - SQUAREFREE_DENSITY))
+    count, pi_x = _count(_member_blocks(x, c, caps), jobs, lambda v: signature_arrays(v)[1], _squarefree)
+    ratio = count / pi_x
+    return SquarefreeReport(x, c, count, pi_x, ratio, abs(ratio - SQUAREFREE_DENSITY))
 
 
 def ps_prime_count(x: int, c, *, jobs: int = 1, caps: Caps = DEFAULT_CAPS) -> PsPrimeReport:
     """Pi_c(x) = |{p <= x : floor(p^c) prime}|, with Balog's normalization."""
     c = as_exponent(c)
-    ps, vals = members(x, c, caps=caps)
-    count = _count(vals, jobs, is_prime_array, is_prime)
+    count, pi_x = _count(_member_blocks(x, c, caps), jobs, is_prime_array, is_prime)
     balog_ref = x / (float(c) * math.log(x) ** 2)
-    return PsPrimeReport(x, c, count, int(ps.size), balog_ref)
+    return PsPrimeReport(x, c, count, pi_x, balog_ref)
 
 
 def _residue_counts(vals: np.ndarray, d: int) -> np.ndarray:
@@ -212,8 +272,10 @@ def _check_modulus(name: str, d: int, caps: Caps) -> None:
 def residue_histogram(x: int, c, d: int, *, caps: Caps = DEFAULT_CAPS) -> ResidueHistogram:
     _check_modulus("d", d, caps)
     c = as_exponent(c)
-    _, vals = members(x, c, caps=caps)
-    return ResidueHistogram(x, c, d, tuple(int(v) for v in _residue_counts(vals, d)))
+    counts = np.zeros(d, dtype=np.int64)
+    for vals in _member_blocks(x, c, caps):
+        counts += _residue_counts(vals, d)
+    return ResidueHistogram(x, c, d, tuple(int(v) for v in counts))
 
 
 def level_error(
@@ -229,18 +291,20 @@ def level_error(
     For each modulus d the deviation |count(s, d) - f(d) N / d| is maximized
     over s coprime to d (over all s with all_residues=True); f is the
     expected multiplicative model, identically 1.  The tables for
-    d <= D hold D (D + 1) / 2 entries in all, capped like one von Mangoldt
-    table.
+    d <= D, D (D + 1) / 2 entries in all, are held together while the
+    blocks are added up, and capped like one von Mangoldt table.
     """
     _check_modulus("D", D, caps)
     if D * (D + 1) // 2 > caps.mangoldt_x:
         raise RangeTooLarge(f"D={D} needs D(D+1)/2 table entries, beyond the cap {caps.mangoldt_x}")
     c = as_exponent(c)
-    _, vals = members(x, c, caps=caps)
-    n = len(vals)
+    n, tables = 0, [np.zeros(d, dtype=np.int64) for d in range(1, D + 1)]
+    for vals in _member_blocks(x, c, caps):
+        n += len(vals)
+        for d, counts in enumerate(tables, 1):
+            counts += _residue_counts(vals, d)
     per_d: list[float] = []
-    for d in range(1, D + 1):
-        counts = _residue_counts(vals, d)
+    for d, counts in enumerate(tables, 1):
         if all_residues:
             sel = counts
         else:

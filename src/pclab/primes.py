@@ -1,10 +1,14 @@
 """Segmented prime generation, prime counting, and von Mangoldt weights.
 
-``primes_in`` is the package's one sieve.  It covers the odd integers only:
-index i of a segment's mask stands for the odd number start + 2i.  Segments
-are sieved independently and concatenated in segment order (Bays and Hudson,
-BIT 17, 1977); the base primes up to isqrt(hi) come from ``primes_in`` itself,
-and 2 is added apart.
+``prime_blocks`` is the package's one sieve, and ``primes_in`` its one-block
+case.  It covers the odd integers only: index i of a segment's mask stands
+for the odd number start + 2i.  Segments are sieved independently (Bays and
+Hudson, BIT 17, 1977) and their primes written in segment order into one
+int64 buffer per block, 2 first; the base primes up to isqrt(hi) come from
+``primes_in`` itself.  A buffer is sized by ``_count_bound``, an upper bound
+on the primes left (Rosser and Schoenfeld; Montgomery and Vaughan), and
+shrunk to its count at the end, so no prime is held twice: ``primes_in(0,
+x)`` holds its primes once, and a census holds one block of them.
 
 Each mask starts as a copy of one pre-sieve pattern (Pritchard, Acta
 Informatica 17, 1982), filled from two stored periods by doubling.  Entry j
@@ -64,45 +68,101 @@ def _pattern_from(offset: int, width: int) -> np.ndarray:
 
 def _odd_segments(lo: int, hi: int, caps: Caps) -> Iterator[tuple[int, np.ndarray]]:
     """(start, mask) per segment over the odd n in (lo, hi]; mask[i] is true
-    exactly when start + 2i is prime."""
+    exactly when start + 2i is prime.  The cap is checked and the base
+    primes are sieved here, before the first segment is asked for."""
     if hi > caps.primes_hi:
         raise RangeTooLarge(f"hi={hi} exceeds the sieve cap {caps.primes_hi}")
     first = max(lo, 0) + 1 | 1
     if first > hi or hi < 3:  # no odd prime; this also ends the recursion
-        return
+        return iter(())
     base = primes_in(0, math.isqrt(hi), caps=caps)
     base = base[np.searchsorted(base, _WHEEL[-1], side="right"):].tolist()
-    for start in range(first, hi + 1, 2 * SEGMENT_WIDTH):
-        width = min(SEGMENT_WIDTH, (hi - start) // 2 + 1)
-        last = start + 2 * (width - 1)
-        offset = (start - 1) // 2 % _PERIOD
-        mask = _pattern_from(offset, width)
-        for p in base:
-            p2 = p * p
-            if p2 > last:
-                break
-            m = max(p2, -(-start // p) * p)
-            if not m & 1:
-                m += p
-            mask[(m - start) >> 1 :: p] = False
-        if start <= _WHEEL[-1]:
-            for q in _WHEEL:
-                if start <= q <= last:
-                    mask[(q - start) >> 1] = True
-            if start == 1:
-                mask[0] = False
-        yield start, mask
+    return (_segment(start, hi, base) for start in range(first, hi + 1, 2 * SEGMENT_WIDTH))
+
+
+def _segment(start: int, hi: int, base: list[int]) -> tuple[int, np.ndarray]:
+    width = min(SEGMENT_WIDTH, (hi - start) // 2 + 1)
+    last = start + 2 * (width - 1)
+    offset = (start - 1) // 2 % _PERIOD
+    mask = _pattern_from(offset, width)
+    for p in base:
+        p2 = p * p
+        if p2 > last:
+            break
+        m = max(p2, -(-start // p) * p)
+        if not m & 1:
+            m += p
+        mask[(m - start) >> 1 :: p] = False
+    if start <= _WHEEL[-1]:
+        for q in _WHEEL:
+            if start <= q <= last:
+                mask[(q - start) >> 1] = True
+        if start == 1:
+            mask[0] = False
+    return start, mask
+
+
+_COUNT_SLACK = 4
+
+
+def _count_bound(lo: int, hi: int) -> int:
+    """An upper bound on the number of primes in (lo, hi].
+
+    pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, Illinois J.
+    Math. 6, 1962, (3.6)), and for lo > 0 and y = hi - lo > 1 also
+    pi(lo + y) - pi(lo) < 2 y / ln y (Montgomery and Vaughan, Mathematika
+    20, 1973); never more than y.  The bounds are evaluated in floats, and
+    _COUNT_SLACK entries absorb their rounding: pi(113) = 30 lies within
+    4e-4 of the first.
+    """
+    lo = max(lo, 0)
+    y = hi - lo
+    if hi < 2 or y < 1:
+        return 0
+    bound = 1.25506 * hi / math.log(hi)
+    if lo > 0 and y > 1:
+        bound = min(bound, 2 * y / math.log(y))
+    return min(y, math.ceil(bound) + _COUNT_SLACK)
+
+
+def prime_blocks(lo: int, hi: int, size: float, *, caps: Caps = DEFAULT_CAPS) -> Iterator[np.ndarray]:
+    """The primes in (lo, hi], ascending, in int64 arrays of size primes
+    each, the last one shorter (and empty when there is no prime); one
+    array when size is math.inf.
+
+    The one buffer-filling loop over the sieve's segments.  Each array is
+    allocated once, to hold min(size, _count_bound(p, hi)) primes for the
+    last prime p before it (p = lo for the first), filled segment by
+    segment, and handed out when the next prime finds it full; the last one
+    is shrunk to its count.  Pages never written cost no resident memory.
+    The cap is checked before anything is allocated.
+    """
+    segments = _odd_segments(lo, hi, caps)
+    buf, k = np.empty(min(size, _count_bound(lo, hi)), dtype=np.int64), 0
+    if lo < 2 <= hi:
+        buf[0], k = 2, 1
+    for start, mask in segments:
+        found = np.flatnonzero(mask)
+        j = 0
+        while j < found.size:
+            if k == buf.size:
+                yield buf
+                buf, k = np.empty(min(size, _count_bound(int(buf[-1]), hi)), dtype=np.int64), 0
+            n = min(buf.size - k, found.size - j)
+            part = np.left_shift(found[j : j + n], 1, out=buf[k : k + n])
+            part += start
+            j += n
+            k += n
+    found = mask = None  # the last segment is not held while the caller uses the block
+    buf.resize(k, refcheck=False)  # in place: no view of buf is left
+    yield buf
 
 
 def primes_in(lo: int, hi: int, *, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """The primes in the half-open range (lo, hi], ascending, as int64."""
-    parts = [np.array([2], dtype=np.int64)] if lo < 2 <= hi else []
-    for start, mask in _odd_segments(lo, hi, caps):
-        found = np.flatnonzero(mask).astype(np.int64, copy=False)
-        found <<= 1
-        found += start
-        parts.append(found)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    """The primes in the half-open range (lo, hi], ascending, as int64, in
+    one array sized by _count_bound."""
+    (found,) = prime_blocks(lo, hi, math.inf, caps=caps)
+    return found
 
 
 def prime_count(x: int, *, caps: Caps = DEFAULT_CAPS) -> int:

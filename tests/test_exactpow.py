@@ -252,6 +252,30 @@ def test_floor_pow_batch_perfect_powers_escalate(monkeypatch):
         assert [out[3 * i + 1] for i in range(len(ks))] == [k**c.num for k in ks]
 
 
+def test_floor_pow_batch_is_bit_identical_in_any_chunking(monkeypatch):
+    # three runs of 2^14 + 1 elements at 3/2, shuffled: v near 5e11, where the
+    # float stage stops certifying, v near 2^52, and the perfect powers k^2,
+    # whose integer floors k^3 escalate to floor_pow
+    c = ep.as_exponent("3/2")
+    rng = np.random.default_rng(27)
+    run = 2**14 + 1
+    ks = rng.integers(1, 2**17, run)
+    ns = np.concatenate((
+        bisect_root((5 * 10**11) ** 2, 3) + rng.integers(-3 * 10**7, 3 * 10**7, run),  # n^(3/2) = 5e11 at n ~ 6.3e7
+        bisect_root(2**104, 3) + rng.integers(-10**7, 10**7, run),  # and 2^52 at n ~ 2.6e10
+        ks * ks,
+        [1, 2],
+    )).astype(np.int64)
+    ns = rng.permutation(ns)
+    assert ns.size == 3 * 2**14 + 5
+    want = ep.floor_pow_batch(ns, c)
+    monkeypatch.setattr(ep, "_DW_CHUNK", 7)
+    got = ep.floor_pow_batch(ns, c)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for i in rng.choice(ns.size, 300, replace=False).tolist():
+        assert int(got[i]) == ep.floor_pow(int(ns[i]), c), int(ns[i])
+
+
 @pytest.mark.parametrize("cc", ["11/5", "5/2", "3/2", "127/64", "255/64", "65/64"])
 def test_floor_pow_batch_sample_is_exact(cc):
     # log-uniform n up to the int64 range of n^c: 127/64 and 255/64 take

@@ -1,6 +1,8 @@
 import concurrent.futures
+import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pclab import experiments as ex, factor
 from pclab.acceptance import _omega_oracle
-from pclab.errors import Caps, OutOfRange, RangeTooLarge
+from pclab.errors import Caps, OutOfRange, Overflow, RangeTooLarge
 from pclab.exactpow import floor_pow
 from pclab.factor import factor_signature, signature_arrays
 
@@ -210,12 +212,13 @@ def test_both_member_layouts_count_alike(monkeypatch):
         return ([ex.almost_prime_census(x, c, R) for R in range(1, 7)], ex.squarefree_census(x, c),
                 [ex.ps_prime_count(x, c) for x, c, _ in cases])
 
-    def object_members(*args, **kwargs):
-        ps, vals = members(*args, **kwargs)
-        return ps, vals.astype(object)
+    block_floors = ex._block_floors
+
+    def object_floors(*args):
+        return block_floors(*args).astype(object)
 
     int64 = reports()
-    monkeypatch.setattr(ex, "members", object_members)
+    monkeypatch.setattr(ex, "_block_floors", object_floors)
     assert reports() == int64
 
 
@@ -280,6 +283,94 @@ def test_star_discrepancy_op_bounds():
     assert r.n_points == 168
 
 
+CENSUSES = {
+    "almost_prime_census": lambda x, c, jobs: ex.almost_prime_census(x, c, 3, jobs=jobs),
+    "squarefree_census": lambda x, c, jobs: ex.squarefree_census(x, c, jobs=jobs),
+    "ps_prime_count": lambda x, c, jobs: ex.ps_prime_count(x, c, jobs=jobs),
+    "residue_histogram": lambda x, c, jobs: ex.residue_histogram(x, c, 30),
+    "level_error": lambda x, c, jobs: ex.level_error(x, c, 24),
+    "level_error_all": lambda x, c, jobs: ex.level_error(x, c, 24, all_residues=True),
+}
+
+
+def census_outputs(x, c, jobs):
+    ps, vals = ex.members(x, c)
+    return [run(x, c, jobs).to_json() for run in CENSUSES.values()], ps, vals
+
+
+def assert_same_members(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert all(type(v) is int for v in a.tolist())
+
+
+@pytest.mark.parametrize("x, c", [(2, "3/2"), (1033, "7/2"), (10**4 + 7, "7/5"), (10**6, "10521/10000")])
+def test_censuses_are_the_same_block_by_block(x, c, monkeypatch):
+    want, *want_members = census_outputs(x, c, 1)
+    monkeypatch.setattr(ex, "_BLOCK", 2**10)
+    for jobs in (1, 2):
+        got, *got_members = census_outputs(x, c, jobs)
+        assert got == want, jobs
+        assert_same_members(got_members, want_members)
+
+
+def test_mixed_layout_blocks(monkeypatch):
+    # members of 31/2 reach 2^62 from p = 17 and stay below 2^127 to p = 283:
+    # in blocks of 4 primes the first is int64 and the others are objects;
+    # chunks of 2 members send each object block through its own pool.  Each
+    # object member is factored once, and forked workers share the cache
+    monkeypatch.setattr(ex, "factor_signature", functools.cache(ex.factor_signature))
+    x, c = 290, "31/2"
+    want, *want_members = census_outputs(x, c, 1)
+    assert want_members[1].dtype == object
+    monkeypatch.setattr(ex, "_BLOCK", 4)
+    layouts = [vals.dtype for vals in ex._member_blocks(x, ex.as_exponent(c), ex.DEFAULT_CAPS)]
+    assert layouts == [np.int64] + [object] * 15
+    monkeypatch.setattr(ex, "_CHUNK", 2)
+    for jobs in (1, 2):
+        got, *got_members = census_outputs(x, c, jobs)
+        assert got == want, jobs
+        assert_same_members(got_members, want_members)
+    assert want_members[1].tolist() == [floor_pow(p, c) for p in want_members[0].tolist()]
+
+
+def test_overflow_comes_before_any_block(monkeypatch):
+    # floor(397^(31/2)) has 134 bits; no block is laid out before it raises
+    monkeypatch.setattr(ex, "_BLOCK", 4)
+    monkeypatch.setattr(ex, "_block_floors", None)
+    monkeypatch.setattr(ex, "floor_pow_batch", None)
+    for run in (lambda x, c, jobs: ex.members(x, c), *CENSUSES.values()):
+        with pytest.raises(Overflow, match=r"^floor\(p\^c\) reaches 2\^127 at p=397$"):
+            run(400, "31/2", 1)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_members_peak_stays_near_its_output():
+    ex.members(100, "10521/10000")  # loads the interval kernel before tracing
+    out = []
+    peak = traced_peak(lambda: out.extend(ex.members(4 * 10**6, "10521/10000")))
+    ps, vals = out
+    assert vals.dtype == np.int64
+    assert peak <= 1.5 * (ps.nbytes + vals.nbytes), peak
+
+
+def test_census_peak_is_a_few_blocks(monkeypatch):
+    ex.ps_prime_count(100, "3/2")
+    whole = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
+    monkeypatch.setattr(ex, "_BLOCK", 2**16)
+    blocked = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
+    block_bytes = 8 * 2**16
+    assert blocked <= 8 * block_bytes and blocked * 3 < whole, (blocked, whole)
+
+
 def test_members_overflow_guard():
     with pytest.raises(ex.Overflow):
         ex.members(10**6, "132/10")  # would exceed 2^127
@@ -305,7 +396,7 @@ def test_invalid_args():
 
 def test_moduli_past_the_table_cap_allocate_nothing(monkeypatch):
     # the cap is checked before the members are built
-    monkeypatch.setattr(ex, "members", None)
+    monkeypatch.setattr(ex, "_member_blocks", None)
     caps = Caps(mangoldt_x=1000)
     for d in (1001, 10**30):
         with pytest.raises(RangeTooLarge):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pclab import primes
-from pclab.errors import RangeTooLarge
+from pclab.errors import Caps, RangeTooLarge
 
 
 def simple_oracle(limit):
@@ -96,6 +97,50 @@ def test_hi_at_the_square_of_a_base_prime_vs_oracle():
 def test_range_cap():
     with pytest.raises(RangeTooLarge):
         primes.primes_in(0, 10**11)
+
+
+def test_range_cap_is_checked_before_any_array_is_allocated():
+    # sized before the cap check, these buffers would take 40 GB and 485 MB
+    tracemalloc.start()
+    try:
+        for hi, caps in ((10**11, Caps()), (10**9, Caps(primes_hi=10**6))):
+            with pytest.raises(RangeTooLarge):
+                primes.primes_in(0, hi, caps=caps)
+            with pytest.raises(RangeTooLarge):
+                next(primes.prime_blocks(10, hi, 2**40, caps=caps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_every_hi_to_twenty_thousand_vs_oracle():
+    # pi(113) = 30 lies within 4e-4 of the bound that sizes the buffer
+    oracle = simple_oracle(2 * 10**4)
+    assert primes._count_bound(0, 113) >= 30
+    for hi in range(-2, 2 * 10**4 + 1):
+        want = oracle[: np.searchsorted(oracle, hi, side="right")]
+        got = primes.primes_in(0, hi)
+        assert got.dtype == np.int64 and np.array_equal(got, want), hi
+        assert primes._count_bound(0, hi) >= want.size, hi
+
+
+def test_random_windows_and_blocks_vs_oracle():
+    limit = 3 * 10**6
+    oracle = simple_oracle(limit)
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        width = int(rng.choice([1, 2, 3, 10, 100, 3000, 10**5, 10**6]))
+        lo = int(rng.integers(1, limit - width)) if rng.random() < 0.8 else int(rng.integers(1, 300))
+        hi = lo + width
+        want = in_window(oracle, lo, hi)
+        assert primes.primes_in(lo, hi).tolist() == want, (lo, hi)
+        assert primes._count_bound(lo, hi) >= len(want), (lo, hi)
+        size = int(rng.choice([1, 2, 7] if width <= 3000 else [7, 1000, 2**20]))
+        blocks = list(primes.prime_blocks(lo, hi, size))
+        assert len(blocks) == max(1, -(-len(want) // size)), (lo, hi, size)
+        assert all(b.size == size for b in blocks[:-1]) and blocks[-1].size <= size
+        assert np.concatenate(blocks).tolist() == want, (lo, hi, size)
 
 
 def test_mangoldt_entries():

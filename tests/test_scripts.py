@@ -15,6 +15,7 @@ RUNS = {
     "census_sweep.py": ["--max-x", "1e3"],
     "constants_dossier.py": ["--steps", "1"],
     "expsum_ratio_scan.py": ["--n-grid", "50"],
+    "peak_memory.py": ["ps_prime_count", "--x", "1e3", "-c", "3/2"],
 }
 
 
