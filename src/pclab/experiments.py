@@ -291,18 +291,25 @@ def level_error(
     For each modulus d the deviation |count(s, d) - f(d) N / d| is maximized
     over s coprime to d (over all s with all_residues=True); f is the
     expected multiplicative model, identically 1.  The tables for
-    d <= D, D (D + 1) / 2 entries in all, are held together while the
-    blocks are added up, and capped like one von Mangoldt table.
+    d <= D hold D (D + 1) / 2 entries in all, capped like one von Mangoldt
+    table.  A run of one block makes them one at a time; over several
+    blocks they are held together while the blocks are added up.
     """
     _check_modulus("D", D, caps)
     if D * (D + 1) // 2 > caps.mangoldt_x:
         raise RangeTooLarge(f"D={D} needs D(D+1)/2 table entries, beyond the cap {caps.mangoldt_x}")
     c = as_exponent(c)
-    n, tables = 0, [np.zeros(d, dtype=np.int64) for d in range(1, D + 1)]
-    for vals in _member_blocks(x, c, caps):
-        n += len(vals)
-        for d, counts in enumerate(tables, 1):
-            counts += _residue_counts(vals, d)
+    blocks = _member_blocks(x, c, caps)
+    vals = next(blocks)
+    n = vals.size
+    if n < _BLOCK:  # the only block
+        tables = (_residue_counts(vals, d) for d in range(1, D + 1))
+    else:
+        tables = [_residue_counts(vals, d) for d in range(1, D + 1)]
+        for vals in blocks:
+            n += vals.size
+            for d, counts in enumerate(tables, 1):
+                counts += _residue_counts(vals, d)
     per_d: list[float] = []
     for d, counts in enumerate(tables, 1):
         if all_residues:

@@ -304,7 +304,7 @@ def assert_same_members(got, want):
         assert all(type(v) is int for v in a.tolist())
 
 
-@pytest.mark.parametrize("x, c", [(2, "3/2"), (1033, "7/2"), (10**4 + 7, "7/5"), (10**6, "10521/10000")])
+@pytest.mark.parametrize("x, c", [(2, "3/2"), (9000, "7/2"), (10**4 + 7, "7/5"), (10**6, "10521/10000")])
 def test_censuses_are_the_same_block_by_block(x, c, monkeypatch):
     want, *want_members = census_outputs(x, c, 1)
     monkeypatch.setattr(ex, "_BLOCK", 2**10)
@@ -369,6 +369,12 @@ def test_census_peak_is_a_few_blocks(monkeypatch):
     blocked = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
     block_bytes = 8 * 2**16
     assert blocked <= 8 * block_bytes and blocked * 3 < whole, (blocked, whole)
+
+
+def test_level_error_of_one_block_holds_one_table_at_a_time():
+    # the 2001000 entries of all tables for d <= 2000 would take 16 MB
+    ex.level_error(100, "3/2", 2)
+    assert traced_peak(lambda: ex.level_error(100, "3/2", 2000)) < 1 << 20
 
 
 def test_members_overflow_guard():
