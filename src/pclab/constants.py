@@ -12,6 +12,7 @@ eps = 0 window minorants of _minorants at the window corners.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -481,10 +482,15 @@ def _window_margins(c, eps, th_lo, th_hi, lo, hi, target):
 
     k_hi = vinogradov_degree(c, th_lo, a_hi - b_hi * th_lo)
     k_lo = vinogradov_degree(c, th_hi, delta_lo(th_hi))
+    # the first degree k <= s the descent meets raises NonPositiveRho; it is
+    # raised before the degrees above it, which may be as many as s, are taken
+    first_bad = min(k_hi, math.floor(2 + eps))
+    if first_bad >= k_lo:
+        vinogradov_saving(first_bad, eps)
     below = min(k_hi, math.ceil(4 + 2 * eps))  # the degrees below it are < 2s
     worst = at = None
     # Theta_k ascends as k descends
-    for k in [*range(k_hi, k_lo - 1, -1)[:1], *range(below - 1, k_lo - 1, -1)]:
+    for k in itertools.chain(range(k_hi, k_lo - 1, -1)[:1], range(below - 1, k_lo - 1, -1)):
         # c + Delta_lo(Theta)/Theta < k on both pieces of Delta_lo
         th = max(th_lo, a / (k - c + b), _DELTA_FLOOR / (k - c))
         margin = th * vinogradov_saving(k, eps) - target

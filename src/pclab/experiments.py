@@ -1,15 +1,17 @@
 """Empirical censuses and distribution measurements over floor(p^c), p <= x.
 
-Every census counts block by block.  A block is ``_BLOCK`` consecutive
-primes, filled from the sieve's segments (``primes.prime_blocks``); the last
-one may be shorter.  Each block is laid out by its own exact largest floor:
-below 2^62 (``factor.TWO62``) its members come from ``floor_pow_batch`` as
-one int64 array, above it from ``floor_pow`` one by one as Python ints.  So
-a census holds one block of members, not all of them, and the early blocks
-of a run whose last members pass 2^62 stay int64.  The 2^127 ``Overflow``
-is decided from the largest prime <= x before any block is.  ``members``
-returns the blocks' floors one after another, with one layout for all
-(int64 when the largest floor is below 2^62, Python ints otherwise).
+Every census counts block by block.  A block is the primes of one range
+(a, a + ``_SPAN``] of (0, x], sieved on its own (``primes.primes_in``), so
+it depends on its range alone; a range that holds no prime gives no block.
+Each block is laid out by the exact floor of its last prime: below 2^62
+(``factor.TWO62``) its members come from ``floor_pow_batch`` as one int64
+array, above it from ``floor_pow`` one by one as Python ints.  So a census
+holds one block of members, not all of them, and the early blocks of a run
+whose last members pass 2^62 stay int64.  The 2^127 ``Overflow`` is decided
+from the largest prime <= x (``_top_floor``) before any block is.
+``members`` sieves (0, x] once and returns the blocks' floors one after
+another, with one layout for all (int64 when the largest floor is below
+2^62, Python ints otherwise).
 
 Census counts are exact, and they are integer sums over the blocks, so the
 block size never changes a result.  ``_count`` decides both layouts for
@@ -39,11 +41,11 @@ from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow, RangeTooLarge
 from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow_batch
 from .factor import TWO62, TWO127, factor_signature, is_prime, is_prime_array, signature_arrays
-from .primes import prime_blocks, primes_in
+from .primes import primes_in
 
 _CHUNK = 1 << 13
-# consecutive primes per block: a census holds one block of members at a time
-_BLOCK = 1 << 20
+# integers per block: a census holds the members of one range (a, a + _SPAN] at a time
+_SPAN = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -116,58 +118,52 @@ def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.nda
     They are the census blocks' floors, one block after another.
     """
     c = as_exponent(c)
+    top = _top_floor(x, c, caps)
+    ps = primes_in(0, x, caps=caps)
+    if top < TWO62:  # so is every block's: their floors are one batch
+        return ps, floor_pow_batch(ps, c, caps)
+    blocks = np.split(ps, np.searchsorted(ps, range(_SPAN, x, _SPAN), side="right"))
+    return ps, np.concatenate([_block_floors(b, c, caps).astype(object, copy=False) for b in blocks if b.size])
+
+
+def _top_floor(x: int, c: RationalExponent, caps: Caps) -> int:
+    """floor(p^c) for the largest prime p <= x, found in windows below x that
+    double until one holds a prime; Overflow from 2^127 on.  The check that
+    members and every census make before any block is decided."""
     if x < 2:
         raise OutOfRange("need x >= 2")
-    ps = primes_in(0, x, caps=caps)
-    if _top_floor(int(ps[-1]), c, caps) < TWO62:  # so is every block's: their floors are one batch
-        return ps, floor_pow_batch(ps, c, caps)
-    return ps, np.concatenate([vals.astype(object, copy=False) for vals in _member_blocks(x, c, caps)])
-
-
-def _top_floor(p: int, c: RationalExponent, caps: Caps) -> int:
-    """floor(p^c) for the largest prime p <= x; Overflow from 2^127 on."""
+    width = 64
+    while (found := primes_in(x - width, x, caps=caps)).size == 0:
+        width *= 2
+    p = int(found[-1])
     top = floor_pow(p, c, caps)
     if top >= TWO127:
         raise Overflow(f"floor(p^c) reaches 2^127 at p={p}")
     return top
 
 
-def _block_floors(ps: np.ndarray, c: RationalExponent, caps: Caps, top: int) -> np.ndarray:
-    """floor(p^c) for a block of primes whose largest floor is top, laid out
-    by that floor: int64 below 2^62, Python ints in an object array above."""
-    if top < TWO62:
+def _block_floors(ps: np.ndarray, c: RationalExponent, caps: Caps) -> np.ndarray:
+    """floor(p^c) for a block of primes, laid out by the floor of its last
+    prime: int64 below 2^62, Python ints in an object array above."""
+    if floor_pow(int(ps[-1]), c, caps) < TWO62:
         return floor_pow_batch(ps, c, caps)
     return np.array([floor_pow(p, c, caps) for p in ps.tolist()], dtype=object)
 
 
-def _last_prime(x: int, caps: Caps) -> int:
-    """The largest prime <= x, for x >= 2, from windows below x that double
-    until one holds a prime."""
-    width = 64
-    while (found := primes_in(x - width, x, caps=caps)).size == 0:
-        width *= 2
-    return int(found[-1])
-
-
 def _member_blocks(x: int, c: RationalExponent, caps: Caps):
-    """floor(p^c) for each block of _BLOCK consecutive primes p <= x (the last
-    one shorter), laid out by the block's largest floor.
+    """floor(p^c) for the primes p of each range (a, a + _SPAN] of (0, x]
+    that holds one, laid out by the block's largest floor.
 
     members' checks come first: Overflow is raised before any block is
-    decided.  The sieve moves on to the next block before a block's floors
-    are handed out, so it holds none of the primes counted.
+    decided.  A block's primes are dropped before its floors are handed out.
     """
-    if x < 2:
-        raise OutOfRange("need x >= 2")
-    p_top = _last_prime(x, caps)
-    top = _top_floor(p_top, c, caps)
-    blocks = prime_blocks(0, x, _BLOCK, caps=caps)
-    ps = next(blocks)
-    while ps is not None:
-        p = int(ps[-1])
-        vals = _block_floors(ps, c, caps, top if p == p_top else floor_pow(p, c, caps))
-        ps = next(blocks, None)
-        yield vals
+    _top_floor(x, c, caps)
+    for a in range(0, x, _SPAN):
+        ps = primes_in(a, min(a + _SPAN, x), caps=caps)
+        if ps.size:
+            vals = _block_floors(ps, c, caps)
+            ps = None
+            yield vals
 
 
 def _chunks(seq):
@@ -302,7 +298,7 @@ def level_error(
     blocks = _member_blocks(x, c, caps)
     vals = next(blocks)
     n = vals.size
-    if n < _BLOCK:  # the only block
+    if x <= _SPAN:  # the only block
         tables = (_residue_counts(vals, d) for d in range(1, D + 1))
     else:
         tables = [_residue_counts(vals, d) for d in range(1, D + 1)]
@@ -318,7 +314,7 @@ def level_error(
             coprime = np.gcd(np.arange(d, dtype=np.int64), d) == 1
             sel = counts[coprime]
         expected = n / d  # f(d) = 1
-        per_d.append(float(np.max(np.abs(sel - expected))) if sel.size else 0.0)
+        per_d.append(float(np.max(np.abs(sel - expected))))
     e_val = math.fsum(per_d)
     normalized = e_val * math.log(n) ** 2 / n if n > 1 else 0.0
     return LevelReport(x, c, D, e_val, normalized, all_residues)

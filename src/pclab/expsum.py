@@ -236,8 +236,7 @@ def trilinear_sum(
         "X": x_size,
         "x_ge_dl": comparator.x_ge_dl,
     }
-    ratio = abs(value) / comparator.value if comparator.value > 0 else None
-    return SumEval("trilinear", params, value, trivial, comparator.value, ratio)
+    return SumEval("trilinear", params, value, trivial, comparator.value, abs(value) / comparator.value)
 
 
 def triple_sum(x: int, d_scale: int, h_count: int | None, c, *, caps: Caps = DEFAULT_CAPS) -> SumEval:

@@ -1,14 +1,15 @@
 """Segmented prime generation, prime counting, and von Mangoldt weights.
 
-``prime_blocks`` is the package's one sieve, and ``primes_in`` its one-block
-case.  It covers the odd integers only: index i of a segment's mask stands
-for the odd number start + 2i.  Segments are sieved independently (Bays and
-Hudson, BIT 17, 1977) and their primes written in segment order into one
-int64 buffer per block, 2 first; the base primes up to isqrt(hi) come from
-``primes_in`` itself.  A buffer is sized by ``_count_bound``, an upper bound
-on the primes left (Rosser and Schoenfeld; Montgomery and Vaughan), and
-shrunk to its count at the end, so no prime is held twice: ``primes_in(0,
-x)`` holds its primes once, and a census holds one block of them.
+``primes_in`` is the package's one sieve.  It covers the odd integers only:
+index i of a segment's mask stands for the odd number start + 2i.  Segments
+are sieved independently (Bays and Hudson, BIT 17, 1977) and their primes
+written in segment order into one int64 buffer per call, 2 first; the base
+primes up to isqrt(hi) come from ``primes_in`` itself.  The buffer is sized
+by ``_count_bound``, an upper bound on the primes in the range (Rosser and
+Schoenfeld; Montgomery and Vaughan), and shrunk to its count at the end, so
+no prime is held twice: ``primes_in(0, x)`` holds its primes once, and a
+census, which sieves one range of integers per block, holds one block of
+them.
 
 Each mask starts as a copy of one pre-sieve pattern (Pritchard, Acta
 Informatica 17, 1982), filled from two stored periods by doubling.  Entry j
@@ -125,44 +126,26 @@ def _count_bound(lo: int, hi: int) -> int:
     return min(y, math.ceil(bound) + _COUNT_SLACK)
 
 
-def prime_blocks(lo: int, hi: int, size: float, *, caps: Caps = DEFAULT_CAPS) -> Iterator[np.ndarray]:
-    """The primes in (lo, hi], ascending, in int64 arrays of size primes
-    each, the last one shorter (and empty when there is no prime); one
-    array when size is math.inf.
+def primes_in(lo: int, hi: int, *, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """The primes in the half-open range (lo, hi], ascending, as int64.
 
-    The one buffer-filling loop over the sieve's segments.  Each array is
-    allocated once, to hold min(size, _count_bound(p, hi)) primes for the
-    last prime p before it (p = lo for the first), filled segment by
-    segment, and handed out when the next prime finds it full; the last one
-    is shrunk to its count.  Pages never written cost no resident memory.
-    The cap is checked before anything is allocated.
+    The package's one buffer-filling loop over the sieve's segments.  The
+    buffer is allocated once, to hold _count_bound(lo, hi) primes, after the
+    cap is checked; it is filled segment by segment and shrunk to its count
+    at the end.  Pages never written cost no resident memory.
     """
     segments = _odd_segments(lo, hi, caps)
-    buf, k = np.empty(min(size, _count_bound(lo, hi)), dtype=np.int64), 0
+    buf, k = np.empty(_count_bound(lo, hi), dtype=np.int64), 0
     if lo < 2 <= hi:
         buf[0], k = 2, 1
     for start, mask in segments:
         found = np.flatnonzero(mask)
-        j = 0
-        while j < found.size:
-            if k == buf.size:
-                yield buf
-                buf, k = np.empty(min(size, _count_bound(int(buf[-1]), hi)), dtype=np.int64), 0
-            n = min(buf.size - k, found.size - j)
-            part = np.left_shift(found[j : j + n], 1, out=buf[k : k + n])
-            part += start
-            j += n
-            k += n
-    found = mask = None  # the last segment is not held while the caller uses the block
+        part = np.left_shift(found, 1, out=buf[k : k + found.size])
+        part += start
+        k += found.size
+    found = mask = part = None  # the last segment is not held past the call
     buf.resize(k, refcheck=False)  # in place: no view of buf is left
-    yield buf
-
-
-def primes_in(lo: int, hi: int, *, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """The primes in the half-open range (lo, hi], ascending, as int64, in
-    one array sized by _count_bound."""
-    (found,) = prime_blocks(lo, hi, math.inf, caps=caps)
-    return found
+    return buf
 
 
 def prime_count(x: int, *, caps: Caps = DEFAULT_CAPS) -> int:

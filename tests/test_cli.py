@@ -364,6 +364,8 @@ BAD_INPUTS = {
     "huge rbound c": (["constants", "rbound", "-c", "1e400"], None, {}),
     "huge margins c": (["constants", "margins", "-c", "1e400"], None, {}),
     "huge lemma23 c": (["constants", "lemma23", "-c", "1e400", "--theta", "1/100"], None, {}),
+    # every degree from c + 1 to 2c would be tried before the one at or below 2 + eps raises
+    "huge margins c and eps": (["constants", "margins", "-c", "1e400", "--eps", "1e400"], None, {}),
     "rbound beyond float range": (["constants", "rbound", "-c", "1e120"], None, {}),
     "histogram d past int64": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e30"], None, {}),
     "histogram d past the table cap": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e11"], None, {}),
@@ -451,6 +453,16 @@ _ADVERSARIAL = (
 )
 # verify is left out: one call runs the whole suite
 _FUZZED = sorted(path for path, argv in _LEAF_ARGV.items() if argv and path != ("verify",))
+# one valid value for each optional value flag, so that the fuzzer swaps those too
+_FUZZED_OPTIONS = {
+    ("expsum", "weyl"): ["--eps", "1/10"],
+    ("constants", "margins"): ["--eps", "1/1000"],
+    ("constants", "lemma23"): ["--kappa", "1/1000000"],
+    ("constants", "maxc"): ["--kappa", "1/1000000000", "--tol", "1e-3"],
+    ("discrepancy",): ["--tol", "1e-3"],
+    ("constants", "threshold"): ["--tol", "1e-3"],
+    ("expsum", "trilinear"): ["--seed", "9", "--weights", "pm1"],
+}
 
 
 class NoExit(Exception):
@@ -475,7 +487,7 @@ def _alarm(seconds: int):
 @given(st.data())
 def test_swapped_values_end_with_one_line_and_a_documented_exit(data):
     path = data.draw(st.sampled_from(_FUZZED))
-    argv = list(_LEAF_ARGV[path])
+    argv = [*_LEAF_ARGV[path], *_FUZZED_OPTIONS.get(path, [])]
     slots = data.draw(st.lists(st.sampled_from(range(1, len(argv), 2)), min_size=1, max_size=2, unique=True))
     for i in slots:
         argv[i] = data.draw(st.sampled_from(_ADVERSARIAL))

@@ -307,25 +307,54 @@ def assert_same_members(got, want):
 @pytest.mark.parametrize("x, c", [(2, "3/2"), (9000, "7/2"), (10**4 + 7, "7/5"), (10**6, "10521/10000")])
 def test_censuses_are_the_same_block_by_block(x, c, monkeypatch):
     want, *want_members = census_outputs(x, c, 1)
-    monkeypatch.setattr(ex, "_BLOCK", 2**10)
+    monkeypatch.setattr(ex, "_SPAN", 2**13)
     for jobs in (1, 2):
         got, *got_members = census_outputs(x, c, jobs)
         assert got == want, jobs
         assert_same_members(got_members, want_members)
 
 
+@pytest.mark.parametrize("c", ["3/2", "31/2"])
+def test_censuses_skip_ranges_without_a_prime(c, monkeypatch):
+    # of the 32 ranges of 4 integers in (0, 126], eight hold no prime:
+    # (24, 28], (32, 36], (48, 52], (84, 88], (92, 96] and (116, 126]
+    want, *want_members = census_outputs(126, c, 1)
+    monkeypatch.setattr(ex, "_SPAN", 4)
+    blocks = list(ex._member_blocks(126, ex.as_exponent(c), ex.DEFAULT_CAPS))
+    assert len(blocks) == 24 and all(vals.size for vals in blocks)
+    for jobs in (1, 2):
+        got, *got_members = census_outputs(126, c, jobs)
+        assert got == want, jobs
+        assert_same_members(got_members, want_members)
+
+
+def test_members_sieves_once(monkeypatch):
+    # members floors its own primes, object layouts included, without the
+    # census blocks, which would sieve (0, x] a second time
+    def no_blocks(*args):
+        raise AssertionError("members called _member_blocks")
+
+    monkeypatch.setattr(ex, "_member_blocks", no_blocks)
+    for x, c, span in ((300, "77/10", ex._SPAN), (290, "31/2", 16)):
+        monkeypatch.setattr(ex, "_SPAN", span)
+        ps, vals = ex.members(x, c)
+        assert vals.dtype == object
+        assert vals.tolist() == [floor_pow(p, c) for p in ps.tolist()]
+
+
 def test_mixed_layout_blocks(monkeypatch):
     # members of 31/2 reach 2^62 from p = 17 and stay below 2^127 to p = 283:
-    # in blocks of 4 primes the first is int64 and the others are objects;
-    # chunks of 2 members send each object block through its own pool.  Each
-    # object member is factored once, and forked workers share the cache
+    # in ranges of 16 integers the first block is int64 and the others are
+    # objects, and (288, 290] holds no prime; chunks of 2 members send each
+    # object block through its own pool.  Each object member is factored
+    # once, and forked workers share the cache
     monkeypatch.setattr(ex, "factor_signature", functools.cache(ex.factor_signature))
     x, c = 290, "31/2"
     want, *want_members = census_outputs(x, c, 1)
     assert want_members[1].dtype == object
-    monkeypatch.setattr(ex, "_BLOCK", 4)
+    monkeypatch.setattr(ex, "_SPAN", 16)
     layouts = [vals.dtype for vals in ex._member_blocks(x, ex.as_exponent(c), ex.DEFAULT_CAPS)]
-    assert layouts == [np.int64] + [object] * 15
+    assert layouts == [np.int64] + [object] * 17
     monkeypatch.setattr(ex, "_CHUNK", 2)
     for jobs in (1, 2):
         got, *got_members = census_outputs(x, c, jobs)
@@ -336,7 +365,7 @@ def test_mixed_layout_blocks(monkeypatch):
 
 def test_overflow_comes_before_any_block(monkeypatch):
     # floor(397^(31/2)) has 134 bits; no block is laid out before it raises
-    monkeypatch.setattr(ex, "_BLOCK", 4)
+    monkeypatch.setattr(ex, "_SPAN", 16)
     monkeypatch.setattr(ex, "_block_floors", None)
     monkeypatch.setattr(ex, "floor_pow_batch", None)
     for run in (lambda x, c, jobs: ex.members(x, c), *CENSUSES.values()):
@@ -365,7 +394,7 @@ def test_members_peak_stays_near_its_output():
 def test_census_peak_is_a_few_blocks(monkeypatch):
     ex.ps_prime_count(100, "3/2")
     whole = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
-    monkeypatch.setattr(ex, "_BLOCK", 2**16)
+    monkeypatch.setattr(ex, "_SPAN", 2**20)
     blocked = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
     block_bytes = 8 * 2**16
     assert blocked <= 8 * block_bytes and blocked * 3 < whole, (blocked, whole)

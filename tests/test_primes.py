@@ -104,10 +104,9 @@ def test_range_cap_is_checked_before_any_array_is_allocated():
     tracemalloc.start()
     try:
         for hi, caps in ((10**11, Caps()), (10**9, Caps(primes_hi=10**6))):
-            with pytest.raises(RangeTooLarge):
-                primes.primes_in(0, hi, caps=caps)
-            with pytest.raises(RangeTooLarge):
-                next(primes.prime_blocks(10, hi, 2**40, caps=caps))
+            for lo in (0, 10):
+                with pytest.raises(RangeTooLarge):
+                    primes.primes_in(lo, hi, caps=caps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,7 +124,7 @@ def test_every_hi_to_twenty_thousand_vs_oracle():
         assert primes._count_bound(0, hi) >= want.size, hi
 
 
-def test_random_windows_and_blocks_vs_oracle():
+def test_random_windows_vs_oracle():
     limit = 3 * 10**6
     oracle = simple_oracle(limit)
     rng = np.random.default_rng(27)
@@ -136,11 +135,6 @@ def test_random_windows_and_blocks_vs_oracle():
         want = in_window(oracle, lo, hi)
         assert primes.primes_in(lo, hi).tolist() == want, (lo, hi)
         assert primes._count_bound(lo, hi) >= len(want), (lo, hi)
-        size = int(rng.choice([1, 2, 7] if width <= 3000 else [7, 1000, 2**20]))
-        blocks = list(primes.prime_blocks(lo, hi, size))
-        assert len(blocks) == max(1, -(-len(want) // size)), (lo, hi, size)
-        assert all(b.size == size for b in blocks[:-1]) and blocks[-1].size <= size
-        assert np.concatenate(blocks).tolist() == want, (lo, hi, size)
 
 
 def test_mangoldt_entries():
