@@ -364,7 +364,7 @@ BAD_INPUTS = {
     "huge rbound c": (["constants", "rbound", "-c", "1e400"], None, {}),
     "huge margins c": (["constants", "margins", "-c", "1e400"], None, {}),
     "huge lemma23 c": (["constants", "lemma23", "-c", "1e400", "--theta", "1/100"], None, {}),
-    # every degree from c + 1 to 2c would be tried before the one at or below 2 + eps raises
+    # about 1e400 degrees, from 2c down to 2 + eps, were listed before the one that raises
     "huge margins c and eps": (["constants", "margins", "-c", "1e400", "--eps", "1e400"], None, {}),
     "rbound beyond float range": (["constants", "rbound", "-c", "1e120"], None, {}),
     "histogram d past int64": (["histogram", "--x", "2", "-c", "3/2", "--d", "1e30"], None, {}),

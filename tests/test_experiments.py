@@ -396,7 +396,7 @@ def test_census_peak_is_a_few_blocks(monkeypatch):
     whole = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
     monkeypatch.setattr(ex, "_SPAN", 2**20)
     blocked = traced_peak(lambda: ex.ps_prime_count(10**7, "3/2"))
-    block_bytes = 8 * 2**16
+    block_bytes = 8 * 2**16  # a range of 2^20 integers near 1e7 holds about 2^16 primes
     assert blocked <= 8 * block_bytes and blocked * 3 < whole, (blocked, whole)
 
 
