@@ -14,9 +14,12 @@ constant sequence, so repeated runs agree bit for bit.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and
-``is_prime_array`` decides primality for a whole int64 array: one numpy
-strong test, left to right, to the bases of ``_MR_TIERS``'s tier for its
-largest element below 2^50, with ``is_prime`` one by one from 2^50 on.
+``is_prime_array`` decides primality for a whole int64 array: below 2^50
+each element takes the bases of its own ``_MR_TIERS`` tier, and each base
+is one numpy strong test, one left-to-right pass over the bits of n - 1
+that multiplies by the base's small powers once per window of bits (the
+error argument, for multipliers below 2^13, is at ``_mulmod``); from 2^50
+on, ``is_prime`` decides one by one.
 Neither array kernel takes a remainder by a prime: its trial division and
 its base screen test divisibility exactly by one multiply by the prime's
 inverse mod 2^64 and one compare (``_divisibility_screen``), and divide
@@ -468,6 +471,24 @@ def signature_arrays(vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _MULMOD_LIMIT = 1 << 50
+_MULTIPLIER_LIMIT = 1 << 13  # so that a multiplier times an operand below _MULMOD_LIMIT stays below 2^63
+
+
+def _window_powers(a: int) -> np.ndarray:
+    """a^j for 0 <= j < 2^w, w the largest window with every a^j below 2^13."""
+    w = 1
+    while a ** ((2 << w) - 1) < _MULTIPLIER_LIMIT:
+        w += 1
+    return np.array([a ** j for j in range(1 << w)])
+
+
+# The tiers below 2^50: n takes tier t = searchsorted(_TIER_BOUNDS, n, "right"),
+# _TIER_BASES[a][t] says whether tier t has base a, and _WINDOWS[a] holds
+# base a's window multipliers.
+_TIER_BOUNDS = np.array([bound for bound, _ in _MR_TIERS if bound < _MULMOD_LIMIT])
+_ARRAY_TIERS = [bases for _, bases in _MR_TIERS[: _TIER_BOUNDS.size + 1]]
+_TIER_BASES = {a: np.array([a in bases for bases in _ARRAY_TIERS]) for a in sorted(set().union(*_ARRAY_TIERS))}
+_WINDOWS = {a: _window_powers(a) for a in _TIER_BASES}
 
 
 def is_prime_array(vals) -> np.ndarray:
@@ -476,11 +497,11 @@ def is_prime_array(vals) -> np.ndarray:
     The screen is primality's: the bases themselves are prime, their
     multiples composite, and what is left below 37^2 prime.  Multiples are
     found by ``_divisibility_screen``'s exact multiply and compare.  The
-    rest below 2^50 take the strong test together, to the _MR_TIERS bases
-    of the tier of their largest element; each tier is deterministic below
-    its bound, so for every element of the array.  Base by base, an element
-    leaves as soon as a base witnesses it composite.  Elements from 2^50 on
-    go to is_prime one by one.
+    rest below 2^50 take the strong test, each element to the _MR_TIERS
+    bases of its own tier, which is deterministic below its bound.  Base by
+    base, the elements whose tier has that base take ``_strong_test``
+    together, and an element leaves as soon as a base witnesses it
+    composite.  Elements from 2^50 on go to is_prime one by one.
     """
     vals = np.asarray(vals)
     if vals.dtype != np.int64 or vals.ndim != 1:
@@ -496,43 +517,71 @@ def is_prime_array(vals) -> np.ndarray:
     big = np.flatnonzero(rest & (vals >= _MULMOD_LIMIT))
     prime[big] = [is_prime(v) for v in vals[big].tolist()]
     idx = np.flatnonzero(rest & (vals < _MULMOD_LIMIT))
-    if not idx.size:
-        return prime
     n = vals[idx]
-    top = int(n.max())
-    bases = next(bases for bound, bases in _MR_TIERS if top < bound)
-    # n - 1 = d * 2^s with d odd; the lowest set bit of n - 1 is 2^s
-    low = (n - 1) & (1 - n)
-    d = (n - 1) // low
-    s = np.frexp(low.astype(np.float64))[1] - 1
-    for a in bases:
-        nf = n.astype(np.float64)
-        x = _powmod(a, d, n, nf)
-        passed = (x == 1) | (x == n - 1)
-        for i in range(1, int(s.max())):
-            x = _mulmod(x, x, n, nf)
-            passed |= (x == n - 1) & (i < s)
-        idx, n, d, s = idx[passed], n[passed], d[passed], s[passed]
-        if not idx.size:
-            return prime
+    tier = np.searchsorted(_TIER_BOUNDS, n, side="right").astype(np.int8)  # one byte per survivor
+    for a, takes in _TIER_BASES.items():
+        use = takes[tier]
+        if use.any():
+            keep = ~use
+            keep[use] = _strong_test(a, n[use])
+            idx, n, tier = idx[keep], n[keep], tier[keep]
     prime[idx] = True
     return prime
+
+
+def _strong_test(a: int, n: np.ndarray) -> np.ndarray:
+    """n passes the strong test to base a, for an int64 array of odd 37^2 <= n < 2^50.
+
+    With n - 1 = d * 2^s, d odd, n passes when a^d = 1 or a^(d 2^r) = n - 1
+    for some 0 <= r < s (mod n).  One left-to-right pass over the bit
+    positions b of n - 1 keeps x = a^((n - 1) >> b) mod n, so the array
+    takes one squaring per bit of its largest n - 1, and n passes when
+    x is 1 or n - 1 at b = s, or x is n - 1 at some 1 <= b < s.  Above the
+    largest s no element checks, so the pass squares w times and then
+    multiplies by a^j, j the next w bits, with w the largest window whose
+    multipliers a^j stay below 2^13 (k-ary exponentiation; Menezes, van
+    Oorschot & Vanstone, Handbook of Applied Cryptography, 1996, 14.6):
+    w = 3 for bases 2 and 3, 2 for 5 to 19, 1 from 23 on.  Below it the pass
+    takes one bit at a time.  Leading zero bits of a shorter n - 1 keep x at
+    1, so every element shares the pass.
+    """
+    powers = _WINDOWS[a]
+    w = powers.size.bit_length() - 1
+    mask = powers.size - 1
+    nf = n.astype(np.float64)
+    n1 = n - 1
+    s = np.frexp((n1 & -n1).astype(np.float64))[1] - 1  # the lowest set bit of n - 1 is 2^s
+    s_max = int(s.max())
+    b = s_max + (int(n1.max()).bit_length() - 1 - s_max) // w * w
+    x = powers[(n1 >> b) & mask] % n  # a^j may exceed a small n
+    while b > s_max:
+        b -= w
+        for _ in range(w):
+            x = _mulmod(x, x, n, nf)
+        x = _mulmod(x, powers[(n1 >> b) & mask], n, nf)
+    passed = ((x == 1) | (x == n1)) & (s == s_max)
+    for b in range(s_max - 1, 0, -1):
+        x = _mulmod(x, x, n, nf)
+        x = _mulmod(x, powers[(n1 >> b) & 1], n, nf)
+        passed |= ((x == n1) & (s >= b)) | ((x == 1) & (s == b))
+    return passed
 
 
 def _mulmod(a: np.ndarray, b, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
     """a*b mod n for an int64 array 0 <= a < n < 2^50, with nf = n as float64.
 
-    b is an int64 array with 0 <= b < n, or an int with 0 <= b < 2^6, the
-    small base of ``_powmod``.
+    b is an int64 array with 0 <= b < n (a square), or an int or int64 array
+    with 0 <= b < 2^13 (the window multipliers of ``_strong_test``), which
+    may exceed n.
 
     Error argument (the float quotient of Barrett, CRYPTO '86; Moller &
     Granlund, IEEE TC 60(2), 2011): a, b and n are exact in float64.
     Rounding a*b and then the quotient errs by a relative
-    (1 + 2^-53)^2 - 1 = 2^-52 + 2^-106.  For an array b, ab/n < n - 1 < 2^50,
-    so the float quotient is within (2^50 - 1)(2^-52 + 2^-106) < 1/4 of ab/n.
-    For an int b, a*b < 2^56 and ab/n < b <= 61 (the largest tier base), so
-    the float quotient is within 61 * (2^-52 + 2^-106) < 2^-45 of ab/n.
-    Either way q, the float quotient cast to int64 (its floor, as it is not
+    (1 + 2^-53)^2 - 1 = 2^-52 + 2^-106.  For b < n, ab/n < n - 1 < 2^50,
+    so the float quotient is within (2^50 - 1)(2^-52 + 2^-106) < 1/4 of
+    ab/n.  For b < 2^13, a*b < 2^63 and ab/n < b < 2^13 (as a < n), so the
+    float quotient is within 2^13 (2^-52 + 2^-106) < 2^-38 of ab/n.  Either
+    way q, the float quotient cast to int64 (its floor, as it is not
     negative), is within 1 of floor(ab/n).  Then r = ab - q*n lies in
     [-n, 2n), so |r| < 2^51: the int64 products wrap modulo 2^64, but their
     difference is exactly r.  One correction of n either way brings r into
@@ -542,24 +591,12 @@ def _mulmod(a: np.ndarray, b, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
     q *= b
     q /= nf
     r = a * b
-    r -= q.astype(np.int64) * n
+    q = q.astype(np.int64)
+    q *= n
+    r -= q
     np.add(r, n, out=r, where=r < 0)
     np.subtract(r, n, out=r, where=r >= n)
     return r
-
-
-def _powmod(a: int, e: np.ndarray, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
-    """a^e mod n elementwise, for an int a < 2^6 and int64 arrays a < n < 2^50, e >= 0.
-
-    Left to right: x = 1, then for each bit of e from the top, square x and
-    multiply it by a where the bit is set.  Leading zero bits keep x = 1, so
-    exponents of different lengths share the loop.  nf is n as float64.
-    """
-    x = np.ones_like(n)
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        x = _mulmod(x, x, n, nf)
-        x = np.where((e >> bit) & 1 == 1, _mulmod(x, a, n, nf), x)
-    return x
 
 
 def _square_above_one(m: np.ndarray) -> np.ndarray:

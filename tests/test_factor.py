@@ -88,8 +88,8 @@ def test_is_prime_array_rejects_each_tier_bound_below_2_50():
         if n >= 1 << 50:
             continue
         assert factor.is_prime_array(np.array([n], dtype=np.int64)).tolist() == [False], n
-        # just below n the array takes n's own tier, the one that n passes;
-        # with n itself added it takes the next tier
+        # each element takes its own tier: those just below n take n's tier,
+        # the one that n passes, and n itself the next tier
         below = np.arange(n - 1000, n, dtype=np.int64)
         assert factor.is_prime_array(below).tolist() == [factor.is_prime(v) for v in below.tolist()], n
         assert not factor.is_prime_array(np.append(below, n))[-1], n
@@ -138,25 +138,112 @@ def test_divisibility_screen_agrees_with_remainder_at_the_wrap():
             assert got.tolist() == [v % p == 0 for v in vals], p
 
 
-def test_mulmod_and_powmod_just_below_2_50():
+def test_mulmod_and_strong_test_just_below_2_50():
     rng = np.random.default_rng(50)
     n = np.concatenate([np.arange(2**50 - 40, 2**50, dtype=np.int64),
                         rng.integers(2**49, 2**50, size=20000, dtype=np.int64)])
     nf = n.astype(np.float64)
     a = np.concatenate([n[:40] - 1, rng.integers(0, n[40:])])  # n - 1 is the largest operand
     b = np.concatenate([n[:40] - 1 - np.arange(40), rng.integers(0, n[40:])])
-    e = rng.integers(0, 2**50, size=n.size, dtype=np.int64)
     triples = list(zip(a.tolist(), b.tolist(), n.tolist()))
     # the float quotient falls below floor(ab/n) for some pairs and above it
     # for others, so both corrections of _mulmod are taken
     quotients = [(int(float(x) * float(y) / float(m)), x * y // m) for x, y, m in triples]
     assert any(q < t for q, t in quotients) and any(q > t for q, t in quotients)
-    want = [(x * y % m, x * 61 % m, pow(61, k, m)) for (x, y, m), k in zip(triples, e.tolist())]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = zip(factor._mulmod(a, b, n, nf).tolist(), factor._mulmod(a, 61, n, nf).tolist(),
-                  factor._powmod(61, e, n, nf).tolist())
-        assert list(got) == want
+        assert factor._mulmod(a, b, n, nf).tolist() == [x * y % m for x, y, m in triples]
+    # the strong test, odd n only, against the scalar witness to each window size
+    odd = n[n % 2 == 1]
+    primes = [m for m in range(2**50 - 3001, 2**50, 2) if factor.is_prime(m)]
+    odd = np.concatenate([odd, np.array(primes, dtype=np.int64)])
+    assert len(primes) > 50
+    for base in (2, 5, 23):
+        want = []
+        for m in odd.tolist():
+            d, s = m - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            want.append(not factor._mr_composite_witness(m, base, d, s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factor._strong_test(base, odd).tolist() == want, base
+        assert all(want[-len(primes):])
+
+
+@pytest.mark.parametrize("low", [37 * 37 + 1, 2**50 - 3000])
+def test_mulmod_window_multipliers_against_python_ints(low):
+    # every multiplier up to 2^13 - 1, as an array and as an int; just above
+    # 37^2 they exceed n, and just below 2^50 a*b reaches past 2^62
+    rng = np.random.default_rng(low)
+    n = rng.integers(low, low + 3000, size=1 << 13, dtype=np.int64)
+    n[:8] = low + np.arange(8)
+    nf = n.astype(np.float64)
+    a = rng.integers(0, n)
+    a[::7] = n[::7] - 1
+    mult = np.arange(1 << 13, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert factor._mulmod(a, mult, n, nf).tolist() == [x * y % m for x, y, m in zip(a.tolist(), mult.tolist(), n.tolist())]
+        for k in (0, 1, 2, 61, 6859, (1 << 13) - 1):
+            assert factor._mulmod(a, k, n, nf).tolist() == [x * k % m for x, m in zip(a.tolist(), n.tolist())], k
+
+
+def test_window_multipliers_stay_below_2_13():
+    # each base below 2^50 multiplies by a^j for j < 2^w, w as large as the
+    # bound allows: 3 for bases 2 and 3, 2 for 5 to 19, 1 for 23 and 61
+    want_w = {2: 3, 3: 3, 5: 2, 7: 2, 11: 2, 13: 2, 17: 2, 19: 2, 23: 1, 61: 1}
+    assert {a: powers.size.bit_length() - 1 for a, powers in factor._WINDOWS.items()} == want_w
+    for a, powers in factor._WINDOWS.items():
+        assert powers.tolist() == [a**j for j in range(powers.size)]
+        assert powers[-1] < 2**13 <= a ** (2 * powers.size - 1), a
+
+
+def test_is_prime_array_large_s_beside_s_1():
+    # Proth-form k*2^s + 1, s up to 40, with odd k: primes and composites
+    # whose n - 1 ends in up to 40 zero bits, in one array with s = 1 elements
+    proth = [k * 2**s + 1 for s in range(2, 41) for k in range(1, 200, 2) if 37 * 37 <= k * 2**s + 1 < 2**50]
+    rng = np.random.default_rng(40)
+    s1 = (rng.integers(2**30, 2**45, size=3000, dtype=np.int64) // 4) * 4 + 3  # n - 1 = 2 mod 4
+    vals = np.concatenate([np.array(proth, dtype=np.int64), s1])
+    want = [factor.is_prime(v) for v in vals.tolist()]
+    assert factor.is_prime_array(vals).tolist() == want
+    assert any(want[: len(proth)]) and any(want[len(proth):])
+    large = [w for v, w in zip(proth, want) if (v - 1) % 2**30 == 0]  # s >= 30
+    assert any(large) and not all(large)
+    # alone, each prime's own s is the array's largest
+    for v in itertools.compress(proth, want):
+        assert factor.is_prime_array(np.array([v], dtype=np.int64)).tolist() == [True], v
+
+
+def test_is_prime_array_spans_the_tiers():
+    # each tier's strong pseudoprime below 2^50, which passes the bases of
+    # its own tier and of every tier below, in one array with the odd
+    # numbers around each: primes and composites of every tier
+    pseudo = [n for n, _ in TIER_PSEUDOPRIMES if n < 2**50]
+    vals = np.array(pseudo + [m for n in pseudo for m in range(n - 300, n + 300, 2) if m != n], dtype=np.int64)
+    vals = vals[np.random.default_rng(7).permutation(vals.size)]
+    want = [factor.is_prime(v) for v in vals.tolist()]
+    got = factor.is_prime_array(vals)
+    assert got.tolist() == want
+    assert not got[np.isin(vals, pseudo)].any() and sum(want) > 100
+
+
+def test_is_prime_array_traced_peak_is_bounded_by_its_input():
+    import tracemalloc
+
+    from pclab.experiments import members
+
+    vals = members(3 * 10**6, "3/2")[1]
+    factor.is_prime_array(vals)  # numpy's first-call setup is not counted
+    tracemalloc.start()
+    try:
+        got = factor.is_prime_array(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(np.count_nonzero(got)) == 10059  # ps_prime_count(3e6, 3/2)
+    assert peak <= 2 * vals.nbytes, (peak, vals.nbytes)
 
 
 def test_census_kernels_raise_no_warning_on_tiny_arrays():
