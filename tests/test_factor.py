@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pclab
 from pclab import factor
 from pclab.acceptance import _omega_oracle
 from pclab.errors import FactorizationTimeout, OutOfRange
+from pclab.experiments import members
 from pclab.primes import primes_in
 
 
@@ -217,8 +219,8 @@ def test_is_prime_array_large_s_beside_s_1():
 
 
 def test_is_prime_array_spans_the_tiers():
-    # each tier's strong pseudoprime below 2^50, which passes the bases of
-    # its own tier and of every tier below, in one array with the odd
+    # each tier's strong pseudoprime below 2^50, which passes its tier's
+    # bases but itself takes the next tier, in one array with the odd
     # numbers around each: primes and composites of every tier
     pseudo = [n for n, _ in TIER_PSEUDOPRIMES if n < 2**50]
     vals = np.array(pseudo + [m for n in pseudo for m in range(n - 300, n + 300, 2) if m != n], dtype=np.int64)
@@ -230,10 +232,6 @@ def test_is_prime_array_spans_the_tiers():
 
 
 def test_is_prime_array_traced_peak_is_bounded_by_its_input():
-    import tracemalloc
-
-    from pclab.experiments import members
-
     vals = members(3 * 10**6, "3/2")[1]
     factor.is_prime_array(vals)  # numpy's first-call setup is not counted
     tracemalloc.start()
