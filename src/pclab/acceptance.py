@@ -236,8 +236,9 @@ def criterion_11(ctx: LabContext):
     n = len(vals)
     worst = 0.0
     worst_at = (0, 0)
-    for d in range(1, 51):
-        counts = ex._residue_counts(vals, d)
+    tables = dict(ex._residue_tables(vals, 50))
+    for d in range(1, 51):  # ascending, so the first d of the worst deviation is kept
+        counts = tables[d]
         expected = n / d
         dev = np.abs(counts - expected) / expected
         j = int(np.argmax(dev))

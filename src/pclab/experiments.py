@@ -8,7 +8,8 @@ Each block is laid out by the exact floor of its last prime: below 2^62
 array, above it from ``floor_pow`` one by one as Python ints.  So a census
 holds one block of members, not all of them, and the early blocks of a run
 whose last members pass 2^62 stay int64.  The 2^127 ``Overflow`` is decided
-from the largest prime <= x (``_top_floor``) before any block is.
+from the largest prime <= x (``_top_floor``, which walks down from x with
+``factor.is_prime``) before any block is.
 ``members`` sieves (0, x] once and returns the blocks' floors one after
 another, with one layout for all (int64 when the largest floor is below
 2^62, Python ints otherwise).
@@ -27,20 +28,23 @@ through the member test, in chunks of the block's members; with
 ``jobs > 1`` the chunks of each block run in a process pool of their own,
 and their counts are combined in fixed chunk order, so worker count never
 changes a result.  ``residue_histogram`` and ``level_error`` add up their
-residue tables block by block.
+residue tables block by block.  ``level_error`` takes the tables of every
+d <= D from ``_residue_tables``: one ``%`` pass and one ``bincount`` per
+shared modulus M <= 2^14, the lcm of several d, whose table each d
+dividing M folds into its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._json import Report
 from .errors import DEFAULT_CAPS, Caps, OutOfRange, Overflow, RangeTooLarge
 from .exactpow import DEFAULT_FRAC_TOL, RationalExponent, as_exponent, floor_pow, floor_pow_batch, frac_scaled_pow_batch
-from .factor import TWO62, TWO127, factor_signature, is_prime, is_prime_array, signature_arrays
+from .factor import TWO62, TWO64, TWO127, factor_signature, factorize, is_prime, is_prime_array, signature_arrays
 from .primes import primes_in
 
 _CHUNK = 1 << 13
@@ -127,15 +131,24 @@ def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.nda
 
 
 def _top_floor(x: int, c: RationalExponent, caps: Caps) -> int:
-    """floor(p^c) for the largest prime p <= x, found in windows below x that
-    double until one holds a prime; Overflow from 2^127 on.  The check that
-    members and every census make before any block is decided."""
+    """floor(p^c) for the largest prime p <= x: the check that members and
+    every census make before any block is decided.
+
+    x < 2 is OutOfRange, and x past the sieve cap RangeTooLarge, before any
+    floor is taken; then Overflow from floor 2^127 on.  p is found by walking
+    down from x with is_prime, whose verdicts are deterministic below 2^64.
+    From 2^64 on they would be probable primes, so there x is RangeTooLarge
+    whatever the cap.
+    """
     if x < 2:
         raise OutOfRange("need x >= 2")
-    width = 64
-    while (found := primes_in(x - width, x, caps=caps)).size == 0:
-        width *= 2
-    p = int(found[-1])
+    if x > caps.primes_hi:
+        raise RangeTooLarge(f"hi={x} exceeds the sieve cap {caps.primes_hi}")  # as primes_in says it
+    if x >= TWO64:
+        raise RangeTooLarge(f"x={x} reaches 2^64, where primality verdicts are probable")
+    p = x if x == 2 or x & 1 else x - 1
+    while not is_prime(p):
+        p -= 2
     top = floor_pow(p, c, caps)
     if top >= TWO127:
         raise Overflow(f"floor(p^c) reaches 2^127 at p={p}")
@@ -257,6 +270,69 @@ def _residue_counts(vals: np.ndarray, d: int) -> np.ndarray:
     return np.bincount((vals % d).astype(np.int64, copy=False), minlength=d)
 
 
+# The largest shared modulus of _residue_plan: its table of 2^14 int64 counts
+# is 128 KB, so a run that holds one table at a time stays well under 1 MB.
+_SHARED_CAP = 1 << 14
+# uncovered moduli offered to each shared modulus, so a plan takes O(D) steps
+_PARTNERS = 64
+
+
+@lru_cache(maxsize=8)
+def _residue_plan(D: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """((M, ds), ...): shared moduli M and the d <= D whose tables come from
+    M's table; every d <= D is in exactly one ds, and each d divides its M.
+
+    Greedy from the largest uncovered d down: M starts at d and takes the
+    lcm with each of the next _PARTNERS uncovered moduli while that stays
+    within _SHARED_CAP (so M exceeds it only when d does); then every divisor
+    of M up to D not yet covered, found by trial to isqrt(M), joins ds.
+    Skip links (nxt, with path halving) find the next uncovered modulus.
+    """
+    nxt = list(range(D + 1))  # nxt[e] == e while e is uncovered; 0 ends the walk
+
+    def uncovered_at_most(e):
+        while nxt[e] != e:
+            nxt[e] = e = nxt[nxt[e]]
+        return e
+
+    plan = []
+    d = uncovered_at_most(D)
+    while d:
+        M, e = d, uncovered_at_most(d - 1)
+        for _ in range(_PARTNERS):
+            if not e or 2 * M > _SHARED_CAP:  # no partner could join but a divisor of M
+                break
+            m = M * e // math.gcd(M, e)
+            if m <= _SHARED_CAP:
+                M = m
+            e = uncovered_at_most(e - 1)
+        ds = []
+        for i in range(1, math.isqrt(M) + 1):
+            if M % i == 0:
+                for q in {i, M // i}:
+                    if q <= D and nxt[q] == q:
+                        nxt[q] = q - 1
+                        ds.append(q)
+        plan.append((M, tuple(ds)))
+        d = uncovered_at_most(d - 1)  # d divides M, so it is covered; the walk only descends
+    return tuple(plan)
+
+
+def _residue_tables(vals: np.ndarray, D: int):
+    """(d, members per residue class mod d) for every d <= D, one table at a
+    time, in the order of _residue_plan(D).
+
+    Each shared modulus M takes one pass, _residue_counts(vals, M); a d
+    dividing M folds M's table into its own, t.reshape(M // d, d).sum(axis=0),
+    since residue r mod M lies in class r mod d.  The counts are exact
+    integers, so every table equals _residue_counts(vals, d).
+    """
+    for M, ds in _residue_plan(D):
+        t = _residue_counts(vals, M)
+        for d in ds:
+            yield d, t.reshape(M // d, d).sum(axis=0)
+
+
 def _check_modulus(name: str, d: int, caps: Caps) -> None:
     """A modulus sizes one int64 table of counts, capped like a von Mangoldt table."""
     if d < 1:
@@ -286,10 +362,13 @@ def level_error(
 
     For each modulus d the deviation |count(s, d) - f(d) N / d| is maximized
     over s coprime to d (over all s with all_residues=True); f is the
-    expected multiplicative model, identically 1.  The tables for
-    d <= D hold D (D + 1) / 2 entries in all, capped like one von Mangoldt
-    table.  A run of one block makes them one at a time; over several
-    blocks they are held together while the blocks are added up.
+    expected multiplicative model, identically 1.  The tables come from
+    _residue_tables: one pass per shared modulus M <= 2^14, from whose
+    table every d dividing M is folded.  The tables for d <= D hold
+    D (D + 1) / 2 entries in all, capped like one von Mangoldt table.  A run
+    of one block takes them one at a time; over several blocks they are
+    held together while the blocks are added up.  math.fsum is exactly
+    rounded, so the order of the d does not change E.
     """
     _check_modulus("D", D, caps)
     if D * (D + 1) // 2 > caps.mangoldt_x:
@@ -298,20 +377,22 @@ def level_error(
     blocks = _member_blocks(x, c, caps)
     vals = next(blocks)
     n = vals.size
-    if x <= _SPAN:  # the only block
-        tables = (_residue_counts(vals, d) for d in range(1, D + 1))
-    else:
-        tables = [_residue_counts(vals, d) for d in range(1, D + 1)]
+    tables = _residue_tables(vals, D)
+    if x > _SPAN:  # several blocks
+        tables = dict(tables)
         for vals in blocks:
             n += vals.size
-            for d, counts in enumerate(tables, 1):
-                counts += _residue_counts(vals, d)
+            for d, counts in _residue_tables(vals, D):
+                tables[d] += counts
+        tables = tables.items()
     per_d: list[float] = []
-    for d, counts in enumerate(tables, 1):
+    for d, counts in tables:
         if all_residues:
             sel = counts
         else:
-            coprime = np.gcd(np.arange(d, dtype=np.int64), d) == 1
+            coprime = np.ones(d, dtype=bool)
+            for q in factorize(d):  # s and d share a factor exactly when a prime q | d divides s
+                coprime[::q] = False
             sel = counts[coprime]
         expected = n / d  # f(d) = 1
         per_d.append(float(np.max(np.abs(sel - expected))))

@@ -96,6 +96,97 @@ def test_residue_counts_of_object_members():
         assert got.E == math.fsum(per_d)
 
 
+RESIDUE_MEMBERS = {
+    "int64": lambda: ex.members(10**4, "7/5")[1],
+    "object": lambda: ex.members(300, "77/10")[1],  # Python ints past 2^64
+}
+
+
+@pytest.mark.parametrize("layout", RESIDUE_MEMBERS)
+@pytest.mark.parametrize("D", [1, 2, 3, 50, 97])
+def test_residue_tables_equal_one_pass_per_modulus(layout, D):
+    vals = RESIDUE_MEMBERS[layout]()
+    got = list(ex._residue_tables(vals, D))
+    assert sorted(d for d, _ in got) == list(range(1, D + 1))
+    for d, counts in got:
+        want = ex._residue_counts(vals, d)
+        assert counts.dtype == want.dtype and counts.tolist() == want.tolist(), d
+
+
+def test_residue_tables_at_the_largest_default_D():
+    # D = 6324 is the largest D whose D (D + 1) / 2 tables the default cap admits
+    D = 6324
+    assert D * (D + 1) // 2 <= ex.DEFAULT_CAPS.mangoldt_x < (D + 1) * (D + 2) // 2
+    vals = ex.members(100, "3/2")[1]
+    seen = set()
+    for d, counts in ex._residue_tables(vals, D):
+        assert d not in seen and np.array_equal(counts, ex._residue_counts(vals, d)), d
+        seen.add(d)
+    assert seen == set(range(1, D + 1))
+
+
+def test_residue_plan_covers_each_modulus_once():
+    for D in (*range(1, 130), 2000, 6324, 20000):
+        plan = ex._residue_plan(D)
+        assert sorted(d for _, ds in plan for d in ds) == list(range(1, D + 1)), D
+        assert len(plan) <= D
+        for M, ds in plan:
+            assert all(M % d == 0 for d in ds)
+            # a shared modulus passes the cap only as a d past it
+            assert M <= ex._SHARED_CAP or M in ds
+
+
+def test_residue_plan_takes_the_cap_exactly(monkeypatch):
+    # 2^14 int64 counts are 128 KB, the largest table a one-block run holds
+    assert ex._SHARED_CAP == 1 << 14
+    monkeypatch.setattr(ex, "_SHARED_CAP", 12)
+    ex._residue_plan.cache_clear()
+    try:
+        # lcm(6, 4) = 12 reaches the cap and is taken; 5 then stands alone
+        assert [(M, sorted(ds)) for M, ds in ex._residue_plan(6)] == [(12, [1, 2, 3, 4, 6]), (5, [5])]
+        monkeypatch.setattr(ex, "_SHARED_CAP", 14)
+        ex._residue_plan.cache_clear()
+        # lcm(5, 3) = 15 passes the cap, lcm(5, 2) = 10 does not
+        assert [(M, sorted(ds)) for M, ds in ex._residue_plan(5)] == [(10, [1, 2, 5]), (12, [3, 4])]
+    finally:
+        ex._residue_plan.cache_clear()
+
+
+def test_level_error_of_D_50_takes_8_passes(monkeypatch):
+    moduli = []
+    counts = ex._residue_counts
+
+    def counting(vals, d):
+        moduli.append(d)
+        return counts(vals, d)
+
+    want = ex.level_error(10**4, "7/5", 50)
+    monkeypatch.setattr(ex, "_residue_counts", counting)
+    assert ex.level_error(10**4, "7/5", 50) == want
+    assert moduli == [14700, 11280, 12420, 5676, 3198, 1406, 15776, 31]
+
+
+def test_level_error_matches_plain_counts():
+    # int64 members, every d <= 97, against one np.gcd mask per d
+    vals = ex.members(10**4, "7/5")[1]
+    n = vals.size
+    for all_residues in (False, True):
+        per_d = []
+        for d in range(1, 98):
+            counts = ex._residue_counts(vals, d)
+            sel = counts if all_residues else counts[np.gcd(np.arange(d), d) == 1]
+            per_d.append(float(np.max(np.abs(sel - n / d))))
+        assert ex.level_error(10**4, "7/5", 97, all_residues=all_residues).E == math.fsum(per_d)
+
+
+@pytest.mark.parametrize("x, c", [(300, "77/10"), (10**4 + 7, "7/5")])
+def test_level_error_is_the_same_block_by_block(x, c, monkeypatch):
+    want = [ex.level_error(x, c, 97, all_residues=a) for a in (False, True)]
+    for span in (2**13, 16):
+        monkeypatch.setattr(ex, "_SPAN", span)
+        assert [ex.level_error(x, c, 97, all_residues=a) for a in (False, True)] == want, span
+
+
 def test_parallel_runs_equal_sequential(monkeypatch):
     # members of 77/10 at x = 300 reach 2^64, so they are factored one by one;
     # small chunks make jobs=3 spread them over a process pool
@@ -189,11 +280,15 @@ def test_int64_censuses_make_no_signature_calls(monkeypatch):
     monkeypatch.setattr(ex, "is_prime", counting_is_prime)
     monkeypatch.setattr(factor, "is_prime", counting_is_prime)  # is_prime_array's fallback
     monkeypatch.setattr(ex, "is_prime_array", counting_is_prime_array)
+    # the only scalar verdicts are _top_floor's walk down to 999983, the
+    # largest prime <= 10^6; no member is decided one by one
+    walk = list(range(999999, 999982, -2))
     assert ex.squarefree_census(10**6, "7/5").count == 47714
-    assert prime_calls == [] and array_sizes == []
+    assert prime_calls == walk and array_sizes == []
     # only members whose cofactor's primality decides Omega <= 8 are tested
+    prime_calls.clear()
     assert ex.almost_prime_census(10**6, "10521/10000", 8).count == 77157
-    assert prime_calls == [] and array_sizes == [906]
+    assert prime_calls == walk and array_sizes == [906]
 
 
 def test_both_member_layouts_count_alike(monkeypatch):
@@ -420,6 +515,47 @@ def test_members_reach_up_to_factors_bound():
     )
     with pytest.raises(ex.Overflow):
         ex.members(1100, "126/10")  # 128 bits at p = 1097
+
+
+def test_top_floor_walks_to_the_sieves_last_prime():
+    # floor(p^c) grows with p, so equal floors mean equal primes; 1328..1360
+    # lies in the gap after 1327
+    c = ex.as_exponent("3/2")
+    rng = random.Random(30)
+    xs = [2, 3, 4, *range(1327, 1362), 10**6, *(rng.randrange(2, 10**7) for _ in range(40))]
+    for x in xs:
+        assert ex._top_floor(x, c, ex.DEFAULT_CAPS) == floor_pow(int(ex.primes_in(0, x)[-1]), c), x
+    assert {ex._top_floor(x, c, ex.DEFAULT_CAPS) for x in range(1328, 1361)} == {floor_pow(1327, c)}
+    assert ex._top_floor(10**9, c, ex.DEFAULT_CAPS) == floor_pow(999999937, c)
+
+
+def test_top_floor_checks_in_order(monkeypatch):
+    small = Caps(primes_hi=10)
+    with pytest.raises(OutOfRange):
+        ex._top_floor(1, ex.as_exponent("3/2"), small)
+    # past the sieve cap no prime is sought and no floor is taken
+    monkeypatch.setattr(ex, "is_prime", None)
+    monkeypatch.setattr(ex, "floor_pow", None)
+    with pytest.raises(RangeTooLarge, match="^hi=11 exceeds the sieve cap 10$"):
+        ex._top_floor(11, ex.as_exponent("3/2"), small)
+    # 10^11 is past the default cap before floor(p^13.2) could overflow
+    with pytest.raises(RangeTooLarge):
+        ex.members(10**11, "132/10")
+
+
+def test_top_floor_stops_below_2_64(monkeypatch):
+    # below 2^64 every verdict of the walk is deterministic: 2^64 - 59 is the
+    # largest prime there; from 2^64 on x is RangeTooLarge whatever the cap
+    big = Caps(primes_hi=2**70)
+    top = ex._top_floor(2**64 - 1, ex.as_exponent("3/2"), big)
+    assert top == floor_pow(2**64 - 59, "3/2") and factor.primality(2**64 - 59) == (True, True)
+    with pytest.raises(Overflow, match=f"at p={2**64 - 59}$"):
+        ex._top_floor(2**64 - 1, ex.as_exponent("5/2"), big)
+    monkeypatch.setattr(ex, "is_prime", None)
+    monkeypatch.setattr(ex, "primes_in", None)
+    for x in (2**64, 2**64 + 13, 2**69):
+        with pytest.raises(RangeTooLarge, match="2\\^64"):
+            ex.members(x, "3/2", caps=big)
 
 
 def test_invalid_args():
