@@ -171,20 +171,30 @@ def criterion_6(ctx: LabContext):
 
 
 def _omega_oracle(limit: int):
+    """(Omega(n), n squarefree) for 0 <= n <= limit from a sieve of its own,
+    independent of primes_in and factor."""
     omega = np.zeros(limit + 1, dtype=np.int16)
     sf = np.ones(limit + 1, dtype=bool)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+    root = math.isqrt(limit)
+    for p in range(2, root + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    for p in np.flatnonzero(sieve):
+    for p in np.flatnonzero(sieve[: root + 1]):
         pk = p
         while pk <= limit:
             omega[pk::pk] += 1
             pk *= p
-        if p * p <= limit:
-            sf[p * p :: p * p] = False
+        sf[p * p :: p * p] = False
+    # a prime p > sqrt(limit) divides each n <= limit at most once, at n = k*p
+    # with k < p; for one k the n = k*p are distinct, so one fancy-indexed
+    # add per k counts them all
+    large = np.flatnonzero(sieve[root + 1 :])
+    large += root + 1
+    del sieve  # freed before the products, so they add nothing to the peak
+    for k in range(1, limit // (root + 1) + 1):
+        omega[k * large[: np.searchsorted(large, limit // k, side="right")]] += 1
     return omega, sf
 
 

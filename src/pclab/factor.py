@@ -10,7 +10,10 @@ result is flagged probabilistic.  Factorization, up to 2^127 through
 ``factorize`` and ``factor_signature``, is trial division to 10^5 with one
 gcd per block of consecutive primes (the exactness argument is at
 ``_factorize``), followed by Brent-cycle Pollard rho with a deterministic
-constant sequence, so repeated runs agree bit for bit.
+constant sequence, so repeated runs agree bit for bit.  An odd cofactor
+below 2^20 is instead finished by lookups in a 512 KB byte table of least
+prime factors (Crandall & Pomerance, Prime Numbers, 2nd ed., 2005, ch. 3),
+built on first use; why it is exact is said at ``_TABLE_LIMIT``.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and
@@ -272,6 +275,56 @@ def _add_trial_block() -> bool:
     return True
 
 
+# Least prime factors of the odd m below _TABLE_LIMIT, for ``_by_table``:
+# entry m >> 1 holds the index in small_primes() of m's least prime factor,
+# or 0 when m is 1 or prime.  Exact: every odd composite m < 2^20 has a prime
+# factor at most sqrt(m) < 1024; the primes below 1024 are the first
+# _TABLE_PRIMES = 172 of small_primes(), so every index fits a byte; and
+# index 0 is the prime 2, which divides no odd m, so 0 is free to mean
+# "1 or prime".  512 KB, built on first use by ``_least_factor_table``.
+_TABLE_LIMIT = 1 << 20
+_TABLE_PRIMES = 172
+_least_factors = bytearray()
+
+
+def _least_factor_table() -> bytearray:
+    """The least-factor table, built on first use from small_primes().
+
+    The primes 3 to 1021 are written at their odd multiples from p^2, in
+    descending order, so an entry's last writer is its least prime factor.
+    They are written in place through a numpy view, so the build makes no
+    copy; the table is kept as that bytearray, which indexes as fast as bytes.
+    """
+    global _least_factors
+    if not _least_factors:
+        primes = small_primes()
+        table = bytearray(_TABLE_LIMIT >> 1)
+        view = np.frombuffer(table, dtype=np.uint8)
+        for i in range(_TABLE_PRIMES - 1, 0, -1):
+            view[primes[i] ** 2 >> 1 :: primes[i]] = i
+        _least_factors = table
+    return _least_factors
+
+
+def _by_table(m: int, factors: dict[int, int]) -> dict[int, int]:
+    """factors completed by the prime factors of odd m < _TABLE_LIMIT, in ascending order."""
+    table = _least_factors or _least_factor_table()
+    primes = small_primes()
+    i = table[m >> 1]
+    while i:
+        p = primes[i]
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors[p] = e
+        i = table[m >> 1]
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
 # Below 2^30 (one CPython digit) the remaining block gcds decide a cofactor
 # faster than the strong test does.  Any threshold up to 2^64 gives the same
 # result: below it the test is deterministic and agrees with trial division,
@@ -283,11 +336,14 @@ _PRIMALITY_FROM = 1 << 30
 def _factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
     """Complete factorization of n >= 1 as {prime: exponent}.
 
-    Returns (factors, probabilistic_flag).  Trial division runs to 10^5 with
-    one gcd of the cofactor m per trial block (Bernstein, "How to find
-    smooth parts of integers", 2004), and is exact.  A block is entered with
-    no prime below its first prime q left in m, so m < q^2 leaves m equal to
-    1 or a prime, and the division stops.  The gcd g is a product of
+    Returns (factors, probabilistic_flag).  Once the 2s are stripped, an odd
+    m below _TABLE_LIMIT = 2^20 is finished by ``_by_table``, one lookup of
+    the least-factor table per prime factor.  A larger m is trial divided to
+    10^5 with one gcd of the cofactor m per trial block (Bernstein, "How to
+    find smooth parts of integers", 2004), which is exact.  A block is
+    entered with no prime below its first prime q left in m, so m < q^2
+    leaves m equal to 1 or a prime, and the division stops; failing that, a
+    cofactor fallen below 2^20 goes to the table.  The gcd g is a product of
     distinct block primes, any two of which multiply past q^2 and so past
     every block prime: a g up to the block's last prime is that prime, and
     only a larger g is scanned prime by prime.  Found primes enter in
@@ -306,6 +362,8 @@ def _factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]
         e = (m & -m).bit_length() - 1
         factors[2] = e
         m >>= e
+    if m < _TABLE_LIMIT:
+        return _by_table(m, factors), probabilistic
     for p in (3, 5):
         if m % p == 0:
             e = 0
@@ -322,6 +380,8 @@ def _factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]
             if m > 1:
                 factors[m] = 1
             return factors, probabilistic
+        if m < _TABLE_LIMIT:
+            return _by_table(m, factors), probabilistic
         g = gcd(m, product)
         while g > 1:
             if g <= last:
@@ -377,6 +437,14 @@ class _SignatureFields(NamedTuple):
 _tuple_new = tuple.__new__  # bound once, as collections.namedtuple does
 
 
+def _signature(cls, n, omega_big, squarefree, prime, probabilistic):
+    """A cls of these fields, which must be consistent: Omega is 0 exactly
+    for n = 1, and a prime has Omega 1.  Every FactorSignature is built here."""
+    if (omega_big == 0) != (n == 1) or (prime and omega_big != 1):
+        raise OutOfRange(f"inconsistent factor signature for n={n}")
+    return _tuple_new(cls, (n, omega_big, squarefree, prime, probabilistic))
+
+
 class FactorSignature(_SignatureFields):
     """Immutable, compared and hashed by value; inconsistent fields raise
     OutOfRange, also through ``_make`` and ``_replace``."""
@@ -384,9 +452,7 @@ class FactorSignature(_SignatureFields):
     __slots__ = ()
 
     def __new__(cls, n, omega_big, squarefree, prime, probabilistic=False):
-        if (omega_big == 0) != (n == 1) or (prime and omega_big != 1):
-            raise OutOfRange(f"inconsistent factor signature for n={n}")
-        return _tuple_new(cls, (n, omega_big, squarefree, prime, probabilistic))
+        return _signature(cls, n, omega_big, squarefree, prime, probabilistic)
 
     @classmethod
     def _make(cls, iterable):
@@ -409,7 +475,7 @@ def factor_signature(n: int) -> FactorSignature:
     factors, probabilistic = _factorize(n)
     omega = sum(factors.values())
     # every exponent is at least 1, so omega == len(factors) only if all are 1
-    return FactorSignature(n, omega, omega == len(factors), omega == 1 and n in factors, probabilistic)
+    return _signature(FactorSignature, n, omega, omega == len(factors), omega == 1 and n in factors, probabilistic)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -282,7 +282,7 @@ def test_is_prime_agrees_with_the_sieve():
 
 
 def test_primality_work_is_pinned_as_counts(monkeypatch):
-    calls = {"witness": 0, "primality": 0, "gcd": 0}
+    calls = {"witness": 0, "primality": 0, "gcd": 0, "table": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -293,22 +293,32 @@ def test_primality_work_is_pinned_as_counts(monkeypatch):
     monkeypatch.setattr(factor, "_mr_composite_witness", counting("witness", factor._mr_composite_witness))
     monkeypatch.setattr(factor, "primality", counting("primality", factor.primality))
     monkeypatch.setattr(factor, "gcd", counting("gcd", factor.gcd))
+    monkeypatch.setattr(factor, "_by_table", counting("table", factor._by_table))
     # below 1,373,653 the strong test takes bases 2 and 3 only
     assert sum(map(factor.is_prime, range(10**6, 10**6 + 10**4))) == 753
     assert calls["witness"] == 2239
-    # below 2^30 the trial blocks decide every cofactor, one gcd per block
-    # reached, with no strong test
+    # below 2^20 the least-factor table decides every odd part on entry,
+    # with no gcd and no strong test
     calls["primality"] = 0
     for n in range(1, 10**5 + 1):
         factor.factor_signature(n)
-    assert calls["primality"] == 0
-    assert calls["gcd"] == 141139
-    # from 2^30 on a cofactor left above the square of a found prime is tested
-    calls["primality"] = calls["gcd"] = 0
+    assert calls["primality"] == calls["gcd"] == 0
+    assert calls["table"] == 10**5
+    # from 2^30 on a cofactor left above the square of a found prime is
+    # tested; the blocks take a gcd each until the cofactor falls below 2^20
+    calls["primality"] = calls["gcd"] = calls["table"] = 0
     for n in range(2**40, 2**40 + 1000):
         factor.factor_signature(n)
     assert calls["primality"] == 855
-    assert calls["gcd"] == 36021
+    assert calls["gcd"] == 36015
+    assert calls["table"] == 7
+    # the m < q^2 stop rule comes before the table: 101 is below 53^2 when
+    # the block of 53 is reached, and 101 * 103 is not
+    calls["table"] = 0
+    assert factor.factorize(7 * 11 * 13 * 17 * 19 * 23 * 101) == dict.fromkeys((7, 11, 13, 17, 19, 23, 101), 1)
+    assert calls["table"] == 0
+    assert factor.factorize(7 * 11 * 13 * 17 * 19 * 23 * 101 * 103)[103] == 1
+    assert calls["table"] == 1
 
 
 def test_is_prime_probabilistic_path():
@@ -480,6 +490,10 @@ def test_factorize_unchanged_at_the_block_edges():
     for q, last, nxt in zip(firsts, lasts, firsts[1:]):
         for n in (q * q, last * last, q * last, last * nxt, nxt * nxt, q * last * nxt, q**3 * nxt):
             ns += [n, 210 * n]
+    # times 1048583, a prime above 2^20, every edge also goes through the
+    # block gcds rather than the least-factor table
+    assert factor.is_prime(1048583) and 1048583 > factor._TABLE_LIMIT
+    ns += [n * 1048583 for n in ns]
     assert_factorize_unchanged(ns)
 
 
@@ -512,12 +526,54 @@ def test_factorize_unchanged_on_probable_primes_and_timeouts():
 def test_import_and_small_factorizations_build_only_small_blocks():
     src = str(Path(pclab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import pclab.cli; from pclab import factor; n0 = len(factor._trial_blocks); "
+    code = ("import pclab.cli; from pclab import factor; "
+            "n0, t0 = len(factor._trial_blocks), len(factor._least_factors); "
             "factor.factor_signature(2 * 3 * 5 * 7 * 11 * 13 * 101 * 103); "
-            "print(n0, len(factor._trial_blocks), factor._trial_blocks[-1][1])")
+            "print(n0, t0, len(factor._trial_blocks), factor._trial_blocks[-1][1])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    n0, n1, last = map(int, out.stdout.split())
-    assert n0 == 0 and n1 <= 3 and last < 2000
+    n0, t0, n1, last = map(int, out.stdout.split())
+    # importing builds neither the trial blocks nor the least-factor table
+    assert n0 == 0 and t0 == 0 and n1 <= 3 and last < 2000
+
+
+def test_least_factor_table_against_remainders():
+    table = np.frombuffer(factor._least_factor_table(), dtype=np.uint8)
+    assert table.size == factor._TABLE_LIMIT // 2
+    m = np.arange(1, factor._TABLE_LIMIT, 2, dtype=np.int64)
+    least = np.zeros(m.size, dtype=np.int64)
+    for p in primes_in(2, 1024).tolist():  # ascending, so the first hit is the least factor
+        least[(least == 0) & (m % p == 0) & (m > p)] = p
+    index = np.searchsorted(np.array(factor.small_primes()), least)
+    assert np.array_equal(table, np.where(least > 0, index, 0))
+
+
+def test_least_factor_table_bound():
+    primes = factor.small_primes()
+    # the table's primes run to the last one below sqrt(_TABLE_LIMIT) ...
+    assert primes[factor._TABLE_PRIMES] ** 2 > factor._TABLE_LIMIT
+    # ... and each index fits a byte
+    assert factor._TABLE_PRIMES - 1 <= 255
+    assert max(factor._least_factor_table()) == factor._TABLE_PRIMES - 1
+
+
+def test_block_path_alone_matches_the_oracle(monkeypatch):
+    # with no table every odd part goes through the trial blocks
+    monkeypatch.setattr(factor, "_TABLE_LIMIT", 1)
+    limit = 1 << 17
+    omega, squarefree = _omega_oracle(limit)
+    got = [factor.factor_signature(n) for n in range(1, limit + 1)]
+    assert [s.omega_big for s in got] == omega[1:].tolist()
+    assert [s.squarefree for s in got] == squarefree[1:].tolist()
+
+
+@pytest.mark.parametrize("limit", [2 * 10**4, 139**2, 141**2, 100**2])
+def test_omega_oracle_matches_trial_division(limit):
+    # 139 is prime and 141 = 3 * 47 is not: the largest small prime of the
+    # oracle's sieve is sqrt(limit) itself, or below it
+    omega, squarefree = _omega_oracle(limit)
+    assert omega[0] == 0 and omega.size == limit + 1
+    want = [trial_signature(n) for n in range(1, limit + 1)]
+    assert list(zip(omega[1:].tolist(), squarefree[1:].tolist())) == want
 
 
 def test_signature_arrays_agree_with_the_sieve_oracle_to_1e6():
