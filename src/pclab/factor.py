@@ -14,6 +14,8 @@ constant sequence, so repeated runs agree bit for bit.  An odd cofactor
 below 2^20 is instead finished by lookups in a 512 KB byte table of least
 prime factors (Crandall & Pomerance, Prime Numbers, 2nd ed., 2005, ch. 3),
 built on first use; why it is exact is said at ``_TABLE_LIMIT``.
+``factor_signature`` counts such an odd part straight off the table,
+without building its factorization.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and
@@ -467,15 +469,42 @@ def is_prime(n: int) -> bool:
 def factor_signature(n: int) -> FactorSignature:
     """Omega, squarefree and primality flags from a complete factorization.
 
+    When the odd part m of n is below _TABLE_LIMIT, Omega and squarefreeness
+    are counted straight off the least-factor table, with no factorization
+    built: each lookup gives the least prime q of m, m is divided by q once,
+    and a q equal to the one before it, or a prime left over equal to the
+    last q, is a repeated factor.  A larger odd part is factored by
+    ``_factorize``.  Either way n is prime exactly when Omega(n) = 1.
+
     Raises FactorizationTimeout (with the partial factorization attached)
     if Brent rho runs past its 2^24 iterations.
     """
     if n < 1 or n >= TWO127:
         raise OutOfRange("factor_signature needs 1 <= n < 2^127")
+    twos = (n & -n).bit_length() - 1
+    m = n >> twos
+    if m < _TABLE_LIMIT:
+        table = _least_factors or _least_factor_table()
+        primes = small_primes()
+        omega = twos + (m > 1)
+        squarefree = twos < 2
+        q = 0
+        i = table[m >> 1]
+        while i:
+            p = primes[i]
+            if p == q:
+                squarefree = False
+            q = p
+            m //= p
+            omega += 1
+            i = table[m >> 1]
+        if m == q:
+            squarefree = False
+        return _signature(FactorSignature, n, omega, squarefree, omega == 1, False)
     factors, probabilistic = _factorize(n)
     omega = sum(factors.values())
     # every exponent is at least 1, so omega == len(factors) only if all are 1
-    return _signature(FactorSignature, n, omega, omega == len(factors), omega == 1 and n in factors, probabilistic)
+    return _signature(FactorSignature, n, omega, omega == len(factors), omega == 1, probabilistic)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -282,7 +282,7 @@ def test_is_prime_agrees_with_the_sieve():
 
 
 def test_primality_work_is_pinned_as_counts(monkeypatch):
-    calls = {"witness": 0, "primality": 0, "gcd": 0, "table": 0}
+    calls = {"witness": 0, "primality": 0, "gcd": 0, "table": 0, "factorize": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -294,24 +294,31 @@ def test_primality_work_is_pinned_as_counts(monkeypatch):
     monkeypatch.setattr(factor, "primality", counting("primality", factor.primality))
     monkeypatch.setattr(factor, "gcd", counting("gcd", factor.gcd))
     monkeypatch.setattr(factor, "_by_table", counting("table", factor._by_table))
+    monkeypatch.setattr(factor, "_factorize", counting("factorize", factor._factorize))
     # below 1,373,653 the strong test takes bases 2 and 3 only
     assert sum(map(factor.is_prime, range(10**6, 10**6 + 10**4))) == 753
     assert calls["witness"] == 2239
-    # below 2^20 the least-factor table decides every odd part on entry,
-    # with no gcd and no strong test
+    # below 2^20 factor_signature counts every odd part straight off the
+    # least-factor table, with no factorization, no gcd and no strong test
     calls["primality"] = 0
     for n in range(1, 10**5 + 1):
         factor.factor_signature(n)
+    assert calls["factorize"] == calls["primality"] == calls["gcd"] == calls["table"] == 0
+    # factorize finishes each of those odd parts with _by_table on entry
+    for n in range(1, 10**5 + 1):
+        factor.factorize(n)
+    assert calls["table"] == calls["factorize"] == 10**5
     assert calls["primality"] == calls["gcd"] == 0
-    assert calls["table"] == 10**5
     # from 2^30 on a cofactor left above the square of a found prime is
-    # tested; the blocks take a gcd each until the cofactor falls below 2^20
-    calls["primality"] = calls["gcd"] = calls["table"] = 0
+    # tested; the blocks take a gcd each until the cofactor falls below 2^20.
+    # 2^40 itself has odd part 1, so it alone is not factored.
+    calls["primality"] = calls["gcd"] = calls["table"] = calls["factorize"] = 0
     for n in range(2**40, 2**40 + 1000):
         factor.factor_signature(n)
+    assert calls["factorize"] == 999
     assert calls["primality"] == 855
     assert calls["gcd"] == 36015
-    assert calls["table"] == 7
+    assert calls["table"] == 6
     # the m < q^2 stop rule comes before the table: 101 is below 53^2 when
     # the block of 53 is reached, and 101 * 103 is not
     calls["table"] = 0
@@ -564,6 +571,41 @@ def test_block_path_alone_matches_the_oracle(monkeypatch):
     got = [factor.factor_signature(n) for n in range(1, limit + 1)]
     assert [s.omega_big for s in got] == omega[1:].tolist()
     assert [s.squarefree for s in got] == squarefree[1:].tolist()
+
+
+def factorization_signature(n):
+    """factor_signature(n)'s fields formed from _factorize's dict, by the rule
+    it had before odd parts were counted straight off the least-factor table."""
+    factors, probabilistic = factor._factorize(n)
+    omega = sum(factors.values())
+    return n, omega, omega == len(factors), omega == 1 and n in factors, probabilistic
+
+
+def test_table_signatures_match_the_factorization_and_the_oracle(monkeypatch):
+    # every n to 2^21, whose odd parts lie on both sides of _TABLE_LIMIT, and
+    # n = 2^k m for odd parts m around 2^20, squares of table primes and
+    # powers of 3
+    below = [2**20 - 1, 1048573, 1019 * 1021, 1021**2, 3**12]
+    above = [2**20 + 1, 1048583, 3**13]
+    ns = [*range(1, (1 << 21) + 1), *(m << k for m in below + above for k in range(4))]
+    got = list(map(factor.factor_signature, ns))
+    omega, squarefree = _omega_oracle(max(ns))
+    assert [s.omega_big for s in got] == omega[ns].tolist()
+    assert [s.squarefree for s in got] == squarefree[ns].tolist()
+    # an odd part from 2^20 on is factored by both, so only the odd parts
+    # below it, which the table decides, are compared with the factorization
+    table = [*range(1, 1 << 20), *range(1 << 20, (1 << 21) + 1, 2), *(m << k for m in below for k in range(4))]
+    got = dict(zip(ns, got))
+    assert [got[n] for n in table] == list(map(factorization_signature, table))
+    # the limit is read at each call, and an odd part equal to it is factored
+    limit = 1021**2
+    ns = [limit - 2, limit, 2 * limit]
+    want = [factorization_signature(n) for n in ns]
+    factored = []
+    monkeypatch.setattr(factor, "_TABLE_LIMIT", limit)
+    monkeypatch.setattr(factor, "_factorize", lambda n, f=factor._factorize: factored.append(n) or f(n))
+    assert [factor.factor_signature(n) for n in ns] == want
+    assert factored == [limit, 2 * limit]
 
 
 @pytest.mark.parametrize("limit", [2 * 10**4, 139**2, 141**2, 100**2])
