@@ -467,7 +467,7 @@ def is_prime(n: int) -> bool:
 
 
 def factor_signature(n: int) -> FactorSignature:
-    """Omega, squarefree and primality flags from a complete factorization.
+    """Omega, squarefree and primality flags of n.
 
     When the odd part m of n is below _TABLE_LIMIT, Omega and squarefreeness
     are counted straight off the least-factor table, with no factorization

@@ -152,36 +152,94 @@ def test_a_scoped_flag_before_the_subcommand_is_named(capsys):
 # sha256 of each leaf command's stdout in jsonl and csv, keyed by its path;
 # re-pinning one is a listed change, as for the fixtures
 _GOLDEN_STDOUT = {
-    'floor': ('d49ea5293af510566f3155bbc98688e475f973626c30eda4b5a13ca9d0bec1a4', '7936301d109a0802d4dab55a6e7c7f92e0115ce37568ef1adb70f9c8e27a4aec'),
-    'census': ('ccffbf7d9cce8faa22dd2cbdb6a4128b50f33c68c68d0d0a31b9009fe1f92741', '5b075b742a64ffe49210ece7de5cf554d764a3c2f798081cb2b20628b80d0ccb'),
-    'squarefree': ('5f9a9823bc6697cf28e4331baca57aa0532418acffbafbe1a9d219a9351e6ac1', '58785e7128f64df193de99785464343a9284a8c7de4e6709f6bd69ff1aadc156'),
-    'psprimes': ('27e30afdbf2194098a7a1fc1d504c4a256caf004c33fb6bd40c0a802c481c108', '682bf03b5289f198ec101486cf94da013e61a03f2433409291b4acec953dbafa'),
-    'histogram': ('d4202ed2c3e0d16decddb3bb9dea10054019da3bb3e08f37187d10543b692e51', '21aec29c48fc9769e2261333fd0d4d8226b00cb0364ee8a546b9025ed42badeb'),
-    'leveldist': ('96eb111588351b34587069f425c84535da42351881473511d85d42980ecc161a', 'dfb3f86cd26674f29c1b82db67f66ca12ecb29df822a1c4eab0dcb8b39937451'),
-    'discrepancy': ('953fb00e718618693143fca97873500cac5c98f5a15f6bae4fc5088fbfe708ba', 'afe7f3498c9e806073a4c9d639ed69aa2c402dc8f14fd174b5aef2a893881c1e'),
-    'expsum weyl': ('9a02dd38256afb9dc2c168dfa7033aec68988ea95bfeb1bc529ffda01e411176', '53c5b20361d192074094ca91ea47aead601733084bece38c40e1accd4925a0d3'),
-    'expsum prime': ('22dd77cd41eb1822608b5f4273b03907835fa6ee2cd29529330efa23a245473d', 'ce10b8e140f55a7bdebba93af0fb5a7bde2ea977501194707538c1a0a6464d15'),
-    'expsum trilinear': ('7ee4bd77d98df120e2666c4e73a78df70cdb4e717a7db4f8d7448024906513d2', '5127c38abfe9d1dcf1cd35e77bcf05c9f01737e06f02491d384668f9a1b28ef2'),
-    'expsum triple': ('d75e2cd3a60948f3a866125b05e72a2c6842101d93d8af3160d6cf5d94a7889d', '55e414052c2e1a232334f1963c564ac710c0574a1c7f2c30b4ebb09a35d46f20'),
-    'constants delta': ('a8a7fde1ae4f37e91ee26a5e959fae9be414d2353af9bbf8fbd4b517442be175', '5fb52500e99c54cdb514aede4d589549f1cbf451396a2ce1d37d156243429cd1'),
-    'constants table': ('ae8726e524ae8147bf1fe69f161d85eb988479a507a3c477ade4f33a4ff6fd1c', '8317254613d136944836452919f3c9df273a78a886fc2ac8aff814b4857542c7'),
-    'constants lemma23': ('2309c0f276e802cc0447f2343465b6c245ab3f8d4072c2c5f40fa742bcbea6a9', '40616a31448f23a846dfe5d296932c1a916ec9113a9b4c0933fd3d6940cff02f'),
-    'constants maxc': ('9848111cc9d8e09f3013b0049fc92e283c0d3238b1adae2f53c306180e607916', 'bcf553bf29a4274701b92a287894bcc0ec098fd7dfbd72d641c289253e1e09b9'),
-    'constants sigma': ('714821e8b950d7c0d76adc8e172a6bbdb0313b4f01fce7a084977e42b58ecb5d', '74668dfef200d4e6a56563001c07804f9874d53e831e2a79c19835073c6685be'),
-    'constants rbound': ('79cbb40bdbe58e7ac09f12ef14907eb6e6e46280f00470bfdb30252b80cd22ab', '5842ef8906a2fcd05e46e227a8cad5536e5957d932b088c1c1aa0459c1d0080a'),
-    'constants regime': ('6a17b35013103bd8842568bfbfce9881ca20dbd570e8a0d6ddbb26f101240d6f', '14bef47d49f16ada561c9f8d7f5a95a18b62fdf655c0ecab0c801e2322bb9d85'),
-    'constants threshold': ('57fb22d55adb92afadf6904cd5991e34e2b37db0707bc01dd4a19b9393ebf5ec', 'dd2537ed0ec4936a2ac9eaa61fc42f9b6d35e2b34105393d593411686a81e0f2'),
-    'constants margins': ('585420ea9963bbb0b1bf29ee3defb7a8e626417a5295570de8b8df77dda3967a', '03ff524a2fb3c9f6bee5ef336e44040efd1b4c9510eafbea0dc0549d0bd02491'),
+    ("floor",): (
+        "d49ea5293af510566f3155bbc98688e475f973626c30eda4b5a13ca9d0bec1a4",
+        "7936301d109a0802d4dab55a6e7c7f92e0115ce37568ef1adb70f9c8e27a4aec",
+    ),
+    ("census",): (
+        "ccffbf7d9cce8faa22dd2cbdb6a4128b50f33c68c68d0d0a31b9009fe1f92741",
+        "5b075b742a64ffe49210ece7de5cf554d764a3c2f798081cb2b20628b80d0ccb",
+    ),
+    ("squarefree",): (
+        "5f9a9823bc6697cf28e4331baca57aa0532418acffbafbe1a9d219a9351e6ac1",
+        "58785e7128f64df193de99785464343a9284a8c7de4e6709f6bd69ff1aadc156",
+    ),
+    ("psprimes",): (
+        "27e30afdbf2194098a7a1fc1d504c4a256caf004c33fb6bd40c0a802c481c108",
+        "682bf03b5289f198ec101486cf94da013e61a03f2433409291b4acec953dbafa",
+    ),
+    ("histogram",): (
+        "d4202ed2c3e0d16decddb3bb9dea10054019da3bb3e08f37187d10543b692e51",
+        "21aec29c48fc9769e2261333fd0d4d8226b00cb0364ee8a546b9025ed42badeb",
+    ),
+    ("leveldist",): (
+        "96eb111588351b34587069f425c84535da42351881473511d85d42980ecc161a",
+        "dfb3f86cd26674f29c1b82db67f66ca12ecb29df822a1c4eab0dcb8b39937451",
+    ),
+    ("discrepancy",): (
+        "953fb00e718618693143fca97873500cac5c98f5a15f6bae4fc5088fbfe708ba",
+        "afe7f3498c9e806073a4c9d639ed69aa2c402dc8f14fd174b5aef2a893881c1e",
+    ),
+    ("expsum", "weyl"): (
+        "9a02dd38256afb9dc2c168dfa7033aec68988ea95bfeb1bc529ffda01e411176",
+        "53c5b20361d192074094ca91ea47aead601733084bece38c40e1accd4925a0d3",
+    ),
+    ("expsum", "prime"): (
+        "22dd77cd41eb1822608b5f4273b03907835fa6ee2cd29529330efa23a245473d",
+        "ce10b8e140f55a7bdebba93af0fb5a7bde2ea977501194707538c1a0a6464d15",
+    ),
+    ("expsum", "trilinear"): (
+        "7ee4bd77d98df120e2666c4e73a78df70cdb4e717a7db4f8d7448024906513d2",
+        "5127c38abfe9d1dcf1cd35e77bcf05c9f01737e06f02491d384668f9a1b28ef2",
+    ),
+    ("expsum", "triple"): (
+        "d75e2cd3a60948f3a866125b05e72a2c6842101d93d8af3160d6cf5d94a7889d",
+        "55e414052c2e1a232334f1963c564ac710c0574a1c7f2c30b4ebb09a35d46f20",
+    ),
+    ("constants", "delta"): (
+        "a8a7fde1ae4f37e91ee26a5e959fae9be414d2353af9bbf8fbd4b517442be175",
+        "5fb52500e99c54cdb514aede4d589549f1cbf451396a2ce1d37d156243429cd1",
+    ),
+    ("constants", "table"): (
+        "ae8726e524ae8147bf1fe69f161d85eb988479a507a3c477ade4f33a4ff6fd1c",
+        "8317254613d136944836452919f3c9df273a78a886fc2ac8aff814b4857542c7",
+    ),
+    ("constants", "lemma23"): (
+        "2309c0f276e802cc0447f2343465b6c245ab3f8d4072c2c5f40fa742bcbea6a9",
+        "40616a31448f23a846dfe5d296932c1a916ec9113a9b4c0933fd3d6940cff02f",
+    ),
+    ("constants", "maxc"): (
+        "9848111cc9d8e09f3013b0049fc92e283c0d3238b1adae2f53c306180e607916",
+        "bcf553bf29a4274701b92a287894bcc0ec098fd7dfbd72d641c289253e1e09b9",
+    ),
+    ("constants", "sigma"): (
+        "714821e8b950d7c0d76adc8e172a6bbdb0313b4f01fce7a084977e42b58ecb5d",
+        "74668dfef200d4e6a56563001c07804f9874d53e831e2a79c19835073c6685be",
+    ),
+    ("constants", "rbound"): (
+        "79cbb40bdbe58e7ac09f12ef14907eb6e6e46280f00470bfdb30252b80cd22ab",
+        "5842ef8906a2fcd05e46e227a8cad5536e5957d932b088c1c1aa0459c1d0080a",
+    ),
+    ("constants", "regime"): (
+        "6a17b35013103bd8842568bfbfce9881ca20dbd570e8a0d6ddbb26f101240d6f",
+        "14bef47d49f16ada561c9f8d7f5a95a18b62fdf655c0ecab0c801e2322bb9d85",
+    ),
+    ("constants", "threshold"): (
+        "57fb22d55adb92afadf6904cd5991e34e2b37db0707bc01dd4a19b9393ebf5ec",
+        "dd2537ed0ec4936a2ac9eaa61fc42f9b6d35e2b34105393d593411686a81e0f2",
+    ),
+    ("constants", "margins"): (
+        "585420ea9963bbb0b1bf29ee3defb7a8e626417a5295570de8b8df77dda3967a",
+        "03ff524a2fb3c9f6bee5ef336e44040efd1b4c9510eafbea0dc0549d0bd02491",
+    ),
 }
 
 
 def test_leaf_command_stdout_is_pinned():
-    assert set(_GOLDEN_STDOUT) == {" ".join(path) for path in _LEAF_ARGV if path != ("verify",)}
-    for path, argv in _LEAF_ARGV.items():
-        if path == ("verify",):
-            continue
-        for fmt, want in zip(("jsonl", "csv"), _GOLDEN_STDOUT[" ".join(path)]):
-            code, out = run_cli([*path, *argv, "--format", fmt])
+    assert set(_GOLDEN_STDOUT) == set(_LEAF_ARGV) - {("verify",)}
+    for path, hashes in _GOLDEN_STDOUT.items():
+        for fmt, want in zip(("jsonl", "csv"), hashes):
+            code, out = run_cli([*path, *_LEAF_ARGV[path], "--format", fmt])
             assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, (path, fmt)
 
 
