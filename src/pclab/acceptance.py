@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import repeat
 
 import numpy as np
 
@@ -260,91 +261,121 @@ def criterion_11(ctx: LabContext):
     return ok, {"worst_rel_dev": worst, "worst_at_d_s": list(worst_at), "level_D1": lv.E}
 
 
-def _oracle_weyl(c, theta, delta, n_scale):
-    import mpmath as mp
+# Criterion 12's oracles sum w e(t) at mpmath's working precision for 60
+# digits, _K bits, through one fixed-point kernel on raw mpmath.libmp calls:
+# _oracle_terms reads frac(t) exactly off the low _K bits of 2^_K t and takes
+# e(frac t) from one mpf_cos_sin_pi, and _oracle_sum adds the weighted cos and
+# sin as exact ints, so the order of the terms does not matter.  mpmath loads
+# on an oracle's first call, never at import.
+_K = 203  # bits at mpmath.workdps(60)
+# c = a/b with b up to this takes one root of an exact integer (2.5 us a
+# term less than mpf_pow's log and exp at 11/5); a larger b, as in
+# 10521/10000, would make that integer huge
+_ROOT_MAX_DEN = 8
 
-    ce = as_exponent(c)
-    th = F(theta)
+
+def _power(ce, h):
+    """n -> h n^c as a raw mpf at _K bits: the b-th root of h^b n^a for
+    c = a/b with b <= _ROOT_MAX_DEN, else mpf_pow times h."""
+    from mpmath.libmp import from_int, from_rational, mpf_mul, mpf_nthroot, mpf_pow, round_nearest
+
+    a, b = ce.num, ce.den
+    if b <= _ROOT_MAX_DEN:
+        hb = h**b
+        return lambda n: mpf_nthroot(from_int(hb * n**a), b, _K, round_nearest)
+    cexp, fh = from_rational(a, b, _K, round_nearest), from_int(h)
+    return lambda n: mpf_mul(mpf_pow(from_int(n), cexp, _K, round_nearest), fh, _K, round_nearest)
+
+
+def _oracle_terms(phases):
+    """(u, cos, sin) for each raw mpf phase t, all ints scaled by 2^_K:
+    u = floor(2^_K t) mod 2^_K, so u / 2^_K is frac(t) less under 2^-_K,
+    and cos, sin are those of 2 pi u / 2^_K, from mpf_cos_sin_pi at _K bits."""
+    from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest, to_fixed
+
+    mask = (1 << _K) - 1
+    for t in phases:
+        u = to_fixed(t, _K) & mask
+        cos, sin = mpf_cos_sin_pi(from_man_exp(u, 1 - _K), _K, round_nearest)
+        yield u, to_fixed(cos, _K), to_fixed(sin, _K)
+
+
+def _oracle_sum(weights, phases) -> tuple[int, int]:
+    """(sum w cos, sum w sin) over the int weights w and _oracle_terms(phases),
+    exact: scaled by 2^_K times the weights' own scale."""
+    re = im = 0
+    for w, (_, cos, sin) in zip(weights, _oracle_terms(phases)):
+        re += w * cos
+        im += w * sin
+    return re, im
+
+
+def _oracle_weyl(c, theta, delta, n_scale):
+    """sum of e(z^c n_scale^delta) over m < z <= 2m, m = floor(n_scale^theta),
+    through _oracle_sum, as the nearest complex double."""
+    from mpmath.libmp import from_int, from_rational, mpf_mul, mpf_pow, round_nearest
+
+    th, de = F(theta), F(delta)
     m = iroot(n_scale ** th.numerator, th.denominator)
-    de = F(delta)
-    with mp.workdps(60):
-        cexp = mp.mpf(ce.num) / ce.den
-        scale = mp.mpf(n_scale) ** (mp.mpf(de.numerator) / de.denominator)
-        re, im = mp.mpf(0), mp.mpf(0)
-        for z in range(2 * m, m, -1):  # reversed order
-            t = mp.mpf(z) ** cexp * scale
-            e = mp.expjpi(2 * (t - mp.floor(t)))
-            re += e.real
-            im += e.imag
-        return complex(float(re), float(im))
+    scale = mpf_pow(from_int(n_scale), from_rational(de.numerator, de.denominator, _K, round_nearest),
+                    _K, round_nearest)
+    power = _power(as_exponent(c), 1)
+    re, im = _oracle_sum(repeat(1), (mpf_mul(power(z), scale, _K, round_nearest) for z in range(m + 1, 2 * m + 1)))
+    return complex(re / 2**_K, im / 2**_K)
 
 
 def _oracle_prime(x, c, h, d):
-    import mpmath as mp
+    """sum of e(h p^c / d) over the primes p <= x through _oracle_sum, as the
+    nearest complex double."""
+    from mpmath.libmp import from_int, mpf_div, round_nearest
 
     from .primes import primes_in
 
-    ce = as_exponent(c)
-    ps = primes_in(0, x)[::-1]
-    with mp.workdps(60):
-        cexp = mp.mpf(ce.num) / ce.den
-        re, im = mp.mpf(0), mp.mpf(0)
-        for p in ps.tolist():
-            t = mp.mpf(p) ** cexp * h / d
-            e = mp.expjpi(2 * (t - mp.floor(t)))
-            re += e.real
-            im += e.imag
-        return complex(float(re), float(im))
+    power, fd = _power(as_exponent(c), h), from_int(d)
+    ps = primes_in(0, x).tolist()
+    re, im = _oracle_sum(repeat(1), (mpf_div(power(p), fd, _K, round_nearest) for p in ps))
+    return complex(re / 2**_K, im / 2**_K)
 
 
 def _oracle_trilinear(d_scale, m_scale, l_scale, h, c, seed):
-    import mpmath as mp
+    """sum of c_d a_m b_l e(h (l m)^c / d) over d_scale < d <= 2 d_scale and
+    likewise m and l, with pm1_weights(seed) weights, through _oracle_sum, as
+    the nearest complex double."""
+    from mpmath.libmp import from_int, mpf_div, round_nearest
 
-    ce = as_exponent(c)
     stream = pm1_weights(seed, d_scale + m_scale + l_scale)
     cd = stream[:d_scale]
     am = stream[d_scale : d_scale + m_scale]
     bl = stream[d_scale + m_scale :]
-    with mp.workdps(60):
-        cexp = mp.mpf(ce.num) / ce.den
-        # (l m)^c, shared by every d
-        pw = [[mp.mpf((l_scale + 1 + li) * (m_scale + 1 + mi)) ** cexp for li in range(l_scale)]
-              for mi in range(m_scale)]
-        re, im = mp.mpf(0), mp.mpf(0)
-        for di in range(d_scale - 1, -1, -1):
-            dd = d_scale + 1 + di
-            for mi in range(m_scale - 1, -1, -1):
-                for li in range(l_scale - 1, -1, -1):
-                    w = cd[di] * am[mi] * bl[li]
-                    t = pw[mi][li] * h / dd
-                    e = mp.expjpi(2 * (t - mp.floor(t)))
-                    re += w * e.real
-                    im += w * e.imag
-        return complex(float(re), float(im))
+    power = _power(as_exponent(c), h)
+    # (a_m b_l, h (l m)^c), shared by every d
+    pw = [(am[mi] * bl[li], power((l_scale + 1 + li) * (m_scale + 1 + mi)))
+          for mi in range(m_scale) for li in range(l_scale)]
+    fds = [from_int(d_scale + 1 + di) for di in range(d_scale)]
+    re, im = _oracle_sum((cw * w for cw in cd for w, _ in pw),
+                         (mpf_div(t, fd, _K, round_nearest) for fd in fds for _, t in pw))
+    return complex(re / 2**_K, im / 2**_K)
 
 
 def _oracle_triple(x, d_scale, h_count, c):
-    import mpmath as mp
+    """sum over h <= h_count and d_scale < d <= 2 d_scale of
+    |sum of Lambda(n) e(h n^c / d) over x < n <= 2x|, each inner sum from
+    _oracle_sum with log p at _K bits as its weight, as the nearest double."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, round_nearest, to_fixed
 
     ce = as_exponent(c)
     table = mangoldt_table(2 * x)
     sel = (table.ns > x) & (table.ns <= 2 * x)
     ns = table.ns[sel].tolist()
-    ps = table.ps[sel].tolist()
-    with mp.workdps(60):
-        cexp = mp.mpf(ce.num) / ce.den
-        total = mp.mpf(0)
-        for h in range(h_count, 0, -1):
-            for dd in range(2 * d_scale, d_scale, -1):
-                re, im = mp.mpf(0), mp.mpf(0)
-                for n_val, p in zip(reversed(ns), reversed(ps)):
-                    t = mp.mpf(n_val) ** cexp * h / dd
-                    w = mp.log(p)
-                    e = mp.expjpi(2 * (t - mp.floor(t)))
-                    re += w * e.real
-                    im += w * e.imag
-                total += mp.sqrt(re * re + im * im)
-        return float(total)
+    logs = [to_fixed(mpf_log(from_int(p), _K, round_nearest), _K) for p in table.ps[sel].tolist()]
+    total = 0  # scaled by 4^_K: each |sum| is the floor of an exact int's square root
+    for h in range(1, h_count + 1):
+        power = _power(ce, h)
+        for dd in range(d_scale + 1, 2 * d_scale + 1):
+            fd = from_int(dd)
+            re, im = _oracle_sum(logs, (mpf_div(power(n), fd, _K, round_nearest) for n in ns))
+            total += math.isqrt(re * re + im * im)
+    return total / 4**_K
 
 
 def _close(a: complex, b: complex) -> bool:

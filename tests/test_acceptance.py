@@ -171,3 +171,61 @@ def test_oracles_match_a_cos_sin_evaluation():
     assert abs(ac._oracle_trilinear(2, 8, 5, 1, "10521/10000", 42) - want_trilinear) <= 1e-40
     assert abs(ac._oracle_weyl("5/2", ac.F(1), ac.F(3, 10), 100) - want_weyl) <= 1e-40
     assert abs(ac._oracle_triple(100, 2, 2, "3/2") - want_triple) <= 1e-40
+
+
+def test_oracle_kernel_matches_100_digits(monkeypatch):
+    """Seeded terms of each oracle, as the oracle hands them to _oracle_sum:
+    the kernel's u / 2^K is frac(t) to 2^-150 and its cos and sin ints are
+    those of 2 pi u / 2^K to 2^-190, both against mpmath at 100 digits."""
+    import random
+
+    import mpmath as mp
+
+    from pclab.primes import mangoldt_table, primes_in
+
+    calls = []
+    kernel_sum = ac._oracle_sum
+
+    def spy(weights, phases):
+        phases = list(phases)
+        calls.append(phases)
+        return kernel_sum(weights, phases)
+
+    monkeypatch.setattr(ac, "_oracle_sum", spy)
+    ac._oracle_weyl("5/2", ac.F(1), ac.F(3, 10), 100)
+    ac._oracle_prime(2000, "11/5", 3, 7)
+    ac._oracle_trilinear(2, 8, 5, 1, "10521/10000", 42)
+    ac._oracle_triple(100, 2, 2, "3/2")
+
+    with mp.workdps(100):
+        # the exact phases, in the order each oracle builds its terms
+        c, scale = mp.mpf(5) / 2, mp.mpf(100) ** (mp.mpf(3) / 10)
+        want = [[mp.mpf(z) ** c * scale for z in range(101, 201)]]
+        c = mp.mpf(11) / 5
+        want.append([mp.mpf(p) ** c * 3 / 7 for p in primes_in(0, 2000).tolist()])
+        c = mp.mpf(10521) / 10000
+        want.append([mp.mpf((6 + li) * (9 + mi)) ** c / (3 + di)
+                     for di in range(2) for mi in range(8) for li in range(5)])
+        c = mp.mpf(3) / 2
+        table = mangoldt_table(200)
+        ns = table.ns[(table.ns > 100) & (table.ns <= 200)].tolist()
+        want += [[mp.mpf(n) ** c * h / dd for n in ns] for h in (1, 2) for dd in (3, 4)]
+
+        K = ac._K
+        rng = random.Random(33)
+        assert [len(p) for p in calls] == [len(w) for w in want]
+        for phases, exact in zip(calls, want):
+            for i in rng.sample(range(len(phases)), 10):
+                ((u, cos, sin),) = ac._oracle_terms([phases[i]])
+                assert abs(mp.mpf(u) / 2**K - (exact[i] - mp.floor(exact[i]))) <= mp.mpf(2) ** -150
+                x = 2 * mp.pi * u / mp.mpf(2) ** K
+                assert abs(mp.mpf(cos) / 2**K - mp.cos(x)) <= mp.mpf(2) ** -190
+                assert abs(mp.mpf(sin) / 2**K - mp.sin(x)) <= mp.mpf(2) ** -190
+
+
+def test_oracle_doubles_at_criterion_12_inputs_are_pinned():
+    # the values of the oracles that summed mpf objects in reverse order
+    assert ac._oracle_weyl("5/2", ac.F(1), ac.F(3, 10), 100) == complex(8.717720875460325, -2.782616669095284)
+    assert ac._oracle_prime(10**5, "11/5", 3, 7) == complex(-53.369652769378696, 36.04137283555502)
+    assert ac._oracle_trilinear(8, 32, 32, 1, "10521/10000", 42) == complex(110.06898636056344, -45.72481056151701)
+    assert ac._oracle_triple(100, 2, 2, "3/2") == 160.29633517358693

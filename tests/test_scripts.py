@@ -29,3 +29,58 @@ def test_script_prints_one_json_object_per_line(script):
     lines = proc.stdout.splitlines()
     assert lines
     assert all(isinstance(json.loads(line), dict) for line in lines)
+
+
+# a stand-in for perfbench/run.py: it logs which side's copy ran it, with its
+# arguments and directory, and reports that side's wall_s
+_FAKE_RUN = '''import json, sys
+from pathlib import Path
+root = Path(__file__).resolve().parents[1]
+text = (root / "side.py").read_text()
+side = "null" if "_UNUSED" in text else text.split('"')[1]
+with open({log!r}, "a") as f:
+    f.write(" ".join([side, *sys.argv[1:], str(root)]) + "\\n")
+print("workload lines")
+wall = {{"parent": 2.0, "change": 1.0, "null": 2.5}}[side]
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {{"wall_s": {{"value": wall, "unit": "s"}}}}}}))
+'''
+
+
+def test_bench_pairs_alternates_fresh_copies(tmp_path):
+    repo, log = tmp_path / "repo", tmp_path / "runs.log"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(_FAKE_RUN.format(log=str(log)))
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 0.5}))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=repo, check=True)
+    for side in ("parent", "change"):
+        (repo / "side.py").write_text(f'SIDE = "{side}"\n')
+        subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+        subprocess.run([*git, "commit", "-qm", side], cwd=repo, check=True)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), "HEAD~1", "HEAD", "--workload", "suite",
+                           "--seeds", "1", "2", "--pairs", "3", "--null", "side.py"],
+                          cwd=repo, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    runs = [line.split() for line in log.read_text().splitlines()]
+    triplets = ["parent", "change", "null", "change", "parent", "null", "parent", "change", "null"]
+    assert [r[0] for r in runs] == triplets * 2
+    assert [r[1:7] for r in runs] == [["--workload", "suite", "--seed", s, "--seconds", "0.5"]
+                                      for s in "12" for _ in triplets]
+    assert len({r[7] for r in runs}) == len(runs)  # a fresh copy for every run
+
+    out = json.loads(proc.stdout)
+    assert list(out) == ["command", "parent_commit", "change_commit", "null_file", "nproc", "python", "numpy",
+                         "mpmath", "pairs", "runs"]
+    assert list(out["runs"]) == ["suite"] and list(out["runs"]["suite"]) == ["1", "2"]
+    seed = out["runs"]["suite"]["1"]
+    assert list(seed) == ["order", "attempted", "failed", "metrics"]
+    assert seed["order"] == triplets
+    assert seed["failed"] == {"parent": [0] * 3, "change": [0] * 3, "null": [0] * 3}
+    wall = seed["metrics"]["wall_s"]
+    assert list(wall) == ["unit", "parent", "change", "null"]
+    assert wall["parent"] == {"runs": [2.0] * 3, "median": 2.0, "quartiles": [2.0, 2.0]}
+    assert wall["change"] == {"runs": [1.0] * 3, "median": 1.0, "quartiles": [1.0, 1.0],
+                              "lower": "3 of 3", "vs_parent": "-50.0 %"}
+    assert wall["null"]["lower"] == "0 of 3" and wall["null"]["vs_parent"] == "+25.0 %"
