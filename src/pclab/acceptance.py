@@ -268,9 +268,9 @@ def criterion_11(ctx: LabContext):
 # sin as exact ints, so the order of the terms does not matter.  mpmath loads
 # on an oracle's first call, never at import.
 _K = 203  # bits at mpmath.workdps(60)
-# c = a/b with b up to this takes one root of an exact integer (2.5 us a
-# term less than mpf_pow's log and exp at 11/5); a larger b, as in
-# 10521/10000, would make that integer huge
+# c = a/b with b up to this takes one root of an exact integer, about a
+# fifth quicker than mpf_pow's log and exp at 11/5 and p near 1e5; a larger
+# b, as in 10521/10000, would make that integer huge
 _ROOT_MAX_DEN = 8
 
 
@@ -289,8 +289,8 @@ def _power(ce, h):
 
 def _oracle_terms(phases):
     """(u, cos, sin) for each raw mpf phase t, all ints scaled by 2^_K:
-    u = floor(2^_K t) mod 2^_K, so u / 2^_K is frac(t) less under 2^-_K,
-    and cos, sin are those of 2 pi u / 2^_K, from mpf_cos_sin_pi at _K bits."""
+    u = floor(2^_K t) mod 2^_K, so u / 2^_K is frac(t) cut to _K bits, and
+    cos, sin are those of 2 pi u / 2^_K, from mpf_cos_sin_pi at _K bits."""
     from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest, to_fixed
 
     mask = (1 << _K) - 1
