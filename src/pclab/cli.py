@@ -308,9 +308,9 @@ def _fixture_result(name: str, params: dict, jobs: int, caps) -> dict:
 
 
 def _load_fixtures(path: str) -> list[tuple]:
-    """(command, params, result, key) per recorded fixture; none without the file."""
+    """(command, params, result, key) per recorded fixture; a missing file is an error."""
     if not os.path.exists(path):
-        return []
+        raise OutOfRange(f"no fixtures file {path} (record one with verify --record)")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             entries = [json.loads(line) for line in fh if line.strip()]

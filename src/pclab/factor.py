@@ -10,12 +10,11 @@ result is flagged probabilistic.  Factorization, up to 2^127 through
 ``factorize`` and ``factor_signature``, is trial division to 10^5 with one
 gcd per block of consecutive primes (the exactness argument is at
 ``_factorize``), followed by Brent-cycle Pollard rho with a deterministic
-constant sequence, so repeated runs agree bit for bit.  An odd cofactor
-below 2^20 is instead finished by lookups in a 512 KB byte table of least
-prime factors (Crandall & Pomerance, Prime Numbers, 2nd ed., 2005, ch. 3),
-built on first use; why it is exact is said at ``_TABLE_LIMIT``.
-``factor_signature`` counts such an odd part straight off the table,
-without building its factorization.
+constant sequence, so repeated runs agree bit for bit.
+``factor_signature`` counts an odd part below 2^20 instead straight off a
+512 KB byte table of least prime factors (Crandall & Pomerance, Prime
+Numbers, 2nd ed., 2005, ch. 3), built on first use, without building its
+factorization; why the table is exact is said at ``_TABLE_LIMIT``.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and
@@ -277,7 +276,7 @@ def _add_trial_block() -> bool:
     return True
 
 
-# Least prime factors of the odd m below _TABLE_LIMIT, for ``_by_table``:
+# Least prime factors of the odd m below _TABLE_LIMIT, for ``factor_signature``:
 # entry m >> 1 holds the index in small_primes() of m's least prime factor,
 # or 0 when m is 1 or prime.  Exact: every odd composite m < 2^20 has a prime
 # factor at most sqrt(m) < 1024; the primes below 1024 are the first
@@ -308,25 +307,6 @@ def _least_factor_table() -> bytearray:
     return _least_factors
 
 
-def _by_table(m: int, factors: dict[int, int]) -> dict[int, int]:
-    """factors completed by the prime factors of odd m < _TABLE_LIMIT, in ascending order."""
-    table = _least_factors or _least_factor_table()
-    primes = small_primes()
-    i = table[m >> 1]
-    while i:
-        p = primes[i]
-        m //= p
-        e = 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors[p] = e
-        i = table[m >> 1]
-    if m > 1:
-        factors[m] = 1
-    return factors
-
-
 # Below 2^30 (one CPython digit) the remaining block gcds decide a cofactor
 # faster than the strong test does.  Any threshold up to 2^64 gives the same
 # result: below it the test is deterministic and agrees with trial division,
@@ -338,22 +318,19 @@ _PRIMALITY_FROM = 1 << 30
 def _factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]:
     """Complete factorization of n >= 1 as {prime: exponent}.
 
-    Returns (factors, probabilistic_flag).  Once the 2s are stripped, an odd
-    m below _TABLE_LIMIT = 2^20 is finished by ``_by_table``, one lookup of
-    the least-factor table per prime factor.  A larger m is trial divided to
-    10^5 with one gcd of the cofactor m per trial block (Bernstein, "How to
-    find smooth parts of integers", 2004), which is exact.  A block is
-    entered with no prime below its first prime q left in m, so m < q^2
-    leaves m equal to 1 or a prime, and the division stops; failing that, a
-    cofactor fallen below 2^20 goes to the table.  The gcd g is a product of
-    distinct block primes, any two of which multiply past q^2 and so past
-    every block prime: a g up to the block's last prime is that prime, and
-    only a larger g is scanned prime by prime.  Found primes enter in
-    ascending order.  After a found prime p with p^2 <= m, a cofactor
-    m >= 2^30 is tested, and a prime one ends the division.  A cofactor left
-    beyond 10^5 is tested, and composites go to Brent rho.  Raises
-    FactorizationTimeout (carrying the partial result) if the rho budget is
-    exceeded.
+    Returns (factors, probabilistic_flag).  Once the 2s, 3s and 5s are
+    stripped, the odd part m is trial divided to 10^5 with one gcd of the
+    cofactor m per trial block (Bernstein, "How to find smooth parts of
+    integers", 2004), which is exact.  A block is entered with no prime
+    below its first prime q left in m, so m < q^2 leaves m equal to 1 or a
+    prime, and the division stops.  The gcd g is a product of distinct
+    block primes, any two of which multiply past q^2 and so past every block
+    prime: a g up to the block's last prime is that prime, and only a larger
+    g is scanned prime by prime.  Found primes enter in ascending order.
+    After a found prime p with p^2 <= m, a cofactor m >= 2^30 is tested, and
+    a prime one ends the division.  A cofactor left beyond 10^5 is tested,
+    and composites go to Brent rho.  Raises FactorizationTimeout (carrying
+    the partial result) if the rho budget is exceeded.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
@@ -364,8 +341,6 @@ def _factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]
         e = (m & -m).bit_length() - 1
         factors[2] = e
         m >>= e
-    if m < _TABLE_LIMIT:
-        return _by_table(m, factors), probabilistic
     for p in (3, 5):
         if m % p == 0:
             e = 0
@@ -382,8 +357,6 @@ def _factorize(n: int, rho_budget: int = 1 << 24) -> tuple[dict[int, int], bool]
             if m > 1:
                 factors[m] = 1
             return factors, probabilistic
-        if m < _TABLE_LIMIT:
-            return _by_table(m, factors), probabilistic
         g = gcd(m, product)
         while g > 1:
             if g <= last:

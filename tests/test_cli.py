@@ -282,7 +282,7 @@ def test_csv_quoting():
 _TWO_CRITERIA = [({"mismatches": 0}, True), ({"value": 1.5, "points": [1, 2]}, False)]
 
 
-@pytest.mark.parametrize("fixture_line,code,rows", [(None, 2, 4), ('{"command":"nope","params":{},"result":{},"key":"k"}', 1, 3)],
+@pytest.mark.parametrize("fixture_line,code,rows", [("", 2, 4), ('{"command":"nope","params":{},"result":{},"key":"k"}', 1, 3)],
                          ids=["whole run", "error after some records"])
 def test_verify_csv_is_one_table(monkeypatch, tmp_path, capsys, fixture_line, code, rows):
     from pclab import acceptance as ac
@@ -290,8 +290,7 @@ def test_verify_csv_is_one_table(monkeypatch, tmp_path, capsys, fixture_line, co
     results = [ac.CriterionResult(cid, f"c{cid}", ok, values) for cid, (values, ok) in enumerate(_TWO_CRITERIA, 1)]
     monkeypatch.setattr(ac, "run_criteria", lambda jobs, caps: results)
     fixtures = tmp_path / "fixtures.jsonl"
-    if fixture_line is not None:
-        fixtures.write_text(fixture_line + "\n")
+    fixtures.write_text(fixture_line + "\n")  # an empty file holds zero fixtures
     got, out = run_cli(["verify", "--jobs", "1", "--fixtures", str(fixtures), "--format", "csv"])
     assert got == code
     assert len(capsys.readouterr().err.splitlines()) == (code == 1)  # a usage error's one line
@@ -431,6 +430,7 @@ BAD_INPUTS = {
     "negative PSC_LAB_CAP": (["constants", "table"], None, {"PSC_LAB_CAP": "-5"}),
     "fractional named cap": (["constants", "table"], None, {"PSC_LAB_CAP": "weyl_terms=2.9"}),
     "non-JSON fixtures line": (["verify", "--fixtures", "{file}"], "not json\n", {}),
+    "missing fixtures file": (["verify", "--jobs", "1", "--fixtures", "/nonexistent/typo.jsonl"], None, {}),
     "NaN tol": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "nan"], None, {}),
     "tol below 2^-52": (["discrepancy", "--x", "100", "-c", "3/2", "--h", "1", "--d", "3", "--tol", "1e-20"], None, {}),
     "negative H": (["expsum", "triple", "--x", "100", "--D", "2", "--H", "-1", "-c", "3/2"], None, {}),
@@ -517,6 +517,7 @@ BAD_INPUT_MESSAGES = {
     "tol= before the subcommand": "pclab: --tol goes after the subcommand, not before it",
     "weyl N^Theta with 12 million bits": "pclab: resource cap: N^theta terms exceed cap 100000000",
     "weyl huge-den Theta past the cap": "pclab: resource cap: N^theta terms exceed cap 100000000",
+    "missing fixtures file": "pclab: no fixtures file /nonexistent/typo.jsonl (record one with verify --record)",
 }
 
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -282,7 +283,7 @@ def test_is_prime_agrees_with_the_sieve():
 
 
 def test_primality_work_is_pinned_as_counts(monkeypatch):
-    calls = {"witness": 0, "primality": 0, "gcd": 0, "table": 0, "factorize": 0}
+    calls = {"witness": 0, "primality": 0, "gcd": 0, "factorize": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -293,7 +294,6 @@ def test_primality_work_is_pinned_as_counts(monkeypatch):
     monkeypatch.setattr(factor, "_mr_composite_witness", counting("witness", factor._mr_composite_witness))
     monkeypatch.setattr(factor, "primality", counting("primality", factor.primality))
     monkeypatch.setattr(factor, "gcd", counting("gcd", factor.gcd))
-    monkeypatch.setattr(factor, "_by_table", counting("table", factor._by_table))
     monkeypatch.setattr(factor, "_factorize", counting("factorize", factor._factorize))
     # below 1,373,653 the strong test takes bases 2 and 3 only
     assert sum(map(factor.is_prime, range(10**6, 10**6 + 10**4))) == 753
@@ -303,29 +303,49 @@ def test_primality_work_is_pinned_as_counts(monkeypatch):
     calls["primality"] = 0
     for n in range(1, 10**5 + 1):
         factor.factor_signature(n)
-    assert calls["factorize"] == calls["primality"] == calls["gcd"] == calls["table"] == 0
-    # factorize finishes each of those odd parts with _by_table on entry
+    assert calls["factorize"] == calls["primality"] == calls["gcd"] == 0
+    # factorize takes those odd parts through the block gcds, and none is
+    # tested: every cofactor stays below 2^30
     for n in range(1, 10**5 + 1):
         factor.factorize(n)
-    assert calls["table"] == calls["factorize"] == 10**5
-    assert calls["primality"] == calls["gcd"] == 0
+    assert calls["factorize"] == 10**5
+    assert calls["gcd"] == 141139
+    assert calls["primality"] == 0
     # from 2^30 on a cofactor left above the square of a found prime is
-    # tested; the blocks take a gcd each until the cofactor falls below 2^20.
+    # tested, and the blocks take a gcd each until the stop rule ends them.
     # 2^40 itself has odd part 1, so it alone is not factored.
-    calls["primality"] = calls["gcd"] = calls["table"] = calls["factorize"] = 0
+    calls["primality"] = calls["gcd"] = calls["factorize"] = 0
     for n in range(2**40, 2**40 + 1000):
         factor.factor_signature(n)
     assert calls["factorize"] == 999
     assert calls["primality"] == 855
-    assert calls["gcd"] == 36015
-    assert calls["table"] == 6
-    # the m < q^2 stop rule comes before the table: 101 is below 53^2 when
-    # the block of 53 is reached, and 101 * 103 is not
-    calls["table"] = 0
+    assert calls["gcd"] == 36021
+    # the m < q^2 stop rule: 101 is below 53^2 when the block of 53 is
+    # reached, so one gcd ends the division, and 101 * 103 is not, so it
+    # takes the block's gcd as well
+    calls["gcd"] = 0
     assert factor.factorize(7 * 11 * 13 * 17 * 19 * 23 * 101) == dict.fromkeys((7, 11, 13, 17, 19, 23, 101), 1)
-    assert calls["table"] == 0
+    assert calls["gcd"] == 1
+    calls["gcd"] = 0
     assert factor.factorize(7 * 11 * 13 * 17 * 19 * 23 * 101 * 103)[103] == 1
-    assert calls["table"] == 1
+    assert calls["gcd"] == 2
+
+
+def test_least_factor_table_has_one_reader():
+    # the table is built by _least_factor_table and read by factor_signature
+    # alone; _factorize takes every odd part through the trial blocks
+    src = Path(factor.__file__).parent
+    users: dict[str, set[str]] = {}
+    for path in src.glob("*.py"):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                for node in ast.walk(fn):  # the names a function reads, and its own
+                    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", getattr(node, "name", None))
+                    if isinstance(name, str):
+                        users.setdefault(name, set()).add(f"{path.stem}.{fn.name}")
+    for name in ("_least_factors", "_least_factor_table", "_TABLE_LIMIT"):
+        assert users[name] == {"factor._least_factor_table", "factor.factor_signature"}, name
+    assert "_by_table" not in users
 
 
 def test_is_prime_probabilistic_path():
@@ -497,10 +517,19 @@ def test_factorize_unchanged_at_the_block_edges():
     for q, last, nxt in zip(firsts, lasts, firsts[1:]):
         for n in (q * q, last * last, q * last, last * nxt, nxt * nxt, q * last * nxt, q**3 * nxt):
             ns += [n, 210 * n]
-    # times 1048583, a prime above 2^20, every edge also goes through the
-    # block gcds rather than the least-factor table
-    assert factor.is_prime(1048583) and 1048583 > factor._TABLE_LIMIT
+    # times 1048583, a prime past trial division, every edge is also met
+    # with a cofactor that the stop rule cannot end, and from 2^30 on with
+    # the strong test after each found prime
+    assert factor.is_prime(1048583) and 1048583 > factor.small_primes()[-1]
     ns += [n * 1048583 for n in ns]
+    assert_factorize_unchanged(ns)
+
+
+def test_factorize_unchanged_below_2_20():
+    # every n below 2^16 and seeded odd n up to 2^20, whose odd parts take
+    # the trial blocks as every other odd part does
+    rng = random.Random(1 << 20)
+    ns = [*range(1, 1 << 16), *(rng.randrange(1 << 16, 1 << 20) | 1 for _ in range(20000))]
     assert_factorize_unchanged(ns)
 
 
