@@ -10,11 +10,12 @@ result is flagged probabilistic.  Factorization, up to 2^127 through
 ``factorize`` and ``factor_signature``, is trial division to 10^5 with one
 gcd per block of consecutive primes (the exactness argument is at
 ``_factorize``), followed by Brent-cycle Pollard rho with a deterministic
-constant sequence, so repeated runs agree bit for bit.
-``factor_signature`` counts an odd part below 2^20 instead straight off a
-512 KB byte table of least prime factors (Crandall & Pomerance, Prime
-Numbers, 2nd ed., 2005, ch. 3), built on first use, without building its
-factorization; why the table is exact is said at ``_TABLE_LIMIT``.
+constant sequence, so repeated runs agree bit for bit.  Every odd part
+takes that one route.  ``factor_signature`` instead counts an odd part
+below 2^20 straight off a 512 KB byte table of least prime factors
+(Crandall & Pomerance, Prime Numbers, 2nd ed., 2005, ch. 3), built on
+first use, without building its factorization; why the table is exact is
+said at ``_TABLE_LIMIT``.
 
 ``signature_arrays`` decides the same structure for a whole int64 array at
 once, by trial division to the cube root of its largest element, and

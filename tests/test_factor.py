@@ -518,8 +518,8 @@ def test_factorize_unchanged_at_the_block_edges():
         for n in (q * q, last * last, q * last, last * nxt, nxt * nxt, q * last * nxt, q**3 * nxt):
             ns += [n, 210 * n]
     # times 1048583, a prime past trial division, every edge is also met
-    # with a cofactor that the stop rule cannot end, and from 2^30 on with
-    # the strong test after each found prime
+    # with a prime cofactor left over, on which the stop rule or, from 2^30
+    # on, the strong test after a found prime ends the division
     assert factor.is_prime(1048583) and 1048583 > factor.small_primes()[-1]
     ns += [n * 1048583 for n in ns]
     assert_factorize_unchanged(ns)

@@ -1,4 +1,5 @@
 """Smoke runs of each program in scripts/ at a tiny size."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pclab
+from pclab.exactpow import as_ratio
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -84,3 +86,35 @@ def test_bench_pairs_alternates_fresh_copies(tmp_path):
     assert wall["change"] == {"runs": [1.0] * 3, "median": 1.0, "quartiles": [1.0, 1.0],
                               "lower": "3 of 3", "vs_parent": "-50.0 %"}
     assert wall["null"]["lower"] == "0 of 3" and wall["null"]["vs_parent"] == "+25.0 %"
+
+
+def _peak_memory():
+    spec = importlib.util.spec_from_file_location("peak_memory", SCRIPTS / "peak_memory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_cliff_names_a_known_call_with_valid_arguments():
+    # checked without running the set: each entry parses, binds to its
+    # function's signature, and every argument is a positive ratio or count
+    pm = _peak_memory()
+    ap = pm.parser()
+    calls = []
+    for argv in pm.CLIFFS:
+        args = ap.parse_args(argv)
+        _, bound = pm.bind(args)  # a TypeError if the arguments do not fit the signature
+        assert all(as_ratio(v) > 0 for v in bound.arguments.values()), argv
+        calls.append(args.call)
+    assert calls == ["almost_prime_census"] * 4 + ["squarefree_census", "weyl_sum", "prime_expsum", "triple_sum",
+                                                    "ps_prime_count", "squarefree_census", "margin_verify"]
+
+
+@pytest.mark.parametrize("argv", [["weyl_sum", "--x", "1e3", "-c", "5/2"],
+                                  ["prime_expsum", "--x", "1e3", "-c", "7/2", "--h", "3", "--d", "7"],
+                                  ["triple_sum", "--x", "1e3", "--D", "2", "--H", "2", "-c", "77/10"],
+                                  ["margin_verify", "-c", "15", "--eps", "10"]])
+def test_peak_memory_measures_the_sums_and_margins(argv):
+    pm = _peak_memory()
+    line = pm.measure(pm.parser().parse_args(argv))
+    assert list(line) == ["call", "args", "wall_s", "peak_rss_mb"] and line["call"] == argv[0]
