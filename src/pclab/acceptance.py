@@ -466,7 +466,7 @@ _CRITERIA = [
     (9, "almost-prime density at x=1e6, R=8", criterion_9, 120.0),
     (10, "prime-member count at x=1e6, c=3/2", criterion_10, 120.0),
     (11, "residue equidistribution to d=50 at x=1e6", criterion_11, 120.0),
-    (12, "exponential sums vs doubled-precision reversed oracles", criterion_12, 60.0),
+    (12, "exponential sums vs exact 203-bit fixed-point oracles", criterion_12, 60.0),
     (13, "window margin argument and minorant grids", criterion_13, 10.0),
 ]
 

@@ -187,23 +187,8 @@ def _format_value(text: str) -> str:
 _CONFIG_KEYS = {"format": _format_value, **_SCOPED_TYPES}
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The file named by --config PATH or --config=PATH, if any."""
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 == len(argv):
-                raise OutOfRange("--config needs a file path")
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.partition("=")[2]
-    return None
-
-
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Load --config key=value pairs as parser defaults (flags override)."""
-    path = _config_path(argv)
-    if path is None:
-        return
+def _apply_config(ap: argparse.ArgumentParser, path: str) -> None:
+    """Load the --config file's key=value pairs as parser defaults (flags override)."""
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -455,8 +440,10 @@ def run(argv: list[str]) -> int:
     try:
         _refuse_scoped_before_command(argv)
         ap = build_parser()
-        _apply_config(ap, argv)
         args = ap.parse_args(argv)
+        if args.config is not None:
+            _apply_config(ap, args.config)
+            args = ap.parse_args(argv)
         if args.jobs < 1:
             raise OutOfRange(f"--jobs must be at least 1, got {args.jobs}")
         emit = Emitter(args.format, args.timing)

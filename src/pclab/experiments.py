@@ -10,9 +10,8 @@ holds one block of members, not all of them, and the early blocks of a run
 whose last members pass 2^62 stay int64.  The 2^127 ``Overflow`` is decided
 from the largest prime <= x (``_top_floor``, which walks down from x with
 ``factor.is_prime``) before any block is.
-``members`` sieves (0, x] once and returns the blocks' floors one after
-another, with one layout for all (int64 when the largest floor is below
-2^62, Python ints otherwise).
+``members`` sieves (0, x] once and lays all its primes out as one block,
+by the same rule.
 
 Census counts are exact, and they are integer sums over the blocks, so the
 block size never changes a result.  ``_count`` decides both layouts for
@@ -22,16 +21,18 @@ almost-prime censuses use ``factor.signature_arrays`` there: trial division
 to the cube root of the block's largest member leaves a cofactor with at
 most two prime factors, so squarefreeness follows from a perfect-square
 test, and Omega <= R needs ``factor.is_prime_array`` only on the cofactors
-whose primality decides it.  ``ps_prime_count`` decides its members with
-``is_prime_array`` itself.  Object members (2^62 and above) go one by one
-through the member test, in chunks of the block's members; with
-``jobs > 1`` the chunks of each block run in a process pool of their own,
-and their counts are combined in fixed chunk order, so worker count never
-changes a result.  ``residue_histogram`` and ``level_error`` add up their
-residue tables block by block.  ``level_error`` takes the tables of every
-d <= D from ``_residue_tables``: one ``%`` pass and one ``bincount`` per
-shared modulus M <= 2^14, the lcm of several d, whose table each d
-dividing M folds into its own.
+whose primality decides it.  Omega(m) <= log2 m, so from R = bit_length - 1
+of the block's largest member on, nothing is factored.  ``ps_prime_count``
+decides its members with ``is_prime_array`` itself.  Object members (2^62
+and above) go one by one through the member test, which passes m unfactored
+from R = m.bit_length() - 1 on; with ``jobs > 1`` and more than ``_CHUNK``
+of them, each block's members run in a process pool of their own,
+``_CHUNK`` to a task, and their verdicts come back in member order, so
+worker count never changes a result.  ``residue_histogram`` and
+``level_error`` add up their residue tables block by block.
+``level_error`` takes the tables of every d <= D from ``_residue_tables``:
+one ``%`` pass and one ``bincount`` per shared modulus M <= 2^14, the lcm
+of several d, whose table each d dividing M folds into its own.
 """
 from __future__ import annotations
 
@@ -117,17 +118,14 @@ class DiscrepancyReport(Report):
 def members(x: int, c, *, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:
     """(primes p <= x, floor(p^c)); certified floors.
 
-    The floors are int64 when the largest is below 2^62, Python ints in an
-    object array otherwise; Overflow from 2^127 on, where factor stops.
-    They are the census blocks' floors, one block after another.
+    The floors are one block (``_block_floors``): int64 when the largest is
+    below 2^62, Python ints in an object array otherwise; Overflow from
+    2^127 on, where factor stops.
     """
     c = as_exponent(c)
-    top = _top_floor(x, c, caps)
+    _top_floor(x, c, caps)
     ps = primes_in(0, x, caps=caps)
-    if top < TWO62:  # so is every block's: their floors are one batch
-        return ps, floor_pow_batch(ps, c, caps)
-    blocks = np.split(ps, np.searchsorted(ps, range(_SPAN, x, _SPAN), side="right"))
-    return ps, np.concatenate([_block_floors(b, c, caps).astype(object, copy=False) for b in blocks if b.size])
+    return ps, _block_floors(ps, c, caps)
 
 
 def _top_floor(x: int, c: RationalExponent, caps: Caps) -> int:
@@ -179,29 +177,24 @@ def _member_blocks(x: int, c: RationalExponent, caps: Caps):
             yield vals
 
 
-def _chunks(seq):
-    return [seq[i : i + _CHUNK] for i in range(0, len(seq), _CHUNK)]
-
-
-def _map_ordered(func, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
+def _map_ordered(func, items, jobs, chunksize=1):
+    """[func(it) for it in items], in a pool of jobs workers that each take
+    chunksize items at a time, unless one chunk would hold them all."""
+    if jobs <= 1 or len(items) <= chunksize:
         return [func(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(func, items))
+        return list(ex.map(func, items, chunksize=chunksize))
 
 
 def _omega_at_most(R: int, m: int) -> bool:
-    return factor_signature(m).omega_big <= R
+    # Omega(m) <= log2 m, so from R = bit_length - 1 on m passes unfactored
+    return R >= m.bit_length() - 1 or factor_signature(m).omega_big <= R
 
 
 def _squarefree(m: int) -> bool:
     return factor_signature(m).squarefree
-
-
-def _count_chunk(test, member_list) -> int:
-    return sum(1 for m in member_list if test(m))
 
 
 def _count(blocks, jobs: int, array_test, member_test) -> tuple[int, int]:
@@ -217,7 +210,7 @@ def _count(blocks, jobs: int, array_test, member_test) -> tuple[int, int]:
         if vals.dtype == np.int64:
             passed += int(np.count_nonzero(array_test(vals)))
         else:
-            passed += sum(_map_ordered(partial(_count_chunk, member_test), _chunks(vals.tolist()), jobs))
+            passed += sum(_map_ordered(member_test, vals.tolist(), jobs, _CHUNK))
         total += vals.size
     return passed, total
 
@@ -228,7 +221,11 @@ def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
     The cofactor adds 0 (it is 1), 1 (a prime) or 2 (composite) to the small
     count, so only where small count + 1 == R does its primality decide;
     ``is_prime_array`` settles those few, deterministically below 2^64.
+    Omega(v) <= log2 v, so from R = bit_length - 1 of the largest v on every
+    v passes unfactored.
     """
+    if R >= int(vals.max(initial=0)).bit_length() - 1:
+        return np.ones(vals.size, dtype=bool)
     omega_small, _, cofactor = signature_arrays(vals)
     big = cofactor > 1
     within = omega_small + 2 * big <= R
@@ -286,35 +283,31 @@ def _residue_plan(D: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     lcm with each of the next _PARTNERS uncovered moduli while that stays
     within _SHARED_CAP (so M exceeds it only when d does); then every divisor
     of M up to D not yet covered, found by trial to isqrt(M), joins ds.
-    Skip links (nxt, with path halving) find the next uncovered modulus.
+    Both walks step down past the moduli marked covered.
     """
-    nxt = list(range(D + 1))  # nxt[e] == e while e is uncovered; 0 ends the walk
-
-    def uncovered_at_most(e):
-        while nxt[e] != e:
-            nxt[e] = e = nxt[nxt[e]]
-        return e
-
+    covered = bytearray(D + 1)
     plan = []
-    d = uncovered_at_most(D)
-    while d:
-        M, e = d, uncovered_at_most(d - 1)
-        for _ in range(_PARTNERS):
-            if not e or 2 * M > _SHARED_CAP:  # no partner could join but a divisor of M
+    for d in range(D, 0, -1):
+        if covered[d]:
+            continue
+        M, offered = d, 0
+        for e in range(d - 1, 0, -1):
+            if covered[e]:
+                continue
+            if offered == _PARTNERS or 2 * M > _SHARED_CAP:  # no partner could join but a divisor of M
                 break
+            offered += 1
             m = M * e // math.gcd(M, e)
             if m <= _SHARED_CAP:
                 M = m
-            e = uncovered_at_most(e - 1)
         ds = []
         for i in range(1, math.isqrt(M) + 1):
             if M % i == 0:
                 for q in {i, M // i}:
-                    if q <= D and nxt[q] == q:
-                        nxt[q] = q - 1
+                    if q <= D and not covered[q]:
+                        covered[q] = 1
                         ds.append(q)
         plan.append((M, tuple(ds)))
-        d = uncovered_at_most(d - 1)  # d divides M, so it is covered; the walk only descends
     return tuple(plan)
 
 
