@@ -4,6 +4,7 @@ Criteria 3 and 13 encode quoted target windows that the exactly-evaluated
 inequality systems do not meet (see the assertion messages); they are
 implemented faithfully and left to fail rather than loosened.
 """
+import hashlib
 import json
 
 import pytest
@@ -63,6 +64,14 @@ def test_criterion_14_determinism():
     ok = pa == pb
     print(f"ACCEPTANCE 14 {'PASS' if ok else 'FAIL'} determinism across --jobs 1/4")
     assert ok
+
+
+def test_payload_is_pinned():
+    # sha256 of the jobs=1 payload: every criterion's title, verdict and values
+    payload = ac.payload_text(list(_results().values()))
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "fd05da3b4b740714fa192a275dd3f416b252300b579616bdde6a3722b8a378f6"
+    )
 
 
 def test_budget_fails_the_criterion_but_not_determinism():

@@ -315,6 +315,22 @@ def test_config_file_defaults(tmp_path):
     assert out.startswith("command,")
 
 
+@pytest.mark.parametrize("form", ["--config PATH", "--config=PATH"])
+def test_config_after_the_subcommand(tmp_path, form):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("format=csv\njobs=3\n")
+    config = form.replace("PATH", str(cfg)).split()
+    census = ["census", "--x", "2000", "-c", "7/5", "-R", "3"]
+    code, out = run_cli([*census, *config])
+    assert code == 0 and out.startswith("command,")
+    # a flag overrides the file, wherever each is given
+    code, flagged = run_cli([*census, "--format", "jsonl", *config])
+    assert code == 0 and flagged == run_cli([*census, *config, "--format", "jsonl"])[1] == run_cli(census)[1]
+    with mock.patch.object(cli, "_dispatch", lambda args, caps, emit: print(args.jobs) or 0):
+        assert run_cli([*census, *config])[1] == "3\n"
+        assert run_cli([*census, *config, "--jobs", "2"])[1] == "2\n"
+
+
 def test_config_file_reaches_scoped_flags(tmp_path):
     cfg = tmp_path / "lab.cfg"
     trilinear = ["expsum", "trilinear", *_LEAF_ARGV[("expsum", "trilinear")], "--weights", "pm1"]

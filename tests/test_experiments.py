@@ -136,6 +136,44 @@ def test_residue_plan_covers_each_modulus_once():
             assert M <= ex._SHARED_CAP or M in ds
 
 
+def residue_plan_skip_links(D):
+    """The walk that _residue_plan's bytearray replaced, as its reference:
+    skip links with path halving find the next uncovered modulus."""
+    nxt = list(range(D + 1))  # nxt[e] == e while e is uncovered; 0 ends the walk
+
+    def uncovered_at_most(e):
+        while nxt[e] != e:
+            nxt[e] = e = nxt[nxt[e]]
+        return e
+
+    plan = []
+    d = uncovered_at_most(D)
+    while d:
+        M, e = d, uncovered_at_most(d - 1)
+        for _ in range(ex._PARTNERS):
+            if not e or 2 * M > ex._SHARED_CAP:
+                break
+            m = M * e // math.gcd(M, e)
+            if m <= ex._SHARED_CAP:
+                M = m
+            e = uncovered_at_most(e - 1)
+        ds = []
+        for i in range(1, math.isqrt(M) + 1):
+            if M % i == 0:
+                for q in {i, M // i}:
+                    if q <= D and nxt[q] == q:
+                        nxt[q] = q - 1
+                        ds.append(q)
+        plan.append((M, tuple(ds)))
+        d = uncovered_at_most(d - 1)
+    return tuple(plan)
+
+
+def test_residue_plan_equals_the_skip_link_walk():
+    for D in (*range(1, 301), 6324):
+        assert ex._residue_plan(D) == residue_plan_skip_links(D), D
+
+
 def test_residue_plan_takes_the_cap_exactly(monkeypatch):
     # 2^14 int64 counts are 128 KB, the largest table a one-block run holds
     assert ex._SHARED_CAP == 1 << 14
@@ -198,6 +236,11 @@ def test_parallel_runs_equal_sequential(monkeypatch):
             pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
+        def map(self, *args, **kwargs):
+            chunksizes.append(kwargs["chunksize"])
+            return super().map(*args, **kwargs)
+
+    chunksizes = []
     monkeypatch.setattr(ex, "_CHUNK", 16)
     # _map_ordered imports the pool class from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
@@ -210,7 +253,13 @@ def test_parallel_runs_equal_sequential(monkeypatch):
     pa = ex.ps_prime_count(300, "77/10", jobs=1)
     pb = ex.ps_prime_count(300, "77/10", jobs=3)
     assert pa == pb
-    assert pools == [3, 3, 3]
+    assert pools == [3, 3, 3] and chunksizes == [16, 16, 16]
+    # the 62 members run serially while one chunk holds them all
+    pools.clear()
+    for chunk, want in ((62, []), (61, [2])):
+        monkeypatch.setattr(ex, "_CHUNK", chunk)
+        assert ex.ps_prime_count(300, "77/10", jobs=2) == pa
+        assert pools == want, chunk
 
 
 def test_members_layout_follows_the_largest_floor():
@@ -259,6 +308,51 @@ def test_censuses_match_signatures_at_high_members():
     assert signature_arrays(vals)[1].tolist() == [s.squarefree for s in sigs]
     for R in range(1, 7):
         assert ex._omega_within(vals, R).tolist() == [s.omega_big <= R for s in sigs], R
+
+
+def no_factoring(*args):
+    raise AssertionError(f"a member was factored: {args}")
+
+
+def test_log2_bound_stops_one_below_bit_length(monkeypatch):
+    # 2^40 and 3 * 2^39 have 41 bits and Omega = 40: they fail at R = 39,
+    # and at R = 40 = bit_length - 1 they pass unfactored
+    crafted = [2**40, 3 * 2**39]
+    assert [factor_signature(m).omega_big for m in crafted] == [40, 40]
+    assert [ex._omega_at_most(39, m) for m in crafted] == [False, False]
+    assert ex._omega_within(np.array(crafted, dtype=np.int64), 39).tolist() == [False, False]
+    monkeypatch.setattr(ex, "factor_signature", no_factoring)
+    monkeypatch.setattr(ex, "signature_arrays", no_factoring)
+    assert [ex._omega_at_most(40, m) for m in crafted] == [True, True]
+    assert ex._omega_within(np.array(crafted, dtype=np.int64), 40).tolist() == [True, True]
+
+
+@pytest.mark.parametrize("x, c", [(2 * 10**4, "29/10"), (300, "77/10")])
+def test_census_at_the_log2_bound_matches_signatures(x, c, monkeypatch):
+    # R = bit_length - 1 of the largest member passes every member unfactored,
+    # R = bit_length - 2 factors; both equal the signatures' verdicts, with
+    # the members laid out as they come (int64, then objects) and as objects
+    _, vals = ex.members(x, c)
+    sigs = [factor_signature(v) for v in vals.tolist()]
+    top = max(vals.tolist()).bit_length()
+    want = {R: sum(s.omega_big <= R for s in sigs) for R in (top - 1, top - 2)}
+    assert want[top - 1] == len(sigs)
+    block_floors = ex._block_floors
+    for layout in (vals.dtype, object):
+        monkeypatch.setattr(ex, "_block_floors", lambda *a: block_floors(*a).astype(layout))
+        assert {R: ex.almost_prime_census(x, c, R).count for R in want} == want, layout
+
+
+def test_census_at_R_126_factors_nothing(monkeypatch):
+    # every member lies below 2^127, so from R = 126 on Omega <= log2 m <= R;
+    # the 127-bit members of 127/10 sit exactly at the bound, and R(7/2) =
+    # 1763 is the paper's own
+    monkeypatch.setattr(ex, "factor_signature", no_factoring)
+    monkeypatch.setattr(ex, "signature_arrays", no_factoring)
+    assert max(ex.members(1000, "127/10")[1]).bit_length() == 127
+    for x, c, R in ((1000, "127/10", 126), (2 * 10**4, "29/10", 126), (2 * 10**4, "7/2", 1763)):
+        r = ex.almost_prime_census(x, c, R)
+        assert r.count == r.pi_x == ex.primes_in(0, x).size, (x, c, R)
 
 
 def test_int64_censuses_make_no_signature_calls(monkeypatch):

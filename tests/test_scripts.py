@@ -88,8 +88,8 @@ def test_bench_pairs_alternates_fresh_copies(tmp_path):
     assert wall["null"]["lower"] == "0 of 3" and wall["null"]["vs_parent"] == "+25.0 %"
 
 
-def _peak_memory():
-    spec = importlib.util.spec_from_file_location("peak_memory", SCRIPTS / "peak_memory.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -98,7 +98,7 @@ def _peak_memory():
 def test_every_cliff_names_a_known_call_with_valid_arguments():
     # checked without running the set: each entry parses, binds to its
     # function's signature, and every argument is a positive ratio or count
-    pm = _peak_memory()
+    pm = _script("peak_memory")
     ap = pm.parser()
     calls = []
     for argv in pm.CLIFFS:
@@ -115,6 +115,14 @@ def test_every_cliff_names_a_known_call_with_valid_arguments():
                                   ["triple_sum", "--x", "1e3", "--D", "2", "--H", "2", "-c", "77/10"],
                                   ["margin_verify", "-c", "15", "--eps", "10"]])
 def test_peak_memory_measures_the_sums_and_margins(argv):
-    pm = _peak_memory()
+    pm = _script("peak_memory")
     line = pm.measure(pm.parser().parse_args(argv))
     assert list(line) == ["call", "args", "wall_s", "peak_rss_mb"] and line["call"] == argv[0]
+
+
+def test_every_mutant_names_text_that_occurs_once():
+    # mutants.py replaces each text in a fresh copy; run here without the copies
+    root = SCRIPTS.parent
+    for path, old, new, tests in _script("mutants").MUTANTS:
+        assert (root / path).read_text().count(old) == 1 and new != old, (path, old)
+        assert all((root / test.partition("::")[0]).is_file() for test in tests), tests
