@@ -10,8 +10,9 @@ replaces the text, and runs `python -m pytest -q -x` on the named tests with
 the copy's src on PYTHONPATH: the mutant is killed when pytest fails and
 survives when it passes.
 
-Prints one JSON line per mutant and a summary line (mutants, killed, the
-survivors, wall seconds); exits 1 if any mutant survives.
+Prints one JSON line per mutant, with the first test that failed (null for
+a survivor), and a summary line (mutants, killed, the survivors, wall
+seconds); exits 1 if any mutant survives.
 
 Usage: python scripts/mutants.py [COMMIT]
 Run from the root of the repository's checkout; COMMIT defaults to HEAD.
@@ -70,8 +71,8 @@ MUTANTS = (
     (FACTOR, "        if m < q2:\n", "        if m <= q2:\n", ("tests/test_factor.py",)),
     (FACTOR, "        if m < q2:\n            if m > 1:\n                factors[m] = 1\n",
      "        if m < q2:\n            if m > 1:\n                pass\n", ("tests/test_factor.py",)),
-    (FACTOR, "            if p == q:\n                squarefree = False", "            if p != q:\n                squarefree = False",
-     ("tests/test_factor.py",)),
+    (FACTOR, "            if p == q:\n                squarefree = False",
+     "            if p != q:\n                squarefree = False", ("tests/test_factor.py",)),
     (FACTOR, "        if m == q:\n            squarefree = False", "        if m == 1:\n            squarefree = False",
      ("tests/test_factor.py",)),
 )
@@ -83,8 +84,9 @@ def _copy(commit: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _tests_pass(commit: str, tests, mutant=None) -> bool:
-    """Whether pytest passes on tests in a fresh copy of commit, with mutant's text replaced."""
+def _failure(commit: str, tests, mutant=None) -> str | None:
+    """pytest's first FAILED or ERROR line on tests in a fresh copy of commit,
+    with mutant's text replaced; None when they pass."""
     with tempfile.TemporaryDirectory(prefix="mutants_") as tmp:
         _copy(commit, tmp)
         if mutant:
@@ -96,23 +98,27 @@ def _tests_pass(commit: str, tests, mutant=None) -> bool:
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
                               cwd=tmp, env=env, capture_output=True, text=True)
-    return proc.returncode == 0
+    if proc.returncode == 0:
+        return None
+    return next((line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))),
+                f"pytest exited {proc.returncode}")
 
 
 def main() -> int:
     commit = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
     t0 = time.perf_counter()
     for tests in dict.fromkeys(m[3] for m in MUTANTS):
-        if not _tests_pass(commit, tests):
-            raise SystemExit(f"{' '.join(tests)} fail at {commit} before any mutation")
+        failure = _failure(commit, tests)
+        if failure:
+            raise SystemExit(f"{failure} at {commit} before any mutation")
     survivors = []
     for i, (path, old, new, tests) in enumerate(MUTANTS):
         t = time.perf_counter()
-        killed = not _tests_pass(commit, tests, (path, old, new))
-        if not killed:
+        failure = _failure(commit, tests, (path, old, new))
+        if not failure:
             survivors.append(i)
         print(json.dumps({"mutant": i, "file": path, "text": old, "replacement": new, "tests": list(tests),
-                          "killed": killed, "seconds": round(time.perf_counter() - t, 1)}), flush=True)
+                          "killed_by": failure, "seconds": round(time.perf_counter() - t, 1)}), flush=True)
     print(json.dumps({"mutants": len(MUTANTS), "killed": len(MUTANTS) - len(survivors), "survivors": survivors,
                       "wall_s": round(time.perf_counter() - t0, 1)}))
     return 1 if survivors else 0
