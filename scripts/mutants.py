@@ -42,10 +42,10 @@ MUTANTS = (
      ("tests/test_experiments.py",)),
     (EXPERIMENTS, "return R >= m.bit_length() - 1 or", "return R > m.bit_length() - 1 or",
      ("tests/test_experiments.py",)),
-    (EXPERIMENTS, "if R >= int(vals.max(initial=0)).bit_length() - 1:",
-     "if R >= int(vals.max(initial=0)).bit_length() - 2:", ("tests/test_experiments.py",)),
-    (EXPERIMENTS, "if R >= int(vals.max(initial=0)).bit_length() - 1:",
-     "if R > int(vals.max(initial=0)).bit_length() - 1:", ("tests/test_experiments.py",)),
+    (EXPERIMENTS, "if R >= int(vals.max()).bit_length() - 1:",
+     "if R >= int(vals.max()).bit_length() - 2:", ("tests/test_experiments.py",)),
+    (EXPERIMENTS, "if R >= int(vals.max()).bit_length() - 1:",
+     "if R > int(vals.max()).bit_length() - 1:", ("tests/test_experiments.py",)),
     # the pool: serial while one chunk holds every member, _CHUNK to a task
     (EXPERIMENTS, "if jobs <= 1 or len(items) <= chunksize:", "if jobs <= 1 or len(items) < chunksize:",
      ("tests/test_experiments.py",)),

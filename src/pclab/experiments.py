@@ -224,7 +224,7 @@ def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
     Omega(v) <= log2 v, so from R = bit_length - 1 of the largest v on every
     v passes unfactored.
     """
-    if R >= int(vals.max(initial=0)).bit_length() - 1:
+    if R >= int(vals.max()).bit_length() - 1:
         return np.ones(vals.size, dtype=bool)
     omega_small, _, cofactor = signature_arrays(vals)
     big = cofactor > 1

@@ -237,7 +237,7 @@ def test_parallel_runs_equal_sequential(monkeypatch):
             super().__init__(*args, **kwargs)
 
         def map(self, *args, **kwargs):
-            chunksizes.append(kwargs["chunksize"])
+            chunksizes.append(kwargs.get("chunksize", 1))
             return super().map(*args, **kwargs)
 
     chunksizes = []
@@ -331,7 +331,7 @@ def test_log2_bound_stops_one_below_bit_length(monkeypatch):
 def test_census_at_the_log2_bound_matches_signatures(x, c, monkeypatch):
     # R = bit_length - 1 of the largest member passes every member unfactored,
     # R = bit_length - 2 factors; both equal the signatures' verdicts, with
-    # the members laid out as they come (int64, then objects) and as objects
+    # the members in their own layout and as Python ints
     _, vals = ex.members(x, c)
     sigs = [factor_signature(v) for v in vals.tolist()]
     top = max(vals.tolist()).bit_length()
