@@ -38,11 +38,16 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], check=True, capture_output=True).stdout
 
 
+def fresh_copy(commit: str, dest: str) -> None:
+    """Extracts `git archive commit` into dest."""
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def _run(commit: str, null_file: str | None, argv: list[str]) -> dict:
     """perfbench/run.py's result line, run in a fresh copy of commit."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as tar:
-            tar.extractall(tmp, filter="data")
+        fresh_copy(commit, tmp)
         if null_file:
             with open(Path(tmp) / null_file, "a") as f:
                 f.write(NULL_EDIT)

@@ -17,15 +17,15 @@ seconds); exits 1 if any mutant survives.
 Usage: python scripts/mutants.py [COMMIT]
 Run from the root of the repository's checkout; COMMIT defaults to HEAD.
 """
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import fresh_copy
 
 EXPERIMENTS = "src/pclab/experiments.py"
 ACCEPTANCE = "src/pclab/acceptance.py"
@@ -36,16 +36,13 @@ ORACLE_TESTS = ("tests/test_acceptance.py::test_oracle_kernel_matches_100_digits
                 "tests/test_acceptance.py::test_criterion[12]")
 
 MUTANTS = (
-    # the census's log2 bound: Omega(m) <= bit_length - 1, not one less, and
-    # the bound itself passes unfactored
-    (EXPERIMENTS, "return R >= m.bit_length() - 1 or", "return R >= m.bit_length() - 2 or",
+    # the census's log2 bound, once per block: Omega(m) <= bit_length - 1 of
+    # the block's last member, not one less, and the bound itself passes
+    (EXPERIMENTS, "lambda top: R >= top.bit_length() - 1", "lambda top: R >= top.bit_length() - 2",
      ("tests/test_experiments.py",)),
-    (EXPERIMENTS, "return R >= m.bit_length() - 1 or", "return R > m.bit_length() - 1 or",
+    (EXPERIMENTS, "lambda top: R >= top.bit_length() - 1", "lambda top: R > top.bit_length() - 1",
      ("tests/test_experiments.py",)),
-    (EXPERIMENTS, "if R >= int(vals.max()).bit_length() - 1:",
-     "if R >= int(vals.max()).bit_length() - 2:", ("tests/test_experiments.py",)),
-    (EXPERIMENTS, "if R >= int(vals.max()).bit_length() - 1:",
-     "if R > int(vals.max()).bit_length() - 1:", ("tests/test_experiments.py",)),
+    (EXPERIMENTS, "passes_all(int(vals[-1]))", "passes_all(int(vals[0]))", ("tests/test_experiments.py",)),
     # the pool: serial while one chunk holds every member, _CHUNK to a task
     (EXPERIMENTS, "if jobs <= 1 or len(items) <= chunksize:", "if jobs <= 1 or len(items) < chunksize:",
      ("tests/test_experiments.py",)),
@@ -54,6 +51,9 @@ MUTANTS = (
     # members is one block, laid out by its last floor
     (EXPERIMENTS, "    return ps, _block_floors(ps, c, caps)\n", "    return ps, floor_pow_batch(ps, c, caps)\n",
      ("tests/test_experiments.py",)),
+    # an object block's floors below 2^62 come from one batch
+    (EXPERIMENTS, "k = bisect_left(ps, TWO62,", "k = 0 or bisect_left(ps, TWO62,", ("tests/test_experiments.py",)),
+    (EXPERIMENTS, "k = bisect_left(ps, TWO62,", "k = bisect_left(ps, TWO64,", ("tests/test_experiments.py",)),
     # the residue plan: _PARTNERS offers, each modulus covered once
     (EXPERIMENTS, "if offered == _PARTNERS or", "if offered > _PARTNERS or", ("tests/test_experiments.py",)),
     (EXPERIMENTS, "if q <= D and not covered[q]:", "if q <= D:", ("tests/test_experiments.py",)),
@@ -78,17 +78,11 @@ MUTANTS = (
 )
 
 
-def _copy(commit: str, dest: str) -> None:
-    archive = subprocess.run(["git", "archive", commit], check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-
-
 def _failure(commit: str, tests, mutant=None) -> str | None:
     """pytest's first FAILED or ERROR line on tests in a fresh copy of commit,
     with mutant's text replaced; None when they pass."""
     with tempfile.TemporaryDirectory(prefix="mutants_") as tmp:
-        _copy(commit, tmp)
+        fresh_copy(commit, tmp)
         if mutant:
             path, old, new = Path(tmp) / mutant[0], mutant[1], mutant[2]
             text = path.read_text()

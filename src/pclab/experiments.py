@@ -4,12 +4,13 @@ Every census counts block by block.  A block is the primes of one range
 (a, a + ``_SPAN``] of (0, x], sieved on its own (``primes.primes_in``), so
 it depends on its range alone; a range that holds no prime gives no block.
 Each block is laid out by the exact floor of its last prime: below 2^62
-(``factor.TWO62``) its members come from ``floor_pow_batch`` as one int64
-array, above it from ``floor_pow`` one by one as Python ints.  So a census
-holds one block of members, not all of them, and the early blocks of a run
-whose last members pass 2^62 stay int64.  The 2^127 ``Overflow`` is decided
-from the largest prime <= x (``_top_floor``, which walks down from x with
-``factor.is_prime``) before any block is.
+(``factor.TWO62``) its members are one int64 array, above it Python ints
+in an object array.  Either way its floors below 2^62 come from one
+``floor_pow_batch`` and only the rest from ``floor_pow``, one by one.  So
+a census holds one block of members, not all of them, and the early
+blocks of a run whose last members pass 2^62 stay int64.  The 2^127
+``Overflow`` is decided from the largest prime <= x (``_top_floor``, which
+walks down from x with ``factor.is_prime``) before any block is.
 ``members`` sieves (0, x] once and lays all its primes out as one block,
 by the same rule.
 
@@ -22,11 +23,11 @@ to the cube root of the block's largest member leaves a cofactor with at
 most two prime factors, so squarefreeness follows from a perfect-square
 test, and Omega <= R needs ``factor.is_prime_array`` only on the cofactors
 whose primality decides it.  Omega(m) <= log2 m, so from R = bit_length - 1
-of the block's largest member on, nothing is factored.  ``ps_prime_count``
-decides its members with ``is_prime_array`` itself.  Object members (2^62
-and above) go one by one through the member test, which passes m unfactored
-from R = m.bit_length() - 1 on; with ``jobs > 1`` and more than ``_CHUNK``
-of them, each block's members run in a process pool of their own,
+of a block's last member, its largest, on, the block passes whole in either
+layout, unfactored and with no pool.  ``ps_prime_count`` decides its
+members with ``is_prime_array`` itself.  Object members go one by one
+through the member test; with ``jobs > 1`` and more than ``_CHUNK`` of
+them, each block's members run in a process pool of their own,
 ``_CHUNK`` to a task, and their verdicts come back in member order, so
 worker count never changes a result.  ``residue_histogram`` and
 ``level_error`` add up their residue tables block by block.
@@ -37,6 +38,7 @@ of several d, whose table each d dividing M folds into its own.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -155,10 +157,13 @@ def _top_floor(x: int, c: RationalExponent, caps: Caps) -> int:
 
 def _block_floors(ps: np.ndarray, c: RationalExponent, caps: Caps) -> np.ndarray:
     """floor(p^c) for a block of primes, laid out by the floor of its last
-    prime: int64 below 2^62, Python ints in an object array above."""
+    prime: int64 below 2^62, Python ints in an object array above, whose
+    floors below 2^62 still come from one batch."""
     if floor_pow(int(ps[-1]), c, caps) < TWO62:
         return floor_pow_batch(ps, c, caps)
-    return np.array([floor_pow(p, c, caps) for p in ps.tolist()], dtype=object)
+    k = bisect_left(ps, TWO62, key=lambda p: floor_pow(int(p), c, caps))  # the floors rise with p
+    high = np.array([floor_pow(p, c, caps) for p in ps[k:].tolist()], dtype=object)
+    return np.concatenate((floor_pow_batch(ps[:k], c, caps).astype(object), high))
 
 
 def _member_blocks(x: int, c: RationalExponent, caps: Caps):
@@ -189,25 +194,27 @@ def _map_ordered(func, items, jobs, chunksize=1):
 
 
 def _omega_at_most(R: int, m: int) -> bool:
-    # Omega(m) <= log2 m, so from R = bit_length - 1 on m passes unfactored
-    return R >= m.bit_length() - 1 or factor_signature(m).omega_big <= R
+    return factor_signature(m).omega_big <= R
 
 
 def _squarefree(m: int) -> bool:
     return factor_signature(m).squarefree
 
 
-def _count(blocks, jobs: int, array_test, member_test) -> tuple[int, int]:
+def _count(blocks, jobs: int, array_test, member_test, passes_all=None) -> tuple[int, int]:
     """(passed, members): the members that pass a census test and all
     members, summed over blocks of members in either layout.
 
-    An int64 block is decided at once by array_test, which returns a
-    boolean mask; object members one by one by member_test, which must
-    pickle.
+    A block passes whole when passes_all holds for its last member, the
+    largest.  Otherwise an int64 block is decided at once by array_test,
+    which returns a boolean mask; object members one by one by member_test,
+    which must pickle.
     """
     passed = total = 0
     for vals in blocks:
-        if vals.dtype == np.int64:
+        if passes_all and passes_all(int(vals[-1])):
+            passed += vals.size
+        elif vals.dtype == np.int64:
             passed += int(np.count_nonzero(array_test(vals)))
         else:
             passed += sum(_map_ordered(member_test, vals.tolist(), jobs, _CHUNK))
@@ -221,11 +228,7 @@ def _omega_within(vals: np.ndarray, R: int) -> np.ndarray:
     The cofactor adds 0 (it is 1), 1 (a prime) or 2 (composite) to the small
     count, so only where small count + 1 == R does its primality decide;
     ``is_prime_array`` settles those few, deterministically below 2^64.
-    Omega(v) <= log2 v, so from R = bit_length - 1 of the largest v on every
-    v passes unfactored.
     """
-    if R >= int(vals.max()).bit_length() - 1:
-        return np.ones(vals.size, dtype=bool)
     omega_small, _, cofactor = signature_arrays(vals)
     big = cofactor > 1
     within = omega_small + 2 * big <= R
@@ -239,7 +242,9 @@ def almost_prime_census(x: int, c, R: int, *, jobs: int = 1, caps: Caps = DEFAUL
     if R < 1:
         raise OutOfRange("need R >= 1")
     c = as_exponent(c)
-    count, pi_x = _count(_member_blocks(x, c, caps), jobs, partial(_omega_within, R=R), partial(_omega_at_most, R))
+    # Omega(m) <= log2 m, so from R = bit_length - 1 of a block's largest member on it passes whole
+    count, pi_x = _count(_member_blocks(x, c, caps), jobs, partial(_omega_within, R=R), partial(_omega_at_most, R),
+                         lambda top: R >= top.bit_length() - 1)
     eta_hat = count * math.log(x) ** 2 / x
     return CensusReport(x, c, R, count, pi_x, eta_hat)
 

@@ -314,17 +314,19 @@ def no_factoring(*args):
     raise AssertionError(f"a member was factored: {args}")
 
 
-def test_log2_bound_stops_one_below_bit_length(monkeypatch):
+@pytest.mark.parametrize("layout", [np.int64, object])
+def test_log2_bound_stops_one_below_bit_length(layout, monkeypatch):
     # 2^40 and 3 * 2^39 have 41 bits and Omega = 40: they fail at R = 39,
-    # and at R = 40 = bit_length - 1 they pass unfactored
-    crafted = [2**40, 3 * 2**39]
-    assert [factor_signature(m).omega_big for m in crafted] == [40, 40]
-    assert [ex._omega_at_most(39, m) for m in crafted] == [False, False]
-    assert ex._omega_within(np.array(crafted, dtype=np.int64), 39).tolist() == [False, False]
+    # though the block's first member, 5, is far below its bound; at R = 40
+    # = bit_length - 1 of the last member the block passes unfactored
+    crafted = [5, 2**40, 3 * 2**39]
+    assert [factor_signature(m).omega_big for m in crafted] == [1, 40, 40]
+    monkeypatch.setattr(ex, "_member_blocks", lambda *a: iter([np.array(crafted, dtype=layout)]))
+    assert ex.almost_prime_census(100, "3/2", 39).count == 1
     monkeypatch.setattr(ex, "factor_signature", no_factoring)
     monkeypatch.setattr(ex, "signature_arrays", no_factoring)
-    assert [ex._omega_at_most(40, m) for m in crafted] == [True, True]
-    assert ex._omega_within(np.array(crafted, dtype=np.int64), 40).tolist() == [True, True]
+    r = ex.almost_prime_census(100, "3/2", 40)
+    assert r.count == r.pi_x == 3
 
 
 @pytest.mark.parametrize("x, c", [(2 * 10**4, "29/10"), (300, "77/10")])
@@ -346,12 +348,17 @@ def test_census_at_the_log2_bound_matches_signatures(x, c, monkeypatch):
 def test_census_at_R_126_factors_nothing(monkeypatch):
     # every member lies below 2^127, so from R = 126 on Omega <= log2 m <= R;
     # the 127-bit members of 127/10 sit exactly at the bound, and R(7/2) =
-    # 1763 is the paper's own
+    # 1763 is the paper's own.  The object blocks start no pool either,
+    # though their 168 and 2262 members fill many chunks of 16
     monkeypatch.setattr(ex, "factor_signature", no_factoring)
     monkeypatch.setattr(ex, "signature_arrays", no_factoring)
+    monkeypatch.setattr(ex, "_map_ordered", no_factoring)
+    monkeypatch.setattr(ex, "_CHUNK", 16)
     assert max(ex.members(1000, "127/10")[1]).bit_length() == 127
-    for x, c, R in ((1000, "127/10", 126), (2 * 10**4, "29/10", 126), (2 * 10**4, "7/2", 1763)):
-        r = ex.almost_prime_census(x, c, R)
+    cases = ((1000, "127/10", 126), (2 * 10**4, "29/10", 126), (2 * 10**4, "7/2", 1763), (2 * 10**4, "51/10", 1763))
+    assert [ex.members(x, c)[1].dtype for x, c, _ in cases] == [object, np.int64, np.int64, object]
+    for x, c, R in cases:
+        r = ex.almost_prime_census(x, c, R, jobs=2)
         assert r.count == r.pi_x == ex.primes_in(0, x).size, (x, c, R)
 
 
@@ -515,6 +522,21 @@ def test_censuses_skip_ranges_without_a_prime(c, monkeypatch):
         got, *got_members = census_outputs(126, c, jobs)
         assert got == want, jobs
         assert_same_members(got_members, want_members)
+
+
+def test_object_blocks_take_their_floors_below_2_62_from_one_batch(monkeypatch):
+    # of the 62 primes to 300, the 56 to 263 have floor(p^7.7) < 2^62: one
+    # batch floors them, and floor_pow the last six, the bisection's probes
+    # and the checks of the top and the last prime
+    batches, scalars = [], []
+    floor_pow_batch, scalar = ex.floor_pow_batch, ex.floor_pow
+    monkeypatch.setattr(ex, "floor_pow_batch", lambda ps, *a: batches.append(ps.tolist()) or floor_pow_batch(ps, *a))
+    monkeypatch.setattr(ex, "floor_pow", lambda *a: scalars.append(a[0]) or scalar(*a))
+    ps, vals = ex.members(300, "77/10")
+    assert vals.dtype == object and [type(v) for v in vals] == [int] * 62
+    assert vals.tolist() == [floor_pow(p, "77/10") for p in ps.tolist()]
+    assert batches == [ps[:56].tolist()] and int(vals[55]) < 2**62 <= int(vals[56])
+    assert len(scalars) <= 6 + math.ceil(math.log2(62)) + 2, scalars
 
 
 def test_members_sieves_once(monkeypatch):

@@ -120,8 +120,9 @@ def test_peak_memory_measures_the_sums_and_margins(argv):
     assert list(line) == ["call", "args", "wall_s", "peak_rss_mb"] and line["call"] == argv[0]
 
 
-def test_every_mutant_names_text_that_occurs_once():
+def test_every_mutant_names_text_that_occurs_once(monkeypatch):
     # mutants.py replaces each text in a fresh copy; run here without the copies
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # mutants.py imports bench_pairs' fresh_copy
     root = SCRIPTS.parent
     for path, old, new, tests in _script("mutants").MUTANTS:
         assert (root / path).read_text().count(old) == 1 and new != old, (path, old)
