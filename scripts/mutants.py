@@ -52,7 +52,7 @@ MUTANTS = (
     (EXPERIMENTS, "    return ps, _block_floors(ps, c, caps)\n", "    return ps, floor_pow_batch(ps, c, caps)\n",
      ("tests/test_experiments.py",)),
     # an object block's floors below 2^62 come from one batch
-    (EXPERIMENTS, "k = bisect_left(ps, TWO62,", "k = 0 or bisect_left(ps, TWO62,", ("tests/test_experiments.py",)),
+    (EXPERIMENTS, "k = bisect_left(ps, TWO62,", "k = 0 and bisect_left(ps, TWO62,", ("tests/test_experiments.py",)),
     (EXPERIMENTS, "k = bisect_left(ps, TWO62,", "k = bisect_left(ps, TWO64,", ("tests/test_experiments.py",)),
     # the residue plan: _PARTNERS offers, each modulus covered once
     (EXPERIMENTS, "if offered == _PARTNERS or", "if offered > _PARTNERS or", ("tests/test_experiments.py",)),
