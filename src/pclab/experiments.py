@@ -3,33 +3,30 @@
 Every census counts block by block.  A block is the primes of one range
 (a, a + ``_SPAN``] of (0, x], sieved on its own (``primes.primes_in``), so
 it depends on its range alone; a range that holds no prime gives no block.
-Each block is laid out by the exact floor of its last prime: below 2^62
-(``factor.TWO62``) its members are one int64 array, above it Python ints
-in an object array.  Either way its floors below 2^62 come from one
-``floor_pow_batch`` and only the rest from ``floor_pow``, one by one.  So
-a census holds one block of members, not all of them, and the early
-blocks of a run whose last members pass 2^62 stay int64.  The 2^127
-``Overflow`` is decided from the largest prime <= x (``_top_floor``, which
-walks down from x with ``factor.is_prime``) before any block is.
-``members`` sieves (0, x] once and lays all its primes out as one block,
-by the same rule.
+A block is one int64 array when the exact floor of its last prime is below
+2^62 (``factor.TWO62``), else Python ints in an object array; either way
+``floor_pow_batch`` takes its floors below 2^62 and ``floor_pow`` the rest.
+So a census holds one block of members, and the early blocks of a run whose
+last members pass 2^62 stay int64.  The 2^127 ``Overflow`` is decided from
+the largest prime <= x (``_top_floor``, which walks down from x with
+``factor.is_prime``) before any block is.  ``members`` sieves (0, x] once
+and lays all its primes out as one block, by the same rule.
 
-Census counts are exact, and they are integer sums over the blocks, so the
-block size never changes a result.  ``_count`` decides both layouts for
-every census, given the census's array test and member test.  It decides
-an int64 block all at once, through the array test.  The squarefree and
-almost-prime censuses use ``factor.signature_arrays`` there: trial division
-to the cube root of the block's largest member leaves a cofactor with at
-most two prime factors, so squarefreeness follows from a perfect-square
-test, and Omega <= R needs ``factor.is_prime_array`` only on the cofactors
-whose primality decides it.  Omega(m) <= log2 m, so from R = bit_length - 1
-of a block's last member, its largest, on, the block passes whole in either
-layout, unfactored and with no pool.  ``ps_prime_count`` decides its
+Census counts are exact integer sums over the blocks, so the block size
+never changes a result.  ``_count`` decides both layouts for every census:
+an int64 block all at once, through the census's array test.  The
+squarefree and almost-prime censuses use ``factor.signature_arrays`` there:
+trial division to the cube root of the block's largest member leaves a
+cofactor with at most two prime factors, so squarefreeness follows from a
+perfect-square test, and Omega <= R needs ``factor.is_prime_array`` only on
+the cofactors whose primality decides it.  ``ps_prime_count`` decides its
 members with ``is_prime_array`` itself.  Object members go one by one
 through the member test; with ``jobs > 1`` and more than ``_CHUNK`` of
-them, each block's members run in a process pool of their own,
-``_CHUNK`` to a task, and their verdicts come back in member order, so
-worker count never changes a result.  ``residue_histogram`` and
+them, each block's members run in a process pool of their own, ``_CHUNK``
+to a task, and their verdicts come back in member order, so worker count
+never changes a result.  Omega(m) <= log2 m, so from R = bit_length - 1 of
+a block's last member, its largest, on, the block passes whole in either
+layout, unfactored and with no pool.  ``residue_histogram`` and
 ``level_error`` add up their residue tables block by block.
 ``level_error`` takes the tables of every d <= D from ``_residue_tables``:
 one ``%`` pass and one ``bincount`` per shared modulus M <= 2^14, the lcm
@@ -156,9 +153,8 @@ def _top_floor(x: int, c: RationalExponent, caps: Caps) -> int:
 
 
 def _block_floors(ps: np.ndarray, c: RationalExponent, caps: Caps) -> np.ndarray:
-    """floor(p^c) for a block of primes, laid out by the floor of its last
-    prime: int64 below 2^62, Python ints in an object array above, whose
-    floors below 2^62 still come from one batch."""
+    """floor(p^c) for a block of primes: int64 when its last floor is below
+    2^62, else Python ints in an object array, still batched below 2^62."""
     if floor_pow(int(ps[-1]), c, caps) < TWO62:
         return floor_pow_batch(ps, c, caps)
     k = bisect_left(ps, TWO62, key=lambda p: floor_pow(int(p), c, caps))  # the floors rise with p
@@ -242,7 +238,6 @@ def almost_prime_census(x: int, c, R: int, *, jobs: int = 1, caps: Caps = DEFAUL
     if R < 1:
         raise OutOfRange("need R >= 1")
     c = as_exponent(c)
-    # Omega(m) <= log2 m, so from R = bit_length - 1 of a block's largest member on it passes whole
     count, pi_x = _count(_member_blocks(x, c, caps), jobs, partial(_omega_within, R=R), partial(_omega_at_most, R),
                          lambda top: R >= top.bit_length() - 1)
     eta_hat = count * math.log(x) ** 2 / x
